@@ -5,15 +5,12 @@ __version__ = "0.1.0"
 
 from .core import (
     BlockAssignment,
-    Interaction,
     InteractionNetwork,
     ModelParams,
     SufficientStats,
-    block_degree_distribution,
     compute_stats,
     degree_distribution,
     log_ascending_factorial,
-    restrict_to_block,
 )
 from .errors import BvcmError, DataError, NumericalError, UsageError
 from .generator import (
@@ -61,7 +58,6 @@ __all__ = [
     "GeneratorConfig",
     "GibbsConfig",
     "GibbsSampler",
-    "Interaction",
     "InteractionNetwork",
     "LabelingQuality",
     "LogProb",
@@ -71,7 +67,6 @@ __all__ = [
     "SimulationResult",
     "SufficientStats",
     "UsageError",
-    "block_degree_distribution",
     "compute_stats",
     "cross_entropy_loss",
     "degree_distribution",
@@ -84,7 +79,6 @@ __all__ = [
     "marginal_log_likelihood",
     "misclassification_bound",
     "powerlaw_diagnostic",
-    "restrict_to_block",
     "restricted_misclassification",
     "run_gibbs",
     "simulate",

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import BlockAssignment, InteractionNetwork
+from .core import BlockAssignment, InteractionNetwork, counterparty_counts
 from .errors import NumericalError, UsageError
 
 __all__ = [
@@ -27,21 +27,7 @@ __all__ = [
     "misclassification_bound",
     "restricted_misclassification",
     "estimate_gamma",
-    "pair_arrays",
 ]
-
-
-def pair_arrays(network: InteractionNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Sender/receiver index arrays, one entry per (sender, receiver) slot."""
-    senders = []
-    receivers = []
-    for it in network.interactions:
-        if it.sender is None:
-            continue
-        for r in it.receivers:
-            senders.append(it.sender)
-            receivers.append(r)
-    return np.asarray(senders, dtype=np.int64), np.asarray(receivers, dtype=np.int64)
 
 
 def degree_majority_update(
@@ -58,11 +44,7 @@ def degree_majority_update(
     if len(labeling.labels) != network.n_nodes:
         raise UsageError("labeling does not cover the network")
     labels = labeling.labels
-    s_idx, r_idx = pair_arrays(network)
-    counts = np.zeros((network.n_nodes, 2), dtype=np.int64)
-    if len(s_idx):
-        np.add.at(counts, (s_idx, labels[r_idx]), 1)
-        np.add.at(counts, (r_idx, labels[s_idx]), 1)
+    counts = counterparty_counts(network, labels, 2)
     new = np.where(
         counts[:, 1] > counts[:, 0],
         1,
@@ -134,14 +116,8 @@ def estimate_gamma(
     """
     if truth.k != 2 or labeling.k != 2:
         raise UsageError("gamma estimation is defined for k = 2")
-    deg = np.zeros(network.n_nodes, dtype=np.int64)
-    for it in network.interactions:
-        if it.sender is not None:
-            deg[it.sender] += 1
-        for r in it.receivers:
-            deg[r] += 1
     out = []
-    w = deg.astype(float) if weighted else np.ones(network.n_nodes)
+    w = network.degrees().astype(float) if weighted else np.ones(network.n_nodes)
     correct = labeling.labels == truth.labels
     for b in (0, 1):
         sel = truth.labels == b
@@ -233,12 +209,7 @@ def restricted_misclassification(
     hard, k = _hard_labels(chain_or_labeling)
     if len(hard) != network.n_nodes or len(truth.labels) != network.n_nodes:
         raise UsageError("labels do not cover the network")
-    deg = np.zeros(network.n_nodes, dtype=np.int64)
-    for it in network.interactions:
-        if it.sender is not None:
-            deg[it.sender] += 1
-        for r in it.receivers:
-            deg[r] += 1
+    deg = network.degrees()
     out = []
     for cut in cutoffs:
         sel = deg >= cut

@@ -10,27 +10,25 @@ in all file formats.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import DataError, NumericalError
 
 __all__ = [
-    "Interaction",
     "InteractionNetwork",
     "BlockAssignment",
     "ModelParams",
     "SufficientStats",
     "log_ascending_factorial",
-    "log_normalize",
     "compute_stats",
-    "restrict_to_block",
+    "counterparty_counts",
     "degree_distribution",
-    "block_degree_distribution",
 ]
 
 # Direct product is exact and cheap for short factorials; above this the
@@ -69,100 +67,96 @@ def log_ascending_factorial(x: float, step: float, n: int) -> float:
     return n * math.log(step) + math.lgamma(r + n) - math.lgamma(r)
 
 
-def log_normalize(log_weights: Sequence[float]) -> list[float]:
-    """Probabilities from unnormalized log weights via a stable log-sum-exp."""
-    m = max(log_weights)
-    ws = [math.exp(w - m) for w in log_weights]
-    t = sum(ws)
-    return [w / t for w in ws]
-
-
-@dataclass(frozen=True)
-class Interaction:
-    """One post: sender index plus receiver indices (multiset, ordered as drawn).
-
-    ``sender`` is None only in block-restricted views where the sender
-    was dropped; full networks always carry a sender and at least one
-    receiver.
-    """
-
-    sender: Optional[int]
-    receivers: tuple[int, ...]
-
-    def arity(self) -> int:
-        return (self.sender is not None) + len(self.receivers)
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 class InteractionNetwork:
-    """Ordered sequence of interactions over a dense node index space."""
+    """Ordered sequence of interactions over a dense node index space.
 
-    def __init__(
-        self,
-        interactions: list[Interaction],
-        node_ids: list[str],
-        kept_labels: Optional[list[int]] = None,
-    ):
-        self.interactions = interactions
+    Stored as CSR (compressed sparse row) arrays: interaction j has
+    sender ``senders[j]`` and receivers
+    ``receivers[offsets[j]:offsets[j + 1]]`` (a multiset, in drawn
+    order).  The arrays are read-only so the cached ``degrees()`` and
+    ``pairs()`` stay valid.
+    """
+
+    def __init__(self, senders, offsets, receivers, node_ids: list[str]):
+        self.senders = _readonly(np.asarray(senders, dtype=np.int64))
+        self.offsets = _readonly(np.asarray(offsets, dtype=np.int64))
+        self.receivers = _readonly(np.asarray(receivers, dtype=np.int64))
         self.node_ids = node_ids
-        # 1-based positions in the parent network, set on restricted views.
-        self.kept_labels = kept_labels
-        self._index = {name: i for i, name in enumerate(node_ids)}
+        self._index: Optional[dict[str, int]] = None
+        self._degrees: Optional[np.ndarray] = None
+        self._pairs: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     @classmethod
     def from_records(
         cls, records: Iterable[tuple[str, Sequence[str]]]
     ) -> "InteractionNetwork":
-        node_ids: list[str] = []
+        """Network from (sender, receivers) name records; node indices
+        follow order of first appearance."""
         index: dict[str, int] = {}
-
-        def idx(name: str) -> int:
-            i = index.get(name)
-            if i is None:
-                i = len(node_ids)
-                index[name] = i
-                node_ids.append(name)
-            return i
-
-        interactions = []
-        for pos, (sender, receivers) in enumerate(records, start=1):
+        senders: list[int] = []
+        offsets = [0]
+        receivers: list[int] = []
+        for pos, (sender, rs) in enumerate(records, start=1):
             if sender is None or sender == "":
                 raise DataError(f"interaction {pos}: missing sender")
-            if not receivers:
+            if not rs:
                 raise DataError(f"interaction {pos}: empty receiver list")
-            s = idx(str(sender))
-            rs = tuple(idx(str(r)) for r in receivers)
-            interactions.append(Interaction(s, rs))
-        return cls(interactions, node_ids)
+            senders.append(index.setdefault(str(sender), len(index)))
+            receivers.extend(index.setdefault(str(r), len(index)) for r in rs)
+            offsets.append(len(receivers))
+        return cls(senders, offsets, receivers, list(index))
 
     @property
     def m(self) -> int:
-        return len(self.interactions)
+        return len(self.senders)
 
     @property
     def n_nodes(self) -> int:
         return len(self.node_ids)
 
     def node_index(self, name: str) -> int:
+        if self._index is None:
+            self._index = {n: i for i, n in enumerate(self.node_ids)}
         try:
             return self._index[name]
         except KeyError:
             raise DataError(f"unknown node identifier {name!r}") from None
 
-    def records(self) -> Iterable[tuple[str, list[str]]]:
-        for it in self.interactions:
-            sender = self.node_ids[it.sender] if it.sender is not None else ""
-            yield sender, [self.node_ids[r] for r in it.receivers]
+    def degrees(self) -> np.ndarray:
+        """Appearances of each node as sender or receiver, with multiplicity."""
+        if self._degrees is None:
+            n = self.n_nodes
+            self._degrees = _readonly(
+                np.bincount(self.senders, minlength=n)
+                + np.bincount(self.receivers, minlength=n)
+            )
+        return self._degrees
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sender, receiver) index arrays, one entry per receiver slot."""
+        if self._pairs is None:
+            arity = np.diff(self.offsets)
+            self._pairs = (_readonly(np.repeat(self.senders, arity)), self.receivers)
+        return self._pairs
+
+    def records(self) -> Iterator[tuple[str, list[str]]]:
+        ids = self.node_ids
+        offsets = self.offsets.tolist()
+        receivers = self.receivers.tolist()
+        for j, s in enumerate(self.senders.tolist()):
+            yield ids[s], [ids[r] for r in receivers[offsets[j] : offsets[j + 1]]]
 
     def prefix(self, m: int) -> "InteractionNetwork":
         """Network of the first m interactions, node table compacted."""
-        records = (
-            (self.node_ids[it.sender], [self.node_ids[r] for r in it.receivers])
-            for it in self.interactions[:m]
-        )
-        return InteractionNetwork.from_records(records)
+        return InteractionNetwork.from_records(itertools.islice(self.records(), m))
 
     def __len__(self) -> int:
-        return len(self.interactions)
+        return self.m
 
     def __repr__(self) -> str:
         return f"InteractionNetwork(m={self.m}, n_nodes={self.n_nodes})"
@@ -264,10 +258,8 @@ class SufficientStats:
     deg counts every appearance of a node (sender or receiver) with
     multiplicity.  initiations[b] is the number of interactions whose
     sender lies in block b.  pair[b, b'] counts (sender-block b,
-    receiver-block b') slots.  nbr_block[i, b'] counts i's
-    sender<->receiver counterparties that lie in block b' (a self pair
-    contributes two events to its node).  block_sizes and block_deg are
-    the non-isolated node count and total degree per block, and
+    receiver-block b') slots.  block_sizes and block_deg are the
+    non-isolated node count and total degree per block, and
     deg_hist_by_block[b][d] is the number of block-b nodes of degree d.
     """
 
@@ -275,7 +267,6 @@ class SufficientStats:
     deg: np.ndarray
     initiations: np.ndarray
     pair: np.ndarray
-    nbr_block: np.ndarray
     block_sizes: np.ndarray
     block_deg: np.ndarray
     deg_hist_by_block: list[Counter] = field(default_factory=list)
@@ -296,6 +287,15 @@ def _check_assignment(network: InteractionNetwork, assignment: BlockAssignment) 
         )
 
 
+def _degree_hist(deg: np.ndarray) -> Counter:
+    """Map degree -> count over the non-zero entries, keyed in order of
+    first occurrence (the order a per-node loop would insert them)."""
+    deg = deg[deg > 0]
+    values, first, counts = np.unique(deg, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return Counter(dict(zip(values[order].tolist(), counts[order].tolist())))
+
+
 def compute_stats(
     network: InteractionNetwork, assignment: BlockAssignment
 ) -> SufficientStats:
@@ -307,90 +307,34 @@ def compute_stats(
     _check_assignment(network, assignment)
     k = assignment.k
     labels = assignment.labels
-    n = network.n_nodes
-    deg = np.zeros(n, dtype=np.int64)
-    initiations = np.zeros(k, dtype=np.int64)
-    pair = np.zeros((k, k), dtype=np.int64)
-    nbr_block = np.zeros((n, k), dtype=np.int64)
-
-    for it in network.interactions:
-        s = it.sender
-        if s is not None:
-            deg[s] += 1
-            bs = labels[s]
-            initiations[bs] += 1
-        for r in it.receivers:
-            deg[r] += 1
-            br = labels[r]
-            if s is not None:
-                pair[labels[s], br] += 1
-                nbr_block[s, br] += 1
-                nbr_block[r, labels[s]] += 1
-
-    block_sizes = np.zeros(k, dtype=np.int64)
+    deg = network.degrees()
+    s_pair, r_pair = network.pairs()
+    pair = np.bincount(labels[s_pair] * k + labels[r_pair], minlength=k * k)
     block_deg = np.zeros(k, dtype=np.int64)
-    hists = [Counter() for _ in range(k)]
-    for i in range(n):
-        d = int(deg[i])
-        if d == 0:
-            continue
-        b = labels[i]
-        block_sizes[b] += 1
-        block_deg[b] += d
-        hists[b][d] += 1
-
+    np.add.at(block_deg, labels, deg)
     return SufficientStats(
         m=network.m,
         deg=deg,
-        initiations=initiations,
-        pair=pair,
-        nbr_block=nbr_block,
-        block_sizes=block_sizes,
+        initiations=np.bincount(labels[network.senders], minlength=k),
+        pair=pair.reshape(k, k),
+        block_sizes=np.bincount(labels[deg > 0], minlength=k),
         block_deg=block_deg,
-        deg_hist_by_block=hists,
+        deg_hist_by_block=[_degree_hist(deg[labels == b]) for b in range(k)],
     )
 
 
-def restrict_to_block(
-    network: InteractionNetwork, assignment: BlockAssignment, block: int
-) -> InteractionNetwork:
-    """Keep only the constituents of one block, dropping emptied interactions.
-
-    The surviving interactions remember their original 1-based position
-    through ``kept_labels``.
-    """
-    _check_assignment(network, assignment)
-    if not 0 <= block < assignment.k:
-        raise DataError(f"block {block} outside [0, {assignment.k})")
-    labels = assignment.labels
-    kept: list[Interaction] = []
-    kept_pos: list[int] = []
-    for pos, it in enumerate(network.interactions, start=1):
-        sender = it.sender if it.sender is not None and labels[it.sender] == block else None
-        receivers = tuple(r for r in it.receivers if labels[r] == block)
-        if sender is None and not receivers:
-            continue
-        kept.append(Interaction(sender, receivers))
-        kept_pos.append(pos)
-    return InteractionNetwork(kept, network.node_ids, kept_labels=kept_pos)
+def counterparty_counts(
+    network: InteractionNetwork, labels: np.ndarray, k: int
+) -> np.ndarray:
+    """counts[i, b]: i's sender<->receiver counterparties with label b,
+    with multiplicity (a self pair counts twice for its node)."""
+    s_pair, r_pair = network.pairs()
+    size = network.n_nodes * k
+    counts = np.bincount(s_pair * k + labels[r_pair], minlength=size)
+    counts += np.bincount(r_pair * k + labels[s_pair], minlength=size)
+    return counts.reshape(network.n_nodes, k)
 
 
 def degree_distribution(network: InteractionNetwork) -> Counter:
     """Map degree -> number of nodes with that degree (non-isolated only)."""
-    deg = Counter()
-    for it in network.interactions:
-        if it.sender is not None:
-            deg[it.sender] += 1
-        for r in it.receivers:
-            deg[r] += 1
-    hist = Counter()
-    for d in deg.values():
-        hist[d] += 1
-    return hist
-
-
-def block_degree_distribution(
-    network: InteractionNetwork, assignment: BlockAssignment, block: int
-) -> Counter:
-    """Degree histogram of the block-restricted network."""
-    return degree_distribution(restrict_to_block(network, assignment, block))
+    return _degree_hist(network.degrees())

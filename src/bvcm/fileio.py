@@ -19,6 +19,7 @@ import numpy as np
 from .core import BlockAssignment, InteractionNetwork
 from .errors import DataError
 from .gibbs import Chain
+from .metrics import PosteriorMembership
 
 __all__ = [
     "atomic_write",
@@ -28,7 +29,6 @@ __all__ = [
     "read_assignment_csv",
     "write_chain",
     "read_chain",
-    "write_membership_csv",
     "write_csv",
     "write_manifest",
     "read_manifest",
@@ -62,22 +62,30 @@ def write_interactions_jsonl(path: Path, network: InteractionNetwork) -> None:
 
 
 def read_interactions_jsonl(path: Path) -> InteractionNetwork:
-    records = []
+    """Inverse of write_interactions_jsonl; blank lines are skipped and
+    every rejected record names its file line."""
     with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                sender = obj["sender"]
-                receivers = obj["receivers"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise DataError(f"{path}: line {ln}: malformed interaction: {exc}")
-            if not isinstance(receivers, list) or not receivers:
-                raise DataError(f"{path}: line {ln}: receivers must be a non-empty list")
-            records.append((str(sender), [str(r) for r in receivers]))
-    return InteractionNetwork.from_records(records)
+        return InteractionNetwork.from_records(_jsonl_records(path, fh))
+
+
+def _jsonl_records(path: Path, lines):
+    for ln, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+            sender = obj["sender"]
+            receivers = obj["receivers"]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise DataError(f"{path}: line {ln}: malformed interaction: {exc}")
+        if not isinstance(receivers, list) or not receivers:
+            raise DataError(f"{path}: line {ln}: receivers must be a non-empty list")
+        if sender is None or sender == "":
+            raise DataError(f"{path}: line {ln}: missing sender")
+        if None in receivers or "" in receivers:
+            raise DataError(f"{path}: line {ln}: missing receiver identifier")
+        yield sender, receivers
 
 
 def write_assignment_csv(
@@ -146,15 +154,14 @@ def write_chain(out_dir: Path, chain: Chain) -> None:
         ([t] + [int(b) + 1 for b in chain.assignments[t]] for t in range(len(chain))),
     )
 
-    post = chain.post_assignments()
-    mem_rows = []
-    for i, name in enumerate(chain.node_ids):
-        freqs = [(post[:, i] == b).mean() for b in range(k)]
-        mem_rows.append([name] + [f"{f:.10g}" for f in freqs])
+    membership = PosteriorMembership.from_chain(chain)
     write_csv(
         out_dir / "membership.csv",
         ["node"] + [f"freq_{b + 1}" for b in range(k)],
-        mem_rows,
+        (
+            [name] + [f"{f:.10g}" for f in freqs]
+            for name, freqs in zip(membership.node_ids, membership.probs.tolist())
+        ),
     )
 
     write_manifest(
@@ -214,17 +221,6 @@ def read_chain(out_dir: Path) -> Chain:
         recv_conc=float(meta["recv_conc"]),
         elapsed_s=float(meta.get("elapsed_s", 0.0)),
         prop_rejections=int(meta.get("prop_rejections", 0)),
-    )
-
-
-def write_membership_csv(path: Path, membership) -> None:
-    write_csv(
-        path,
-        ["node"] + [f"freq_{b + 1}" for b in range(membership.k)],
-        (
-            [name] + [f"{x:.10g}" for x in membership.probs[i]]
-            for i, name in enumerate(membership.node_ids)
-        ),
     )
 
 

@@ -14,13 +14,12 @@ audibly distorts the degree law once the leftover mass is non-trivial.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .core import BlockAssignment, Interaction, InteractionNetwork, ModelParams
+from .core import BlockAssignment, InteractionNetwork, ModelParams
 from .errors import UsageError
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "simulate",
     "simulate_sequential",
     "simulate_conditional_iid",
-    "default_truncation",
 ]
 
 
@@ -70,16 +68,6 @@ class ArityLaw:
         if self.is_fixed:
             return np.full(size, len(self.weights), dtype=np.int64)
         return rng.choice(len(self.weights), size=size, p=np.asarray(self.weights)) + 1
-
-
-def default_truncation(alpha: float, theta: float, m: int) -> int:
-    """Stick atom count heuristic: ~4x the expected distinct nodes.
-
-    Only a heuristic: the leftover stick mass past T atoms scales like
-    T**(-(1-alpha)/alpha), so for large discounts no affordable
-    truncation drives it below the warning threshold.
-    """
-    return max(64, int(math.ceil(4.0 * (theta + 1.0) * (max(m, 1) ** alpha))))
 
 
 @dataclass
@@ -166,9 +154,9 @@ class _NodeSpace:
 
         return create
 
-    def finish(self, interactions, k, params) -> "SimulationResult":
+    def finish(self, senders, offsets, receivers, k, params) -> "SimulationResult":
         node_ids = [f"n{i + 1}" for i in range(len(self.deg))]
-        network = InteractionNetwork(interactions, node_ids)
+        network = InteractionNetwork(senders, offsets, receivers, node_ids)
         assignment = BlockAssignment(np.array(self.block, dtype=np.int64), k)
         return SimulationResult(network, assignment, params)
 
@@ -200,21 +188,22 @@ def simulate_sequential(config: GeneratorConfig) -> SimulationResult:
         return k - 1
 
     arities = config.arity.sample(rng, config.m) if config.m else np.empty(0, np.int64)
-    interactions: list[Interaction] = []
+    senders: list[int] = []
+    offsets = [0]
+    receivers: list[int] = []
     for j in range(config.m):
         bs = draw_block(snd_count, j, omega)
         snd_count[bs] += 1
-        sender = urns[bs].draw(rng, space.deg, space.creator(bs))
-        receivers = []
+        senders.append(urns[bs].draw(rng, space.deg, space.creator(bs)))
         row = pair[bs]
         for _ in range(int(arities[j])):
             br = draw_block(row, recv_tot[bs], zeta)
             row[br] += 1
             recv_tot[bs] += 1
             receivers.append(urns[br].draw(rng, space.deg, space.creator(br)))
-        interactions.append(Interaction(sender, tuple(receivers)))
+        offsets.append(len(receivers))
 
-    return space.finish(interactions, k, params)
+    return space.finish(senders, offsets, receivers, k, params)
 
 
 def _gem_sticks(
@@ -257,7 +246,8 @@ def simulate_conditional_iid(config: GeneratorConfig) -> SimulationResult:
     sender_blocks = rng.choice(k, size=m, p=pi) if m else np.empty(0, np.int64)
     arities = config.arity.sample(rng, m) if m else np.empty(0, np.int64)
     offsets = np.concatenate([[0], np.cumsum(arities)]).astype(np.int64)
-    total_recv = int(offsets[-1])
+    bounds = offsets.tolist()
+    total_recv = bounds[-1]
     recv_blocks = np.empty(total_recv, dtype=np.int64)
     for b in range(k):
         slot_mask = np.repeat(sender_blocks == b, arities)
@@ -281,18 +271,14 @@ def simulate_conditional_iid(config: GeneratorConfig) -> SimulationResult:
             _BlockUrn(float(params.alpha[b]), float(params.theta[b])) for b in range(k)
         ]
         space = _NodeSpace()
-        interactions = []
-        for j in range(m):
-            bs = int(sender_blocks[j])
-            sender = urns[bs].draw(rng, space.deg, space.creator(bs))
-            receivers = tuple(
-                urns[int(recv_blocks[t])].draw(
-                    rng, space.deg, space.creator(int(recv_blocks[t]))
-                )
-                for t in range(offsets[j], offsets[j + 1])
-            )
-            interactions.append(Interaction(sender, receivers))
-        result = space.finish(interactions, k, realized)
+        senders = []
+        receivers = []
+        recv_list = recv_blocks.tolist()
+        for j, bs in enumerate(sender_blocks.tolist()):
+            senders.append(urns[bs].draw(rng, space.deg, space.creator(bs)))
+            for br in recv_list[bounds[j] : bounds[j + 1]]:
+                receivers.append(urns[br].draw(rng, space.deg, space.creator(br)))
+        result = space.finish(senders, offsets, receivers, k, realized)
         result.notes = notes
         return result
 
@@ -334,17 +320,15 @@ def simulate_conditional_iid(config: GeneratorConfig) -> SimulationResult:
             node_block.append(block)
         return i
 
-    interactions = []
-    for j in range(m):
-        s = resolve(int(sender_blocks[j]), int(sender_atoms[j]))
-        rs = tuple(
-            resolve(int(recv_blocks[t]), int(recv_atoms[t]))
-            for t in range(offsets[j], offsets[j + 1])
-        )
-        interactions.append(Interaction(s, rs))
+    senders = []
+    receivers = []
+    recv_keys = list(zip(recv_blocks.tolist(), recv_atoms.tolist()))
+    for j, key in enumerate(zip(sender_blocks.tolist(), sender_atoms.tolist())):
+        senders.append(resolve(*key))
+        receivers.extend(resolve(*rk) for rk in recv_keys[bounds[j] : bounds[j + 1]])
 
     node_ids = [f"n{i + 1}" for i in range(len(node_block))]
-    network = InteractionNetwork(interactions, node_ids)
+    network = InteractionNetwork(senders, offsets, receivers, node_ids)
     assignment = BlockAssignment(np.array(node_block, dtype=np.int64), k)
     return SimulationResult(network, assignment, realized, sticks=sticks, notes=notes)
 

@@ -20,6 +20,7 @@ from scipy.special import gammaln
 from .core import (
     BlockAssignment,
     InteractionNetwork,
+    counterparty_counts,
     log_ascending_factorial,
 )
 from .errors import NumericalError, UsageError
@@ -179,31 +180,21 @@ class GibbsSampler:
         n = network.n_nodes
         self.n = n
 
-        deg = [0] * n
-        n_init = [0] * n
-        out_nbrs: list[list[int]] = [[] for _ in range(n)]
-        in_nbrs: list[list[int]] = [[] for _ in range(n)]
-        self_pairs = [0] * n
-        for it in network.interactions:
-            s = it.sender
-            deg[s] += 1
-            n_init[s] += 1
-            for r in it.receivers:
-                deg[r] += 1
-                if r == s:
-                    self_pairs[s] += 1
-                else:
-                    out_nbrs[s].append(r)
-                    in_nbrs[r].append(s)
+        deg = network.degrees()
         # Count aggregates treat every tracked node as non-isolated.
-        if min(deg) == 0:
+        if deg.min() == 0:
             raise UsageError("network node table contains isolated nodes")
-        self.deg = deg
-        self.node_inits = n_init
-        self.out_nbrs = out_nbrs
-        self.in_nbrs = in_nbrs
-        self.self_pairs = self_pairs
-        self.max_deg = max(deg)
+        s_pair, r_pair = network.pairs()
+        loop = s_pair == r_pair
+        s_out, r_in = s_pair[~loop], r_pair[~loop]
+        # The single-node sweep reads these per node: plain lists are
+        # faster there than numpy scalars.
+        self.deg = deg.tolist()
+        self.node_inits = np.bincount(network.senders, minlength=n).tolist()
+        self.out_nbrs = _group_by(s_out, r_in, n)
+        self.in_nbrs = _group_by(r_in, s_out, n)
+        self.self_pairs = np.bincount(s_pair[loop], minlength=n).tolist()
+        self.max_deg = int(deg.max())
 
         self.labels = self._initial_labels()
         self.alpha = np.empty(self.k)
@@ -518,6 +509,13 @@ class GibbsSampler:
         )
 
 
+def _group_by(keys: np.ndarray, values: np.ndarray, n: int) -> list[list[int]]:
+    """values split by key: one list per key 0..n-1, each in input order."""
+    ends = np.cumsum(np.bincount(keys, minlength=n)).tolist()
+    ordered = values[np.argsort(keys, kind="stable")].tolist()
+    return [ordered[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
 def run_gibbs(network: InteractionNetwork, config: GibbsConfig) -> Chain:
     """Run one chain; equal seeds give identical chains."""
     return GibbsSampler(network, config).run()
@@ -562,17 +560,12 @@ def warm_start_labels(
         labels[full] = prefix_hard[i]
         seen[full] = True
 
-    # Spread outward by counterparty majority; leftovers cycle labels.
+    # Spread outward by counterparty majority; leftovers get random labels.
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
     for _ in range(3):
-        counts = np.zeros((network.n_nodes, config.k), dtype=np.int64)
-        for it in network.interactions:
-            s = it.sender
-            for r in it.receivers:
-                if seen[r]:
-                    counts[s, labels[r]] += 1
-                if seen[s]:
-                    counts[r, labels[s]] += 1
+        # Unseen nodes carry the extra label k, whose column is dropped.
+        known = np.where(seen, labels, config.k)
+        counts = counterparty_counts(network, known, config.k + 1)[:, : config.k]
         fresh = ~seen & (counts.sum(axis=1) > 0)
         labels[fresh] = counts[fresh].argmax(axis=1)
         seen |= fresh

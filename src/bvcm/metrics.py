@@ -20,6 +20,7 @@ from scipy.special import gammaln
 from .core import (
     BlockAssignment,
     InteractionNetwork,
+    compute_stats,
     degree_distribution,
 )
 from .errors import DataError, UsageError
@@ -150,7 +151,8 @@ def hellinger_distance(
     """
     if membership_a.k != membership_b.k:
         raise UsageError("memberships must have the same number of blocks")
-    common = [i for i in membership_a.node_ids if i in set(membership_b.node_ids)]
+    ib = {n: i for i, n in enumerate(membership_b.node_ids)}
+    common = [n for n in membership_a.node_ids if n in ib]
     if len(common) != len(membership_a.node_ids) or len(common) != len(
         membership_b.node_ids
     ):
@@ -161,7 +163,6 @@ def hellinger_distance(
     if not common:
         raise DataError("memberships share no nodes")
     ia = {n: i for i, n in enumerate(membership_a.node_ids)}
-    ib = {n: i for i, n in enumerate(membership_b.node_ids)}
     p = membership_a.probs[[ia[n] for n in common]]
     q = membership_b.probs[[ib[n] for n in common]]
     perm = _greedy_size_perm(p.sum(axis=0), q.sum(axis=0))
@@ -245,26 +246,15 @@ def powerlaw_diagnostic(
     """Degree-law fit for the whole network and, when labels are given,
     for each block-restricted network.
 
-    The exponent estimate comes from the degree-one fraction
-    (alpha_hat = p1 / (1 - p1)); the chi-square compares the empirical
-    histogram against the implied degree law; the tail slope is the
-    log-log regression over degrees seen at least 5 times.
+    The discount estimate is the degree-one fraction (alpha_hat = p1,
+    its limit under ``degree_law_pmf``); the chi-square compares the
+    empirical histogram against the implied degree law; the tail slope
+    is the log-log regression over degrees seen at least 5 times.
     """
     results = [_fit_one(dict(degree_distribution(network)), None, min_nodes)]
     if assignment is not None:
-        deg = np.zeros(network.n_nodes, dtype=np.int64)
-        for it in network.interactions:
-            if it.sender is not None:
-                deg[it.sender] += 1
-            for r in it.receivers:
-                deg[r] += 1
-        for b in range(assignment.k):
-            hist: dict[int, int] = {}
-            for i in np.nonzero(assignment.labels == b)[0]:
-                d = int(deg[i])
-                if d:
-                    hist[d] = hist.get(d, 0) + 1
-            results.append(_fit_one(hist, b, min_nodes))
+        hists = compute_stats(network, assignment).deg_hist_by_block
+        results += [_fit_one(dict(h), b, min_nodes) for b, h in enumerate(hists)]
     return results
 
 
@@ -302,13 +292,11 @@ def sparsity_growth(
         raise UsageError("checkpoints must span at least two decades")
 
     n = network.n_nodes
+    positions = np.arange(1, network.m + 1)
+    arity = np.diff(network.offsets)
     first_seen = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    for pos, it in enumerate(network.interactions, start=1):
-        if it.sender is not None and pos < first_seen[it.sender]:
-            first_seen[it.sender] = pos
-        for r in it.receivers:
-            if pos < first_seen[r]:
-                first_seen[r] = pos
+    np.minimum.at(first_seen, network.senders, positions)
+    np.minimum.at(first_seen, network.receivers, np.repeat(positions, arity))
 
     groups: list[tuple[Optional[int], np.ndarray]] = [(None, np.arange(n))]
     if assignment is not None:
@@ -317,20 +305,17 @@ def sparsity_growth(
         ]
 
     # Mean arity restricted to each group, over the final checkpoint prefix.
-    prefix = network.interactions[: cps[-1]]
+    m_pre = cps[-1]
+    senders = network.senders[:m_pre]
+    starts = network.offsets[:m_pre]
+    receivers = network.receivers[: network.offsets[m_pre]]
     out = []
     for block, idx in groups:
-        member = np.zeros(n, dtype=bool)
-        member[idx] = True
-        elements = 0
-        containing = 0
-        for it in prefix:
-            c = (it.sender is not None and member[it.sender]) + sum(
-                member[r] for r in it.receivers
-            )
-            if c:
-                containing += 1
-                elements += c
+        member = np.zeros(n, dtype=np.int64)
+        member[idx] = 1
+        per_interaction = member[senders] + np.add.reduceat(member[receivers], starts)
+        containing = int(np.count_nonzero(per_interaction))
+        elements = int(per_interaction.sum())
         mu_hat = elements / containing if containing else 0.0
 
         fs = np.sort(first_seen[idx])

@@ -41,14 +41,13 @@ def replay_log_prob(
 
     logp = 0.0
     m_seen = 0
-    for it in network.interactions:
-        s = it.sender
+    for s, receivers in _interactions(network):
         bs = labels[s]
         logp += math.log((snd[bs] + block_conc) / (m_seen + k * block_conc))
         snd[bs] += 1
         m_seen += 1
         logp += _node_step(s, bs, deg, block_nodes, block_deg, alpha, theta)
-        for r in it.receivers:
+        for r in receivers:
             br = labels[r]
             logp += math.log(
                 (pair[bs][br] + recv_conc) / (recv_tot[bs] + k * recv_conc)
@@ -57,6 +56,14 @@ def replay_log_prob(
             recv_tot[bs] += 1
             logp += _node_step(r, br, deg, block_nodes, block_deg, alpha, theta)
     return logp
+
+
+def _interactions(network: InteractionNetwork):
+    """(sender, receiver list) index pairs, one per interaction, in order."""
+    offsets = network.offsets.tolist()
+    receivers = network.receivers.tolist()
+    for j, s in enumerate(network.senders.tolist()):
+        yield s, receivers[offsets[j] : offsets[j + 1]]
 
 
 def _node_step(node, b, deg, block_nodes, block_deg, alpha, theta) -> float:
@@ -90,11 +97,10 @@ def semi_collapsed_log_joint(
     inits = [0] * k
     deg = [0] * n
     pair_ll = 0.0
-    for it in network.interactions:
-        s = it.sender
+    for s, receivers in _interactions(network):
         inits[labels[s]] += 1
         deg[s] += 1
-        for r in it.receivers:
+        for r in receivers:
             deg[r] += 1
             pair_ll += math.log(propensity[labels[s], labels[r]])
 
@@ -180,6 +186,11 @@ def random_network(
 
 def permuted(network: InteractionNetwork, rng: np.random.Generator):
     order = rng.permutation(network.m)
+    offsets = network.offsets
+    receivers = [network.receivers[offsets[j] : offsets[j + 1]] for j in order]
     return InteractionNetwork(
-        [network.interactions[i] for i in order], network.node_ids
+        network.senders[order],
+        np.concatenate([[0], np.cumsum([len(r) for r in receivers])]),
+        np.concatenate(receivers),
+        network.node_ids,
     )

@@ -368,11 +368,8 @@ def test_criterion_9_geweke_alpha():
             block_conc=1.0, recv_conc=1.0,
         )
         res = simulate_sequential(GeneratorConfig(params=params, m=200, seed=900_000 + step))
-        deg = Counter()
-        for it in res.network.interactions:
-            deg[it.sender] += 1
-            for r in it.receivers:
-                deg[r] += 1
+        deg = Counter(res.network.senders.tolist())
+        deg.update(res.network.receivers.tolist())
         alpha, theta = aux_update_alpha_theta(
             list(deg.values()), alpha, theta, (1.0, 1.0), (1.0, 1.0),
             np.random.default_rng(800_000 + step),

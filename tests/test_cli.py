@@ -249,14 +249,22 @@ class TestBoundAndStats:
 
 class TestErrorsAndConfig:
     def test_malformed_jsonl_names_line(self, tmp_path, capsys):
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"sender": "a", "receivers": ["b"]}\nnot json\n')
-        code = run_cli(
-            "fit", "--input", bad, "--k", 2, "--iters", 2, "--burnin", 0,
-            "--out", tmp_path / "c",
-        )
-        assert code == 3
-        assert "line 2" in capsys.readouterr().err
+        good = '{"sender": "a", "receivers": ["b"]}\n'
+        cases = [
+            (good + "not json\n", "line 2"),
+            (good + '{"sender": null, "receivers": ["a"]}\n', "line 2"),
+            (good + '{"sender": "a", "receivers": [null]}\n', "line 2"),
+            (good + '\n{"sender": "", "receivers": ["b"]}\n', "line 3"),
+        ]
+        for text, where in cases:
+            bad = tmp_path / "bad.jsonl"
+            bad.write_text(text)
+            code = run_cli(
+                "fit", "--input", bad, "--k", 2, "--iters", 2, "--burnin", 0,
+                "--out", tmp_path / "c",
+            )
+            assert code == 3, text
+            assert where in capsys.readouterr().err, text
 
     def test_truth_missing_node(self, sim_files, tmp_path):
         out, _ = sim_files
@@ -304,6 +312,16 @@ class TestFileio:
         fileio.write_interactions_jsonl(path, net)
         back = fileio.read_interactions_jsonl(path)
         assert list(back.records()) == list(net.records())
+
+    def test_interactions_round_trip_arrays(self, tmp_path):
+        records = [("a", ["b", "b"]), ("c", ["a", "c"]), ("b", ["d"])]
+        net = InteractionNetwork.from_records(records)
+        path = tmp_path / "rt.jsonl"
+        fileio.write_interactions_jsonl(path, net)
+        back = fileio.read_interactions_jsonl(path)
+        assert back.node_ids == net.node_ids
+        for name in ("senders", "offsets", "receivers"):
+            assert np.array_equal(getattr(back, name), getattr(net, name)), name
 
     def test_assignment_round_trip(self, tmp_path):
         net = InteractionNetwork.from_records([("a", ["b"]), ("c", ["a"])])

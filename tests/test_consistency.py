@@ -14,7 +14,7 @@ from bvcm import (
     misclassification_bound,
     restricted_misclassification,
 )
-from bvcm.consistency import LabelingQuality, min_permutation_error, pair_arrays
+from bvcm.consistency import LabelingQuality, min_permutation_error
 
 from oracles import bound_series_mpmath
 
@@ -63,7 +63,7 @@ class TestDegreeMajority:
 
     def test_pair_arrays_multiplicity(self):
         net = InteractionNetwork.from_records([("x", ["a", "a"])])
-        s, r = pair_arrays(net)
+        s, r = net.pairs()
         assert len(s) == 2 and len(r) == 2
 
 

@@ -11,13 +11,11 @@ from bvcm import (
     InteractionNetwork,
     ModelParams,
     NumericalError,
-    block_degree_distribution,
     compute_stats,
     degree_distribution,
     log_ascending_factorial,
-    restrict_to_block,
 )
-from bvcm.core import log_normalize
+from bvcm.core import counterparty_counts
 
 from oracles import random_network, permuted
 
@@ -61,14 +59,6 @@ class TestLogAscendingFactorial:
         assert log_ascending_factorial(1.3, 0.7, n) == pytest.approx(direct, rel=1e-12)
 
 
-def test_log_normalize():
-    probs = log_normalize([math.log(1), math.log(3)])
-    assert probs == pytest.approx([0.25, 0.75])
-    # stable for very negative inputs
-    probs = log_normalize([-1000.0, -1001.0])
-    assert sum(probs) == pytest.approx(1.0)
-
-
 class TestComputeStats:
     def test_hand_counts(self, tiny_network):
         assignment = BlockAssignment(np.zeros(3, dtype=int), 1)
@@ -81,7 +71,7 @@ class TestComputeStats:
         assert st_.block_deg[0] == 6
 
     def test_empty_network(self):
-        net = InteractionNetwork([], [])
+        net = InteractionNetwork.from_records([])
         st_ = compute_stats(net, BlockAssignment(np.empty(0, dtype=int), 2))
         assert st_.m == 0
         assert st_.pair.sum() == 0
@@ -100,7 +90,7 @@ class TestComputeStats:
             k = int(rng.integers(1, 4))
             net, assign = random_network(rng, k, m=15, n_pool=8, max_arity=3)
             st_ = compute_stats(net, assign)
-            total_recv = sum(len(it.receivers) for it in net.interactions)
+            total_recv = len(net.receivers)
             assert st_.initiations.sum() == st_.m
             assert st_.pair.sum() == total_recv
             assert st_.deg.sum() == st_.m + total_recv
@@ -115,51 +105,43 @@ class TestComputeStats:
         rng = np.random.default_rng(4)
         net, assign = random_network(rng, 2, m=12, n_pool=6, max_arity=2)
         st1 = compute_stats(net, assign)
-        st2 = compute_stats(permuted(net, rng), assign)
+        shuffled = permuted(net, rng)
+        st2 = compute_stats(shuffled, assign)
         assert np.array_equal(st1.deg, st2.deg)
         assert np.array_equal(st1.pair, st2.pair)
         assert np.array_equal(st1.initiations, st2.initiations)
-        assert np.array_equal(st1.nbr_block, st2.nbr_block)
+        assert np.array_equal(
+            counterparty_counts(net, assign.labels, 2),
+            counterparty_counts(shuffled, assign.labels, 2),
+        )
 
     def test_neighbor_counts_single_commentator(self):
         rng = np.random.default_rng(5)
         net, assign = random_network(rng, 2, m=20, n_pool=6, max_arity=1)
         st_ = compute_stats(net, assign)
-        assert np.array_equal(st_.nbr_block.sum(axis=1), st_.deg)
+        counts = counterparty_counts(net, assign.labels, 2)
+        assert np.array_equal(counts.sum(axis=1), st_.deg)
 
     def test_unassigned_node_named(self, tiny_network):
         with pytest.raises(DataError, match="c"):
             compute_stats(tiny_network, BlockAssignment(np.zeros(2, dtype=int), 1))
 
 
-class TestRestrictToBlock:
-    def test_demo_block1(self, demo_network, demo_truth):
-        sub = restrict_to_block(demo_network, demo_truth, 0)
-        recs = list(sub.records())
-        assert recs == [("a", ["b", "c", "d"]), ("e", ["d"])]
-        assert sub.kept_labels == [1, 2]
+class TestColumnarNetwork:
+    def test_demo_arrays(self, demo_network):
+        # a->{b,c,d}, e->{d,f}, g->{f,h}; indices follow first appearance
+        assert demo_network.node_ids == list("abcdefgh")
+        assert demo_network.senders.tolist() == [0, 4, 6]
+        assert demo_network.offsets.tolist() == [0, 3, 5, 7]
+        assert demo_network.receivers.tolist() == [1, 2, 3, 3, 5, 5, 7]
+        assert demo_network.degrees().tolist() == [1, 1, 1, 2, 1, 2, 1, 1]
+        s, r = demo_network.pairs()
+        assert s.tolist() == [0, 0, 0, 4, 4, 6, 6]
+        assert r.tolist() == [1, 2, 3, 3, 5, 5, 7]
 
-    def test_empty_inputs(self, demo_network, demo_truth):
-        net = InteractionNetwork([], [])
-        sub = restrict_to_block(net, BlockAssignment(np.empty(0, dtype=int), 2), 0)
-        assert sub.m == 0
-        # block with no members on a real network
-        all_one = BlockAssignment(np.zeros(demo_network.n_nodes, dtype=int), 2)
-        assert restrict_to_block(demo_network, all_one, 1).m == 0
-
-    def test_restricted_degrees_sum_to_global(self):
-        rng = np.random.default_rng(6)
-        net, assign = random_network(rng, 3, m=15, n_pool=7, max_arity=3)
-        st_ = compute_stats(net, assign)
-        total = np.zeros(net.n_nodes, dtype=int)
-        for b in range(3):
-            sub = restrict_to_block(net, assign, b)
-            for it in sub.interactions:
-                if it.sender is not None:
-                    total[it.sender] += 1
-                for r in it.receivers:
-                    total[r] += 1
-        assert np.array_equal(total, st_.deg)
+    def test_arrays_are_read_only(self, demo_network):
+        with pytest.raises(ValueError):
+            demo_network.senders[0] = 1
 
 
 class TestDegreeDistribution:
@@ -169,14 +151,14 @@ class TestDegreeDistribution:
         assert hist == {1: 2, 2: 1}
 
     def test_empty(self):
-        assert degree_distribution(InteractionNetwork([], [])) == {}
+        assert degree_distribution(InteractionNetwork.from_records([])) == {}
 
     def test_single_pair(self):
         net = InteractionNetwork.from_records([("a", ["b"])])
         assert degree_distribution(net) == {1: 2}
 
     def test_block_variant(self, demo_network, demo_truth):
-        hist = block_degree_distribution(demo_network, demo_truth, 1)
+        hist = compute_stats(demo_network, demo_truth).deg_hist_by_block[1]
         # block 2 holds f (degree 2), g and h (degree 1)
         assert hist == {1: 2, 2: 1}
 

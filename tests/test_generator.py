@@ -100,7 +100,7 @@ class TestSequential:
             params=two_block_params(), m=100, seed=1, arity=ArityLaw.fixed(3)
         )
         res = simulate_sequential(cfg)
-        assert all(len(it.receivers) == 3 for it in res.network.interactions)
+        assert np.all(np.diff(res.network.offsets) == 3)
 
 
 class TestConditionalIid:

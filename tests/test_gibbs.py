@@ -238,7 +238,7 @@ class TestRunGibbs:
 
     def test_empty_network_rejected(self):
         with pytest.raises(UsageError):
-            run_gibbs(InteractionNetwork([], []), GibbsConfig(k=2, iterations=1))
+            run_gibbs(InteractionNetwork.from_records([]), GibbsConfig(k=2, iterations=1))
 
     def test_config_validation(self):
         with pytest.raises(UsageError):
