@@ -3,7 +3,7 @@
 Subcommands: simulate, fit, select-k, eval, bound, stats.  Every
 command writes a JSON manifest with its flags and seed, so a run can be
 reproduced from its output directory alone.  Exit codes: 0 success,
-2 usage error, 3 data error, 4 numerical error.
+2 usage error or unopenable path, 3 data error, 4 numerical error.
 """
 
 from __future__ import annotations
@@ -163,7 +163,6 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
                    help="Beta prior c,d on each discount parameter")
     p.add_argument("--theta-prior", type=_pair, default=(1.0, 1.0),
                    help="Gamma prior shape,rate on each strength parameter")
-    p.add_argument("--symmetric-prop", action="store_true")
     p.add_argument("--init", choices=["random", "degree_majority", "warm"],
                    default="random",
                    help="warm = probe fit on a prefix, then extend by "
@@ -261,7 +260,6 @@ def _gibbs_config(args, k: int, seed: int, network=None) -> GibbsConfig:
             block_conc=args.omega, recv_conc=args.zeta,
             alpha_prior=tuple(args.alpha_prior),
             theta_prior=tuple(args.theta_prior),
-            symmetric_prop=args.symmetric_prop,
         )
         init_labels = warm_start_labels(network, base)
         init = "provided"
@@ -274,7 +272,6 @@ def _gibbs_config(args, k: int, seed: int, network=None) -> GibbsConfig:
         recv_conc=args.zeta,
         alpha_prior=tuple(args.alpha_prior),
         theta_prior=tuple(args.theta_prior),
-        symmetric_prop=args.symmetric_prop,
         init=init,
         init_labels=init_labels,
     )
@@ -318,7 +315,6 @@ def cmd_select_k(args) -> int:
         recv_conc=args.zeta,
         alpha_prior=tuple(args.alpha_prior),
         theta_prior=tuple(args.theta_prior),
-        symmetric_prop=args.symmetric_prop,
         init="random" if args.init != "degree_majority" else "degree_majority",
         warm=args.init == "warm",
     )
@@ -535,6 +531,10 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        # An unopenable path: the exit code argparse gives a bad file argument.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BvcmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

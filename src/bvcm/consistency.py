@@ -9,14 +9,18 @@ of each block's (propensity-weighted) mass.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import BlockAssignment, InteractionNetwork, counterparty_counts
+from .core import (
+    BlockAssignment,
+    InteractionNetwork,
+    best_relabeling,
+    counterparty_counts,
+)
 from .errors import NumericalError, UsageError
 
 __all__ = [
@@ -170,25 +174,18 @@ def _hard_labels(chain_or_labeling) -> tuple[np.ndarray, int]:
 def min_permutation_error(
     hard: np.ndarray, truth: np.ndarray, k: int, sel: Optional[np.ndarray] = None
 ) -> float:
-    """Misclassified fraction minimized over block-label permutations.
+    """Misclassified fraction minimized exactly over block-label permutations.
 
-    Exact search up to k = 8; greedy size-rank matching beyond.
+    The permutation maximizes the agreements in the truth x hard
+    confusion matrix.
     """
     if sel is not None:
         hard = hard[sel]
         truth = truth[sel]
     if len(hard) == 0:
         raise UsageError("no nodes selected")
-    if k <= 8:
-        best = 1.0
-        for perm in itertools.permutations(range(k)):
-            p = np.asarray(perm)
-            best = min(best, float(np.mean(hard != p[truth])))
-        return best
-    order_t = np.argsort([-np.sum(truth == b) for b in range(k)], kind="stable")
-    order_h = np.argsort([-np.sum(hard == b) for b in range(k)], kind="stable")
-    perm = np.empty(k, dtype=np.int64)
-    perm[order_t] = order_h
+    confusion = np.bincount(truth * k + hard, minlength=k * k).reshape(k, k)
+    perm = best_relabeling(confusion)
     return float(np.mean(hard != perm[truth]))
 
 

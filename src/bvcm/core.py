@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .errors import DataError, NumericalError
 
@@ -29,6 +30,7 @@ __all__ = [
     "compute_stats",
     "counterparty_counts",
     "degree_distribution",
+    "best_relabeling",
 ]
 
 # Direct product is exact and cheap for short factorials; above this the
@@ -106,6 +108,8 @@ class InteractionNetwork:
                 raise DataError(f"interaction {pos}: missing sender")
             if not rs:
                 raise DataError(f"interaction {pos}: empty receiver list")
+            if None in rs or "" in rs:
+                raise DataError(f"interaction {pos}: missing receiver")
             senders.append(index.setdefault(str(sender), len(index)))
             receivers.extend(index.setdefault(str(r), len(index)) for r in rs)
             offsets.append(len(receivers))
@@ -184,12 +188,15 @@ class BlockAssignment:
         cls, network: InteractionNetwork, mapping: dict[str, int], k: int
     ) -> "BlockAssignment":
         """Build from a node-id -> 1-based block mapping."""
-        labels = np.empty(network.n_nodes, dtype=np.int64)
-        for i, name in enumerate(network.node_ids):
-            if name not in mapping:
-                raise DataError(f"node {name!r} has no block assignment")
-            labels[i] = mapping[name] - 1
-        return cls(labels, k)
+        try:
+            labels = np.fromiter(
+                map(mapping.__getitem__, network.node_ids),
+                dtype=np.int64,
+                count=network.n_nodes,
+            )
+        except KeyError as exc:
+            raise DataError(f"node {exc.args[0]!r} has no block assignment") from None
+        return cls(labels - 1, k)
 
     def to_mapping(self, network: InteractionNetwork) -> dict[str, int]:
         """Node-id -> 1-based block mapping, using the original identifiers."""
@@ -338,3 +345,13 @@ def counterparty_counts(
 def degree_distribution(network: InteractionNetwork) -> Counter:
     """Map degree -> number of nodes with that degree (non-isolated only)."""
     return _degree_hist(network.degrees())
+
+
+def best_relabeling(gain: np.ndarray) -> np.ndarray:
+    """Label map maximizing sum_a gain[a, perm[a]] over all permutations.
+
+    Exact at every k: the Hungarian method (Kuhn 1955) on the k x k
+    matrix, O(k^3).  Every label-invariant score aligns labelings
+    through this one routine.
+    """
+    return linear_sum_assignment(gain, maximize=True)[1]

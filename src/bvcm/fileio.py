@@ -104,14 +104,18 @@ def read_assignment_csv(
 ) -> BlockAssignment:
     mapping: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or {"node", "block"} - set(reader.fieldnames):
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if {"node", "block"} - set(header):
             raise DataError(f"{path}: expected header node,block")
-        for ln, row in enumerate(reader, start=2):
+        node, block = header.index("node"), header.index("block")
+        # Blank rows are skipped, and line numbers count non-blank rows only.
+        for ln, row in enumerate(filter(None, reader), start=2):
             try:
-                mapping[row["node"]] = int(row["block"])
-            except (TypeError, ValueError):
-                raise DataError(f"{path}: line {ln}: bad block value {row.get('block')!r}")
+                mapping[row[node]] = int(row[block])
+            except (IndexError, ValueError):
+                value = row[block] if block < len(row) else None
+                raise DataError(f"{path}: line {ln}: bad block value {value!r}")
     if not mapping:
         raise DataError(f"{path}: no assignments found")
     k = k or max(mapping.values())
@@ -174,7 +178,6 @@ def write_chain(out_dir: Path, chain: Chain) -> None:
             "block_conc": chain.block_conc,
             "recv_conc": chain.recv_conc,
             "elapsed_s": chain.elapsed_s,
-            "prop_rejections": chain.prop_rejections,
         },
     )
 
@@ -220,7 +223,6 @@ def read_chain(out_dir: Path) -> Chain:
         block_conc=float(meta["block_conc"]),
         recv_conc=float(meta["recv_conc"]),
         elapsed_s=float(meta.get("elapsed_s", 0.0)),
-        prop_rejections=int(meta.get("prop_rejections", 0)),
     )
 
 

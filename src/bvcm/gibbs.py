@@ -3,8 +3,8 @@
 One full iteration is: a sweep of collapsed single-node block updates
 (block frequencies integrated out, mixing matrix conditioned on), one
 auxiliary-variable conjugate update of (alpha_b, theta_b) per block,
-and a Dirichlet (or symmetrized) redraw of the mixing matrix.  Counts
-are maintained incrementally.
+and a row-wise Dirichlet redraw of the mixing matrix.  Counts are
+maintained incrementally.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .core import (
     counterparty_counts,
     log_ascending_factorial,
 )
-from .errors import NumericalError, UsageError
+from .errors import UsageError
 
 __all__ = [
     "GibbsConfig",
@@ -56,7 +56,6 @@ class GibbsConfig:
     recv_conc: float = 1.0
     alpha_prior: tuple[float, float] = (1.0, 1.0)
     theta_prior: tuple[float, float] = (1.0, 1.0)
-    symmetric_prop: bool = False
     init: str = "random"
     init_labels: Optional[np.ndarray] = None
 
@@ -94,7 +93,6 @@ class Chain:
     block_conc: float
     recv_conc: float
     elapsed_s: float = 0.0
-    prop_rejections: int = 0
 
     def __len__(self) -> int:
         return len(self.alphas)
@@ -207,7 +205,6 @@ class GibbsSampler:
 
         self._rebuild_counts()
         self._refresh_deg_table()
-        self.prop_rejections = 0
         self.prop = self.update_propensity()
 
     # ---------------------------------------------------------------- setup
@@ -393,50 +390,14 @@ class GibbsSampler:
     def _clip_alpha(x: float) -> float:
         return min(max(x, _EPS), 1.0 - _EPS)
 
-    def update_propensity(self, max_attempts: int = 1000) -> np.ndarray:
-        """Redraw the mixing matrix from its (row-wise Dirichlet) conditional.
-
-        In symmetric mode rows are drawn sequentially on symmetrized
-        counts and mirrored; a row whose remaining mass is non-positive
-        rejects the whole draw (logged in prop_rejections).
-        """
+    def update_propensity(self) -> np.ndarray:
+        """Redraw the mixing matrix from its row-wise Dirichlet conditional."""
         k = self.k
         zeta = self.config.recv_conc
         counts = np.array(self.pair, dtype=float)
-        if not self.config.symmetric_prop:
-            prop = np.empty((k, k))
-            for b in range(k):
-                prop[b] = self.rng.dirichlet(counts[b] + zeta)
-        else:
-            # Pool both directions without inflating the row scale.
-            sym = (counts + counts.T) / 2.0
-            np.fill_diagonal(sym, np.diag(counts))
-            prop = None
-            for _ in range(max_attempts):
-                cand = np.zeros((k, k))
-                row0 = self.rng.dirichlet(sym[0] + zeta)
-                cand[0] = row0
-                cand[:, 0] = row0
-                ok = True
-                for r in range(1, k):
-                    scale = 1.0 - cand[r, :r].sum()
-                    if scale <= 0.0:
-                        ok = False
-                        self.prop_rejections += 1
-                        break
-                    if r < k - 1:
-                        tail = self.rng.dirichlet(sym[r, r:] + zeta)
-                        cand[r, r:] = tail * scale
-                        cand[r:, r] = cand[r, r:]
-                    else:
-                        cand[r, r] = scale
-                if ok:
-                    prop = cand
-                    break
-            if prop is None:
-                raise NumericalError(
-                    f"symmetric propensity redraw rejected {max_attempts} times"
-                )
+        prop = np.empty((k, k))
+        for b in range(k):
+            prop[b] = self.rng.dirichlet(counts[b] + zeta)
         self.prop = prop
         self._log_prop = np.log(np.maximum(prop, _EPS)).tolist()
         return prop
@@ -505,7 +466,6 @@ class GibbsSampler:
             block_conc=cfg.block_conc,
             recv_conc=cfg.recv_conc,
             elapsed_s=time.perf_counter() - start,
-            prop_rejections=self.prop_rejections,
         )
 
 
@@ -547,7 +507,6 @@ def warm_start_labels(
         recv_conc=config.recv_conc,
         alpha_prior=config.alpha_prior,
         theta_prior=config.theta_prior,
-        symmetric_prop=config.symmetric_prop,
         init="random",
     )
     probe = run_gibbs(prefix, probe_cfg)

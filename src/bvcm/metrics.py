@@ -1,13 +1,13 @@
 """Evaluation metrics: recovery distances, block-stability distance, and
 degree-law diagnostics.
 
-All label-dependent scores minimize over (or greedily resolve) block
-label permutations, since labels are only identified up to relabeling.
+All label-dependent scores minimize exactly over block label
+permutations (through ``core.best_relabeling``), since labels are only
+identified up to relabeling.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -20,6 +20,7 @@ from scipy.special import gammaln
 from .core import (
     BlockAssignment,
     InteractionNetwork,
+    best_relabeling,
     compute_stats,
     degree_distribution,
 )
@@ -100,54 +101,41 @@ def standardized_l2(chain_or_membership, truth: BlockAssignment) -> float:
     return float(min(direct, flipped) / math.sqrt(v))
 
 
-def _greedy_size_perm(sizes_ref: np.ndarray, sizes_other: np.ndarray) -> np.ndarray:
-    """Match blocks by size rank; perm[ref_label] = other_label."""
-    k = len(sizes_ref)
-    order_ref = np.argsort(-sizes_ref, kind="stable")
-    order_other = np.argsort(-sizes_other, kind="stable")
-    perm = np.empty(k, dtype=np.int64)
-    perm[order_ref] = order_other
-    return perm
-
-
 def cross_entropy_loss(
     chain_or_membership, truth: BlockAssignment
 ) -> tuple[float, float]:
     """(total, per-node) cross entropy of mean membership against the truth.
 
     Membership frequencies are clipped below at 1e-12 before the log.
-    Exact permutation minimum up to k = 8, greedy size matching beyond.
+    Exact minimum over block-label permutations at every k.
     """
     mem = _membership(chain_or_membership)
-    k = max(mem.k, truth.k)
+    if truth.k > mem.k:
+        raise UsageError(f"truth has {truth.k} blocks, the membership {mem.k}")
     if mem.probs.shape[0] != len(truth.labels):
         raise UsageError("membership and truth cover different node sets")
-    q = np.clip(mem.probs, _LOG_CLIP, None)
-    logq = np.log(q)
+    logq = np.log(np.clip(mem.probs, _LOG_CLIP, None))
+    # gain[t, b]: sum of log q[i, b] over the nodes whose true block is t
+    gain = np.zeros((mem.k, mem.k))
+    np.add.at(gain, truth.labels, logq)
+    perm = best_relabeling(gain)
     n = len(truth.labels)
-    idx = np.arange(n)
-    if k <= 8:
-        best = math.inf
-        for perm in itertools.permutations(range(mem.k)):
-            p = np.asarray(perm)
-            loss = float(-logq[idx, p[truth.labels]].sum())
-            best = min(best, loss)
-    else:
-        sizes_truth = np.bincount(truth.labels, minlength=k).astype(float)
-        sizes_mem = mem.probs.sum(axis=0)
-        perm = _greedy_size_perm(sizes_truth, sizes_mem)
-        best = float(-logq[idx, perm[truth.labels]].sum())
+    best = float(-logq[np.arange(n), perm[truth.labels]].sum())
     return best, best / n
 
 
 def hellinger_distance(
     membership_a: PosteriorMembership, membership_b: PosteriorMembership
 ) -> float:
-    """Mean per-node Hellinger distance after greedy size alignment.
+    """Mean per-node Hellinger distance after overlap alignment.
 
-    B's block labels are aligned to A's by matching blocks in
-    decreasing size order.  Node sets are intersected when they differ
-    (with a warning); an empty intersection is an error.
+    B's block labels are aligned to A's by the permutation maximizing
+    the total Bhattacharyya overlap sum_i sum_a sqrt(p[i, a] q[i, perm[a]]).
+    A node's squared Hellinger distance is one minus its overlap, so
+    this alignment exactly minimizes the mean *squared* per-node
+    distance; the reported mean of unsquared distances is taken at that
+    alignment.  Node sets are intersected when they differ (with a
+    warning); an empty intersection is an error.
     """
     if membership_a.k != membership_b.k:
         raise UsageError("memberships must have the same number of blocks")
@@ -165,8 +153,7 @@ def hellinger_distance(
     ia = {n: i for i, n in enumerate(membership_a.node_ids)}
     p = membership_a.probs[[ia[n] for n in common]]
     q = membership_b.probs[[ib[n] for n in common]]
-    perm = _greedy_size_perm(p.sum(axis=0), q.sum(axis=0))
-    q = q[:, perm]
+    q = q[:, best_relabeling(np.sqrt(p).T @ np.sqrt(q))]
     per_node = np.sqrt(np.sum((np.sqrt(p) - np.sqrt(q)) ** 2, axis=1)) / math.sqrt(2.0)
     return float(per_node.mean())
 

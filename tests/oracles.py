@@ -9,6 +9,7 @@ summed in high precision (bound oracle).
 from __future__ import annotations
 
 
+import itertools
 import math
 
 import numpy as np
@@ -194,3 +195,28 @@ def permuted(network: InteractionNetwork, rng: np.random.Generator):
         np.concatenate(receivers),
         network.node_ids,
     )
+
+
+def best_permutation_gain(gain: np.ndarray) -> float:
+    """max over all permutations p of sum_a gain[a, p[a]], by enumeration."""
+    k = gain.shape[0]
+    return max(
+        sum(gain[a, p[a]] for a in range(k))
+        for p in itertools.permutations(range(k))
+    )
+
+
+def size_rank_trap() -> tuple[np.ndarray, np.ndarray]:
+    """(truth, hard) labels over k = 9 blocks and 864 nodes.
+
+    hard is the truth under a relabeling, with 4 nodes of block 0 moved
+    to block 1 so that those two block sizes swap rank (110, 108 ->
+    106, 112); every other size stays distinct.  The best relabeling
+    misclassifies exactly those 4 nodes.
+    """
+    sizes = [110, 108, 100, 98, 96, 94, 92, 84, 82]
+    truth = np.repeat(np.arange(9), sizes)
+    hard = truth.copy()
+    hard[:4] = 1
+    relabel = np.array([3, 7, 0, 8, 1, 5, 2, 6, 4])
+    return truth, relabel[hard]

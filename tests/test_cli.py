@@ -280,6 +280,18 @@ class TestErrorsAndConfig:
             "--out", tmp_path / "m",
         ) == 3
 
+    def test_missing_path_exits_2_and_names_it(self, sim_files, tmp_path, capsys):
+        out, truth = sim_files
+        code = run_cli("stats", "--input", tmp_path / "nope.jsonl", "--out", tmp_path / "s")
+        assert code == 2
+        assert "nope.jsonl" in capsys.readouterr().err
+        code = run_cli(
+            "eval", "--input", out, "--chain", tmp_path / "nochain",
+            "--truth", truth, "--out", tmp_path / "e",
+        )
+        assert code == 2
+        assert "nochain" in capsys.readouterr().err
+
     def test_config_file_defaults_and_override(self, tmp_path):
         cfg = tmp_path / "bvcm.ini"
         cfg.write_text("[simulate]\nm = 25\nseed = 9\n")

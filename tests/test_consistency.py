@@ -16,7 +16,7 @@ from bvcm import (
 )
 from bvcm.consistency import LabelingQuality, min_permutation_error
 
-from oracles import bound_series_mpmath
+from oracles import bound_series_mpmath, size_rank_trap
 
 
 def line_network():
@@ -217,3 +217,8 @@ def test_min_permutation_error_greedy_matches_exact_for_aligned_sizes():
     shuffled = perm[noisy]
     exact = min_permutation_error(shuffled, truth, 3)
     assert exact <= 0.15
+
+
+def test_min_permutation_error_exact_beyond_eight_blocks():
+    truth, hard = size_rank_trap()
+    assert min_permutation_error(hard, truth, 9) == pytest.approx(4 / 864)

@@ -15,9 +15,9 @@ from bvcm import (
     degree_distribution,
     log_ascending_factorial,
 )
-from bvcm.core import counterparty_counts
+from bvcm.core import best_relabeling, counterparty_counts
 
-from oracles import random_network, permuted
+from oracles import best_permutation_gain, random_network, permuted
 
 
 class TestLogAscendingFactorial:
@@ -169,6 +169,10 @@ class TestTypes:
             InteractionNetwork.from_records([("a", [])])
         with pytest.raises(DataError, match="missing sender"):
             InteractionNetwork.from_records([("", ["b"])])
+        with pytest.raises(DataError, match="interaction 2: missing receiver"):
+            InteractionNetwork.from_records([("a", ["b"]), ("a", [None])])
+        with pytest.raises(DataError, match="interaction 1: missing receiver"):
+            InteractionNetwork.from_records([("a", ["b", ""])])
 
     def test_assignment_round_trip(self, demo_network, demo_truth):
         mapping = demo_truth.to_mapping(demo_network)
@@ -211,3 +215,18 @@ class TestTypes:
         pre = demo_network.prefix(1)
         assert pre.m == 1
         assert pre.n_nodes == 4
+
+
+class TestBestRelabeling:
+    def test_matches_enumeration(self):
+        # Same objective as the brute-force maximum; the permutation itself
+        # may differ where several reach it.
+        rng = np.random.default_rng(40)
+        for k in range(1, 7):
+            for _ in range(5):
+                for gain in (rng.integers(0, 4, size=(k, k)), rng.normal(size=(k, k))):
+                    perm = best_relabeling(gain)
+                    assert sorted(perm.tolist()) == list(range(k))
+                    assert gain[np.arange(k), perm].sum() == pytest.approx(
+                        best_permutation_gain(gain), abs=1e-12
+                    )

@@ -157,50 +157,6 @@ class TestParameterUpdates:
         draws = np.stack([sampler.update_propensity() for _ in range(3000)])
         assert np.abs(draws.mean(axis=0) - 1.0 / 3.0).max() < 0.03
 
-    def test_symmetric_mode_structure(self):
-        rng = np.random.default_rng(8)
-        net, _ = random_network(rng, 3, m=30, n_pool=10, max_arity=2)
-        sampler = GibbsSampler(
-            net, GibbsConfig(k=3, iterations=1, burn_in=0, seed=9, symmetric_prop=True)
-        )
-        for _ in range(50):
-            prop = sampler.update_propensity()
-            assert np.allclose(prop, prop.T, atol=1e-12)
-            assert np.allclose(prop.sum(axis=1), 1.0, atol=1e-12)
-            assert (prop >= 0).all()
-
-    @pytest.mark.slow
-    def test_symmetric_mode_diagonal_recovery(self):
-        """Three blocks, within-weight 0.9: symmetric-mode posterior mean
-        of the diagonal lands near 0.9 (expected near 0.902)."""
-        diags = []
-        for seed in range(3):
-            prop = np.full((3, 3), 0.05)
-            np.fill_diagonal(prop, 0.9)
-            params = ModelParams(
-                alpha=np.array([0.2, 0.5, 0.8]), theta=np.full(3, 5.0),
-                block_conc=1.0, recv_conc=1.0,
-                block_probs=np.full(3, 1 / 3), propensity=prop,
-            )
-            res = simulate_conditional_iid(
-                GeneratorConfig(params=params, m=1500, seed=seed, mode="conditional_iid")
-            )
-            cfg = GibbsConfig(
-                k=3, iterations=800, burn_in=300, seed=seed + 1, symmetric_prop=True
-            )
-            labels = warm_start_labels(res.network, cfg, prefix_m=1500)
-            chain = run_gibbs(
-                res.network,
-                GibbsConfig(
-                    k=3, iterations=800, burn_in=300, seed=seed + 1,
-                    symmetric_prop=True, init="provided", init_labels=labels,
-                ),
-            )
-            post = chain.props[chain.burn_in:]
-            assert np.allclose(post, np.swapaxes(post, 1, 2), atol=1e-12)
-            diags.append(post[:, [0, 1, 2], [0, 1, 2]].mean())
-        assert np.mean(diags) == pytest.approx(0.90, abs=0.03)
-
 
 class TestRunGibbs:
     def test_single_iteration_chain(self):

@@ -22,6 +22,8 @@ from bvcm import (
     standardized_l2,
 )
 
+from oracles import size_rank_trap
+
 
 def mem(probs, ids=None):
     probs = np.asarray(probs, dtype=float)
@@ -146,6 +148,20 @@ class TestCrossEntropy:
         total, _ = cross_entropy_loss(mem(point), truth)
         assert total == pytest.approx(0.0)
 
+    def test_exact_beyond_eight_blocks(self):
+        truth, hard = size_rank_trap()
+        point = np.zeros((len(hard), 9))
+        point[np.arange(len(hard)), hard] = 1.0
+        total, per_node = cross_entropy_loss(mem(point), BlockAssignment(truth, 9))
+        # only the 4 moved nodes pay, each -log of the 1e-12 clip
+        assert total == pytest.approx(-4 * math.log(1e-12))
+        assert per_node == pytest.approx(total / 864)
+
+    def test_truth_with_more_blocks_is_usage_error(self):
+        truth = BlockAssignment(np.array([0, 1, 2]), 3)
+        with pytest.raises(UsageError):
+            cross_entropy_loss(mem([[1, 0], [0, 1], [0.5, 0.5]]), truth)
+
 
 class TestHellinger:
     def test_identical(self):
@@ -155,15 +171,27 @@ class TestHellinger:
     def test_mirrored_point_masses_align_to_zero(self):
         a = mem([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         b = mem([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
-        # sizes 2/1 in both: greedy matching undoes the mirror
+        # the overlap-maximizing relabeling undoes the mirror
         assert hellinger_distance(a, b) == pytest.approx(0.0)
 
     def test_disjoint_point_masses(self):
-        # equal block sizes: stable tie-break keeps identity alignment,
-        # leaving every node at disjoint point masses
+        # equal block sizes, labels switched: the overlap-maximizing
+        # relabeling undoes the switch
         a = mem([[1.0, 0.0], [0.0, 1.0]])
         c = mem([[0.0, 1.0], [1.0, 0.0]])
-        assert hellinger_distance(a, c) == pytest.approx(1.0)
+        assert hellinger_distance(a, c) == pytest.approx(0.0)
+
+    def test_label_switched_copy_with_moved_nodes(self):
+        # balanced 433-node k = 2 membership against its label-switched
+        # copy with 2 nodes moved, which makes the copy's larger block
+        # carry the other label: only the moved nodes differ
+        labels = np.arange(433) % 2
+        moved = labels.copy()
+        moved[[0, 2]] = 1
+        ids = [f"n{i}" for i in range(433)]
+        a = PosteriorMembership.from_labels(ids, labels, 2)
+        b = PosteriorMembership.from_labels(ids, 1 - moved, 2)
+        assert hellinger_distance(a, b) == pytest.approx(2 / 433)
 
     def test_half_vs_point(self):
         a = mem([[1.0, 0.0]])
