@@ -24,7 +24,7 @@ from .consistency import misclassification_bound, restricted_misclassification
 from .core import ModelParams
 from .errors import BvcmError, DataError, NumericalError, UsageError
 from .generator import ArityLaw, GeneratorConfig, simulate
-from .gibbs import GibbsConfig, run_gibbs, warm_start_labels
+from .gibbs import GibbsConfig, run_gibbs
 from .likelihood import marginal_log_likelihood
 from .metrics import (
     PosteriorMembership,
@@ -102,7 +102,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    help="receivers per interaction: an integer for a fixed "
                         "count, or comma-separated weights over 1..n")
     p.add_argument("--mode", choices=["sequential", "conditional_iid"], default=None)
-    p.add_argument("--truncation", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, required=True, help="interactions JSONL path")
     p.add_argument("--truth-out", type=Path, default=None,
@@ -232,7 +231,6 @@ def cmd_simulate(args) -> int:
         arity=_parse_arity(args.arity),
         seed=args.seed,
         mode=mode,
-        truncation=args.truncation,
     )
     result = simulate(config)
 
@@ -241,7 +239,6 @@ def cmd_simulate(args) -> int:
     fileio.write_assignment_csv(truth_out, result.network, result.assignment)
     manifest = _manifest(args)
     manifest["mode"] = mode
-    manifest["notes"] = result.notes
     if result.params.block_probs is not None:
         manifest["realized_block_probs"] = result.params.block_probs.tolist()
     if result.params.propensity is not None:
@@ -251,18 +248,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _gibbs_config(args, k: int, seed: int, network=None) -> GibbsConfig:
-    init = args.init
-    init_labels = None
-    if init == "warm":
-        base = GibbsConfig(
-            k=k, iterations=args.iters, burn_in=args.burnin, seed=seed,
-            block_conc=args.omega, recv_conc=args.zeta,
-            alpha_prior=tuple(args.alpha_prior),
-            theta_prior=tuple(args.theta_prior),
-        )
-        init_labels = warm_start_labels(network, base)
-        init = "provided"
+def _gibbs_config(args, k: int, seed: int) -> GibbsConfig:
+    """The sampler settings the fit flags give, shared by fit and select-k."""
     return GibbsConfig(
         k=k,
         iterations=args.iters,
@@ -272,14 +259,13 @@ def _gibbs_config(args, k: int, seed: int, network=None) -> GibbsConfig:
         recv_conc=args.zeta,
         alpha_prior=tuple(args.alpha_prior),
         theta_prior=tuple(args.theta_prior),
-        init=init,
-        init_labels=init_labels,
+        init=args.init,
     )
 
 
 def cmd_fit(args) -> int:
     network = fileio.read_interactions_jsonl(args.input)
-    chain = run_gibbs(network, _gibbs_config(args, args.k, args.seed, network))
+    chain = run_gibbs(network, _gibbs_config(args, args.k, args.seed))
     fileio.write_chain(args.out, chain)
     fileio.write_manifest(args.out / "run_manifest.json", _manifest(args))
     print(
@@ -291,16 +277,9 @@ def cmd_fit(args) -> int:
 
 
 def _select_worker(payload) -> tuple[int, int, float]:
-    path, k, rep, seed, fit_kwargs = payload
-    network = fileio.read_interactions_jsonl(Path(path))
-    kwargs = dict(fit_kwargs)
-    if kwargs.pop("warm", False):
-        base = GibbsConfig(k=k, seed=seed, **kwargs)
-        kwargs["init"] = "provided"
-        kwargs["init_labels"] = warm_start_labels(network, base)
-    config = GibbsConfig(k=k, seed=seed, **kwargs)
-    chain = run_gibbs(network, config)
-    return k, rep, marginal_log_likelihood(network, chain)
+    path, rep, config = payload
+    chain = run_gibbs(fileio.read_interactions_jsonl(Path(path)), config)
+    return config.k, rep, marginal_log_likelihood(chain)
 
 
 def cmd_select_k(args) -> int:
@@ -308,18 +287,8 @@ def cmd_select_k(args) -> int:
         raise UsageError(f"--kmin {args.kmin} exceeds --kmax {args.kmax}")
     if args.replicates < 1:
         raise UsageError("--replicates must be >= 1")
-    fit_kwargs = dict(
-        iterations=args.iters,
-        burn_in=args.burnin,
-        block_conc=args.omega,
-        recv_conc=args.zeta,
-        alpha_prior=tuple(args.alpha_prior),
-        theta_prior=tuple(args.theta_prior),
-        init="random" if args.init != "degree_majority" else "degree_majority",
-        warm=args.init == "warm",
-    )
     jobs = [
-        (str(args.input), k, rep, args.seed + rep, fit_kwargs)
+        (str(args.input), rep, _gibbs_config(args, k, args.seed + rep))
         for rep in range(args.replicates)
         for k in range(args.kmin, args.kmax + 1)
     ]

@@ -109,13 +109,15 @@ def read_assignment_csv(
         if {"node", "block"} - set(header):
             raise DataError(f"{path}: expected header node,block")
         node, block = header.index("node"), header.index("block")
-        # Blank rows are skipped, and line numbers count non-blank rows only.
-        for ln, row in enumerate(filter(None, reader), start=2):
+        # Blank rows are skipped; errors name the file line of the row.
+        for row in filter(None, reader):
             try:
                 mapping[row[node]] = int(row[block])
             except (IndexError, ValueError):
                 value = row[block] if block < len(row) else None
-                raise DataError(f"{path}: line {ln}: bad block value {value!r}")
+                raise DataError(
+                    f"{path}: line {reader.line_num}: bad block value {value!r}"
+                )
     if not mapping:
         raise DataError(f"{path}: no assignments found")
     k = k or max(mapping.values())

@@ -5,17 +5,13 @@ per-sender-block receiver urns, one Pitman-Yor node urn per block) and
 a conditional-iid construction that first draws block frequencies and a
 row-stochastic mixing matrix, then samples interactions independently
 given them.  In the conditional-iid route the per-block stick-breaking
-weights are marginalized by default, which reduces each block's node
-draws to the exact Pitman-Yor urn; an explicit ``truncation`` instead
-materializes that many stick atoms (renormalizing the leftover mass),
-which is useful when the realized weights themselves are wanted but
-audibly distorts the degree law once the leftover mass is non-trivial.
+weights are marginalized, which reduces each block's node draws to the
+exact Pitman-Yor urn.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -77,30 +73,21 @@ class GeneratorConfig:
     arity: ArityLaw = field(default_factory=lambda: ArityLaw.fixed(1))
     seed: int = 0
     mode: str = "sequential"
-    truncation: Optional[int] = None
 
     def __post_init__(self):
         if self.m < 0:
             raise UsageError(f"interaction count must be >= 0, got {self.m}")
         if self.mode not in ("sequential", "conditional_iid"):
             raise UsageError(f"unknown mode {self.mode!r}")
-        if self.truncation is not None and self.truncation < 1:
-            raise UsageError("truncation must be >= 1")
 
 
 @dataclass
 class SimulationResult:
-    """network + born-block truth + realized parameters.
-
-    ``sticks`` is populated only by the truncated conditional-iid route;
-    ``notes`` records truncation warnings.
-    """
+    """network + born-block truth + realized parameters."""
 
     network: InteractionNetwork
     assignment: BlockAssignment
     params: ModelParams
-    sticks: Optional[list[np.ndarray]] = None
-    notes: list[str] = field(default_factory=list)
 
 
 def _make_rng(seed: int, *spawn: int) -> np.random.Generator:
@@ -206,32 +193,17 @@ def simulate_sequential(config: GeneratorConfig) -> SimulationResult:
     return space.finish(senders, offsets, receivers, k, params)
 
 
-def _gem_sticks(
-    rng: np.random.Generator, alpha: float, theta: float, truncation: int
-) -> tuple[np.ndarray, float]:
-    """Truncated stick-breaking weights and the leftover (pre-renormalized) mass."""
-    j = np.arange(1, truncation + 1, dtype=float)
-    v = rng.beta(1.0 - alpha, theta + j * alpha)
-    stick = np.empty(truncation)
-    stick[0] = v[0]
-    rest = np.cumprod(1.0 - v)
-    stick[1:] = v[1:] * rest[:-1]
-    leftover = float(rest[-1])
-    return stick / stick.sum(), leftover
-
-
 def simulate_conditional_iid(config: GeneratorConfig) -> SimulationResult:
     """Sample iid interactions given (block frequencies, mixing matrix).
 
     Frequencies and mixing rows come from the params when fixed there,
     otherwise from the symmetric Dirichlet with the matching
     concentration.  Node identities integrate the stick weights out
-    (exact urn draws) unless a truncation is requested.
+    (exact urn draws).
     """
     params = config.params
     k = params.k
     rng = _make_rng(config.seed)
-    notes: list[str] = []
 
     if params.block_probs is not None:
         pi = params.block_probs.copy()
@@ -264,73 +236,17 @@ def simulate_conditional_iid(config: GeneratorConfig) -> SimulationResult:
         propensity=prop,
     )
 
-    sticks = None
-    if config.truncation is None:
-        # Exact: iid draws from GEM weights, marginalized, are the urn.
-        urns = [
-            _BlockUrn(float(params.alpha[b]), float(params.theta[b])) for b in range(k)
-        ]
-        space = _NodeSpace()
-        senders = []
-        receivers = []
-        recv_list = recv_blocks.tolist()
-        for j, bs in enumerate(sender_blocks.tolist()):
-            senders.append(urns[bs].draw(rng, space.deg, space.creator(bs)))
-            for br in recv_list[bounds[j] : bounds[j + 1]]:
-                receivers.append(urns[br].draw(rng, space.deg, space.creator(br)))
-        result = space.finish(senders, offsets, receivers, k, realized)
-        result.notes = notes
-        return result
-
-    # Truncated sticks: materialize the weights, then draw atoms.
-    sticks = []
-    for b in range(k):
-        stick, leftover = _gem_sticks(
-            rng, float(params.alpha[b]), float(params.theta[b]), config.truncation
-        )
-        if leftover > 1e-6:
-            notes.append(
-                f"block {b + 1}: stick truncation at {config.truncation} atoms "
-                f"left mass {leftover:.3g} unassigned (renormalized)"
-            )
-        sticks.append(stick)
-
-    sender_atoms = np.empty(m, dtype=np.int64)
-    for b in range(k):
-        mask = sender_blocks == b
-        cnt = int(mask.sum())
-        if cnt:
-            sender_atoms[mask] = rng.choice(len(sticks[b]), size=cnt, p=sticks[b])
-    recv_atoms = np.empty(total_recv, dtype=np.int64)
-    for b in range(k):
-        mask = recv_blocks == b
-        cnt = int(mask.sum())
-        if cnt:
-            recv_atoms[mask] = rng.choice(len(sticks[b]), size=cnt, p=sticks[b])
-
-    atom_index: dict[tuple[int, int], int] = {}
-    node_block: list[int] = []
-
-    def resolve(block: int, atom: int) -> int:
-        key = (block, atom)
-        i = atom_index.get(key)
-        if i is None:
-            i = len(node_block)
-            atom_index[key] = i
-            node_block.append(block)
-        return i
-
+    # Exact: iid draws from GEM weights, marginalized, are the urn.
+    urns = [_BlockUrn(float(params.alpha[b]), float(params.theta[b])) for b in range(k)]
+    space = _NodeSpace()
     senders = []
     receivers = []
-    recv_keys = list(zip(recv_blocks.tolist(), recv_atoms.tolist()))
-    for j, key in enumerate(zip(sender_blocks.tolist(), sender_atoms.tolist())):
-        senders.append(resolve(*key))
-        receivers.extend(resolve(*rk) for rk in recv_keys[bounds[j] : bounds[j + 1]])
-
-    node_ids = [f"n{i + 1}" for i in range(len(node_block))]
-    network = InteractionNetwork(senders, offsets, receivers, node_ids)
-    assignment = BlockAssignment(np.array(node_block, dtype=np.int64), k)
-    return SimulationResult(network, assignment, realized, sticks=sticks, notes=notes)
+    recv_list = recv_blocks.tolist()
+    for j, bs in enumerate(sender_blocks.tolist()):
+        senders.append(urns[bs].draw(rng, space.deg, space.creator(bs)))
+        for br in recv_list[bounds[j] : bounds[j + 1]]:
+            receivers.append(urns[br].draw(rng, space.deg, space.creator(br)))
+    return space.finish(senders, offsets, receivers, k, realized)
 
 
 def simulate(config: GeneratorConfig) -> SimulationResult:

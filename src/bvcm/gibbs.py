@@ -3,8 +3,10 @@
 One full iteration is: a sweep of collapsed single-node block updates
 (block frequencies integrated out, mixing matrix conditioned on), one
 auxiliary-variable conjugate update of (alpha_b, theta_b) per block,
-and a row-wise Dirichlet redraw of the mixing matrix.  Counts are
-maintained incrementally.
+and a row-wise Dirichlet redraw of the mixing matrix.  The block counts
+come from ``compute_stats`` when labels are set and are then maintained
+incrementally by the sweep; ``log_prob`` is ``log_prob_from_stats`` at
+the current sample.
 """
 
 from __future__ import annotations
@@ -15,15 +17,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
 
-from .core import (
-    BlockAssignment,
-    InteractionNetwork,
-    counterparty_counts,
-    log_ascending_factorial,
-)
+from .core import BlockAssignment, InteractionNetwork, compute_stats, counterparty_counts
 from .errors import UsageError
+from .likelihood import log_discount_factorial, log_prob_from_stats
 
 __all__ = [
     "GibbsConfig",
@@ -44,8 +41,8 @@ class GibbsConfig:
     alpha_prior is the Beta(c, d) prior on each discount parameter,
     theta_prior the Gamma(shape, rate) prior on each strength
     parameter.  block_conc / recv_conc are the fixed urn
-    concentrations.  init is one of random | degree_majority |
-    provided (the latter requires init_labels).
+    concentrations.  init is one of random | degree_majority | warm
+    (labels from ``warm_start_labels``).
     """
 
     k: int
@@ -57,7 +54,6 @@ class GibbsConfig:
     alpha_prior: tuple[float, float] = (1.0, 1.0)
     theta_prior: tuple[float, float] = (1.0, 1.0)
     init: str = "random"
-    init_labels: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -71,10 +67,8 @@ class GibbsConfig:
                 raise UsageError(f"{name} must be positive")
         if min(self.alpha_prior) <= 0 or min(self.theta_prior) <= 0:
             raise UsageError("prior hyperparameters must be positive")
-        if self.init not in ("random", "degree_majority", "provided"):
+        if self.init not in ("random", "degree_majority", "warm"):
             raise UsageError(f"unknown init {self.init!r}")
-        if self.init == "provided" and self.init_labels is None:
-            raise UsageError("init='provided' requires init_labels")
 
 
 @dataclass
@@ -134,7 +128,7 @@ def aux_update_alpha_theta(
     if v_b == 0:
         new_alpha = GibbsSampler._clip_alpha(rng.beta(c_hyp, d_hyp))
         return new_alpha, max(rng.gamma(a_hyp, 1.0 / b_hyp), _EPS)
-    m_b = sum(degs)
+    m_b = np.sum(degs)
 
     rate = b_hyp
     if m_b >= 2:
@@ -150,7 +144,7 @@ def aux_update_alpha_theta(
     sum_not_y = n_y - sum_y
 
     sum_not_z = 0.0
-    max_d = max(degs)
+    max_d = np.max(degs)
     if max_d > 1:
         cnt = np.bincount(degs, minlength=max_d + 1)
         # n_j = number of block members with degree > j, j = 1..max_d-1
@@ -194,7 +188,7 @@ class GibbsSampler:
         self.self_pairs = np.bincount(s_pair[loop], minlength=n).tolist()
         self.max_deg = int(deg.max())
 
-        self.labels = self._initial_labels()
+        labels = self._initial_labels()
         self.alpha = np.empty(self.k)
         self.theta = np.empty(self.k)
         c, d = config.alpha_prior
@@ -203,20 +197,16 @@ class GibbsSampler:
             self.alpha[blk] = self._clip_alpha(self.rng.beta(c, d))
             self.theta[blk] = max(self.rng.gamma(a, 1.0 / b), _EPS)
 
-        self._rebuild_counts()
+        self.set_labels(labels)
         self._refresh_deg_table()
         self.prop = self.update_propensity()
 
     # ---------------------------------------------------------------- setup
 
-    def _initial_labels(self) -> list[int]:
+    def _initial_labels(self) -> np.ndarray:
         cfg = self.config
-        if cfg.init == "provided":
-            labels = np.asarray(cfg.init_labels, dtype=np.int64)
-            BlockAssignment(labels, self.k)  # validates range
-            if len(labels) != self.n:
-                raise UsageError("init_labels length does not match the network")
-            return [int(x) for x in labels]
+        if cfg.init == "warm":
+            return warm_start_labels(self.network, cfg)
         labels = self.rng.integers(self.k, size=self.n)
         if cfg.init == "degree_majority":
             if self.k != 2:
@@ -227,41 +217,25 @@ class GibbsSampler:
             for _ in range(2):
                 assignment = degree_majority_update(self.network, assignment)
             labels = assignment.labels
-        return [int(x) for x in labels]
+        return labels
 
-    def _rebuild_counts(self) -> None:
-        k = self.k
-        lab = self.labels
-        self.block_n = [0] * k
-        self.block_deg = [0] * k
-        self.inits = [0] * k
-        self.pair = [[0] * k for _ in range(k)]
-        for i in range(self.n):
-            b = lab[i]
-            self.block_n[b] += 1
-            self.block_deg[b] += self.deg[i]
-            self.inits[b] += self.node_inits[i]
-        for i in range(self.n):
-            row = self.pair[lab[i]]
-            for r in self.out_nbrs[i]:
-                row[lab[r]] += 1
-            self.pair[lab[i]][lab[i]] += self.self_pairs[i]
+    def _stats(self):
+        """compute_stats for the current labels."""
+        return compute_stats(self.network, BlockAssignment(np.array(self.labels), self.k))
+
+    def set_labels(self, labels) -> None:
+        """Set every node's block and rebuild the sweep's counts for them."""
+        self.labels = np.asarray(labels, dtype=np.int64).tolist()
+        stats = self._stats()
+        self.block_n = stats.block_sizes.tolist()
+        self.block_deg = stats.block_deg.tolist()
+        self.inits = stats.initiations.tolist()
+        self.pair = stats.pair.tolist()
 
     def _refresh_deg_table(self) -> None:
-        """Per-block lookup of lgamma(d - alpha_b) - lgamma(1 - alpha_b)."""
+        """Per-block lookup of log (1 - alpha_b)_{d-1} by degree d."""
         d = np.arange(self.max_deg + 1, dtype=float)
-        tab = gammaln(d[None, :] - self.alpha[:, None]) - gammaln(
-            1.0 - self.alpha[:, None]
-        )
-        tab[:, 0] = 0.0
-        self._la_deg = [row.tolist() for row in tab]
-        # Per-block sum over member nodes, kept incrementally during sweeps.
-        sums = [0.0] * self.k
-        lab = self.labels
-        for i in range(self.n):
-            b = lab[i]
-            sums[b] += self._la_deg[b][self.deg[i]]
-        self.sum_la = sums
+        self._la_deg = log_discount_factorial(d, self.alpha[:, None]).tolist()
 
     # ------------------------------------------------------- block updates
 
@@ -269,14 +243,12 @@ class GibbsSampler:
         b = self.labels[i]
         self.block_n[b] -= 1
         self.block_deg[b] -= self.deg[i]
-        self.sum_la[b] -= self._la_deg[b][self.deg[i]]
         self.inits[b] -= self.node_inits[i]
 
     def _reattach(self, i: int, b: int) -> None:
         old = self.labels[i]
         self.block_n[b] += 1
         self.block_deg[b] += self.deg[i]
-        self.sum_la[b] += self._la_deg[b][self.deg[i]]
         self.inits[b] += self.node_inits[i]
         if b != old:
             lab = self.labels
@@ -376,7 +348,7 @@ class GibbsSampler:
 
     def update_alpha_theta(self, b: int) -> tuple[float, float]:
         """Auxiliary-variable conjugate redraw of (alpha_b, theta_b)."""
-        degs = [self.deg[i] for i in range(self.n) if self.labels[i] == b]
+        degs = self.network.degrees()[np.array(self.labels) == b]
         return aux_update_alpha_theta(
             degs,
             self.alpha[b],
@@ -417,25 +389,12 @@ class GibbsSampler:
         self.update_propensity()
 
     def log_prob(self) -> float:
-        """Collapsed log-probability of (network, current labels, params)."""
-        la = log_ascending_factorial
-        k = self.k
-        omega = self.config.block_conc
-        zeta = self.config.recv_conc
-        out = -la(k * omega, 1.0, self.network.m)
-        for b in range(k):
-            out += la(omega, 1.0, self.inits[b])
-            v_b = self.block_n[b]
-            if v_b:
-                out += la(self.theta[b] + self.alpha[b], self.alpha[b], v_b - 1)
-                out += self.sum_la[b]
-                out -= la(self.theta[b] + 1.0, 1.0, self.block_deg[b] - 1)
-            r_b = sum(self.pair[b])
-            if r_b:
-                out -= la(k * zeta, 1.0, r_b)
-                for b2 in range(k):
-                    out += la(zeta, 1.0, self.pair[b][b2])
-        return out
+        """Collapsed log-probability of (network, current labels, params):
+        log_prob_sequential at the current sample."""
+        cfg = self.config
+        return log_prob_from_stats(
+            self._stats(), self.k, cfg.block_conc, cfg.recv_conc, self.alpha, self.theta
+        ).value
 
     def run(self) -> Chain:
         cfg = self.config
@@ -514,10 +473,11 @@ def warm_start_labels(
 
     labels = np.empty(network.n_nodes, dtype=np.int64)
     seen = np.zeros(network.n_nodes, dtype=bool)
-    for i, name in enumerate(prefix.node_ids):
-        full = network.node_index(name)
-        labels[full] = prefix_hard[i]
-        seen[full] = True
+    full = np.fromiter(
+        map(network.node_index, prefix.node_ids), dtype=np.int64, count=prefix.n_nodes
+    )
+    labels[full] = prefix_hard
+    seen[full] = True
 
     # Spread outward by counterparty majority; leftovers get random labels.
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import gammaln
 
 from .core import (
     BlockAssignment,
@@ -68,21 +69,30 @@ class ConditionalLogProb:
         return bool(self.zero_blocks) or bool(self.zero_pairs)
 
 
+def log_discount_factorial(deg, alpha):
+    """log (1 - alpha)_{d-1} = lgamma(d - alpha) - lgamma(1 - alpha).
+
+    The factor a node of degree d >= 1 contributes to its block's EPPF
+    (0 at d = 1); elementwise, with numpy broadcasting.
+    """
+    return gammaln(deg - alpha) - gammaln(1.0 - alpha)
+
+
 def block_eppf(
     n_nodes: int, total_deg: int, deg_hist, alpha: float, theta: float
 ) -> float:
     """Log Pitman-Yor EPPF of one block.
 
-    ``deg_hist`` maps degree -> node count; empty blocks contribute 0.
+    ``deg_hist`` maps degree (>= 1) -> node count; empty blocks
+    contribute 0.
     """
     if n_nodes == 0:
         return 0.0
     out = log_ascending_factorial(theta + alpha, alpha, n_nodes - 1)
     out -= log_ascending_factorial(theta + 1.0, 1.0, total_deg - 1)
-    for d, c in deg_hist.items():
-        if d > 1:
-            out += c * log_ascending_factorial(1.0 - alpha, 1.0, d - 1)
-    return out
+    degs = np.fromiter(deg_hist.keys(), dtype=float, count=len(deg_hist))
+    counts = np.fromiter(deg_hist.values(), dtype=float, count=len(deg_hist))
+    return out + float(counts @ log_discount_factorial(degs, alpha))
 
 
 def _validate_params(k: int, alpha, theta, block_conc: float, recv_conc: float) -> None:
@@ -200,29 +210,15 @@ def log_prob_conditional(
     return ConditionalLogProb(float(value))
 
 
-def marginal_log_likelihood(network: InteractionNetwork, chain) -> float:
+def marginal_log_likelihood(chain) -> float:
     """Posterior-mean collapsed log-probability over post-burn-in samples.
 
-    The score used for choosing the number of blocks: the mean of
-    log_prob_sequential evaluated at each sampled (assignment, alpha,
-    theta) with the chain's fixed urn concentrations.  Chains produced
-    by run_gibbs carry these values per iteration already; they are
-    reused when present.
+    The score used for choosing the number of blocks: the mean of the
+    chain's recorded ``log_probs``, i.e. log_prob_sequential at each
+    sampled (assignment, alpha, theta) with the chain's fixed urn
+    concentrations.
     """
-    post = range(chain.burn_in, len(chain.alphas))
+    post = chain.log_probs[chain.burn_in:]
     if len(post) == 0:
         raise UsageError("chain has no post-burn-in samples")
-    if getattr(chain, "log_probs", None) is not None:
-        return float(np.mean(chain.log_probs[chain.burn_in:]))
-    vals = []
-    for s in post:
-        lp = log_prob_sequential(
-            network,
-            BlockAssignment(chain.assignments[s], chain.k),
-            chain.block_conc,
-            chain.recv_conc,
-            chain.alphas[s],
-            chain.thetas[s],
-        )
-        vals.append(lp.value)
-    return float(np.mean(vals))
+    return float(np.mean(post))

@@ -44,7 +44,7 @@ from bvcm import (
     standardized_l2,
 )
 from bvcm.consistency import min_permutation_error
-from bvcm.gibbs import aux_update_alpha_theta, warm_start_labels
+from bvcm.gibbs import aux_update_alpha_theta
 from bvcm.metrics import sparsity_growth
 
 from oracles import (
@@ -73,15 +73,10 @@ def block_data(alpha, diag, m, seed, k=None, theta=5.0):
     )
 
 
-def warm_fit(network, k, iterations, burn_in, seed, **kw):
-    cfg = GibbsConfig(k=k, iterations=iterations, burn_in=burn_in, seed=seed, **kw)
-    labels = warm_start_labels(network, cfg)
+def warm_fit(network, k, iterations, burn_in, seed):
     return run_gibbs(
         network,
-        GibbsConfig(
-            k=k, iterations=iterations, burn_in=burn_in, seed=seed,
-            init="provided", init_labels=labels, **kw,
-        ),
+        GibbsConfig(k=k, iterations=iterations, burn_in=burn_in, seed=seed, init="warm"),
     )
 
 
@@ -147,7 +142,7 @@ def _selection_worker(payload):
     alpha = rng.uniform(0.4, 0.8, size=3)
     res = block_data(alpha, 0.9, 10_000, seed=seed)
     chain = warm_fit(res.network, k, 400, 120, seed=seed * 31 + k)
-    return seed, k, marginal_log_likelihood(res.network, chain)
+    return seed, k, marginal_log_likelihood(chain)
 
 
 def test_criterion_3_k_selection():
@@ -177,7 +172,7 @@ def _k5_worker(payload):
     alpha = rng.uniform(0.4, 0.8, size=5)
     res = block_data(alpha, 0.9, 10_000, seed=seed, k=5)
     chain = warm_fit(res.network, k, 400, 120, seed=seed * 37 + k)
-    return seed, k, marginal_log_likelihood(res.network, chain)
+    return seed, k, marginal_log_likelihood(chain)
 
 
 @pytest.mark.slow
@@ -259,8 +254,7 @@ def test_criterion_6_full_conditional_oracle():
         sampler = GibbsSampler(
             net, GibbsConfig(k=2, iterations=1, burn_in=0, seed=trial)
         )
-        sampler.labels = [int(x) for x in rng.integers(2, size=net.n_nodes)]
-        sampler._rebuild_counts()
+        sampler.set_labels(rng.integers(2, size=net.n_nodes))
         sampler._refresh_deg_table()
         prop = sampler.update_propensity()
         for node in range(net.n_nodes):

@@ -350,6 +350,13 @@ class TestFileio:
         with pytest.raises(DataError, match="header"):
             fileio.read_assignment_csv(path, net)
 
+    def test_assignment_bad_row_names_file_line_after_blank_lines(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("node,block\n\n\nb,x\n")
+        net = InteractionNetwork.from_records([("a", ["b"])])
+        with pytest.raises(DataError, match="line 4: bad block value 'x'"):
+            fileio.read_assignment_csv(path, net)
+
     def test_atomic_write_cleans_up_on_failure(self, tmp_path):
         target = tmp_path / "f.txt"
         with pytest.raises(RuntimeError):

@@ -150,25 +150,6 @@ class TestConditionalIid:
         assert res.params.propensity.shape == (2, 2)
         assert np.allclose(res.params.propensity.sum(axis=1), 1.0)
 
-    def test_truncated_sticks_warn_and_return(self):
-        cfg = GeneratorConfig(
-            params=two_block_params(alpha=(0.7, 0.7)),
-            m=500,
-            seed=8,
-            mode="conditional_iid",
-            truncation=64,
-        )
-        res = simulate_conditional_iid(cfg)
-        assert res.sticks is not None and len(res.sticks) == 2
-        assert all(s.sum() == pytest.approx(1.0) for s in res.sticks)
-        assert any("unassigned" in note for note in res.notes)
-
-    def test_exact_mode_has_no_sticks(self):
-        res = simulate_conditional_iid(
-            GeneratorConfig(params=two_block_params(), m=50, seed=9, mode="conditional_iid")
-        )
-        assert res.sticks is None
-
 
 def _within_pair_count(res):
     stats = compute_stats(res.network, res.assignment)

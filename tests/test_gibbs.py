@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import stats as sp_stats
@@ -11,6 +13,7 @@ from bvcm import (
     ModelParams,
     UsageError,
     compute_stats,
+    log_prob_sequential,
     run_gibbs,
     simulate_conditional_iid,
     simulate_sequential,
@@ -47,8 +50,7 @@ class TestBlockUpdate:
             sampler = GibbsSampler(
                 net, GibbsConfig(k=k, iterations=1, burn_in=0, seed=int(rng.integers(1e6)))
             )
-            sampler.labels = [int(x) for x in rng.integers(k, size=net.n_nodes)]
-            sampler._rebuild_counts()
+            sampler.set_labels(rng.integers(k, size=net.n_nodes))
             sampler._refresh_deg_table()
             prop = sampler.update_propensity()
             for node in range(net.n_nodes):
@@ -94,8 +96,7 @@ class TestBlockUpdate:
             [("x", ["a"]), ("b", ["x"]), ("x", ["c"])]
         )
         sampler = GibbsSampler(net, GibbsConfig(k=2, iterations=1, burn_in=0, seed=1))
-        sampler.labels = [0, 0, 0, 0]
-        sampler._rebuild_counts()
+        sampler.set_labels([0, 0, 0, 0])
         sampler._refresh_deg_table()
         sampler.prop = np.array([[0.9, 0.1], [0.1, 0.9]])
         sampler._log_prop = np.log(sampler.prop).tolist()
@@ -114,6 +115,59 @@ class TestBlockUpdate:
             assert np.array_equal(np.array(sampler.inits), fresh.initiations)
             assert np.array_equal(np.array(sampler.block_n), fresh.block_sizes)
             assert np.array_equal(np.array(sampler.block_deg), fresh.block_deg)
+
+
+def enumerated_label_posterior(net, k, alpha, theta):
+    """P(labels | network, alpha, theta) over all k**n labelings, indexed
+    by sum_i labels[i] * k**i.  Exact: the collapsed log-probability
+    integrates the block frequencies and the mixing matrix out."""
+    configs = np.array(list(itertools.product(range(k), repeat=net.n_nodes)))[:, ::-1]
+    logp = np.array([
+        log_prob_sequential(net, BlockAssignment(c, k), 1.0, 1.0, alpha, theta).value
+        for c in configs
+    ])
+    p = np.exp(logp - logp.max())
+    return p / p.sum()
+
+
+class TestExactPosterior:
+    def test_label_frequencies_match_enumeration(self):
+        """With (alpha, theta) held fixed, the sweep plus the mixing-matrix
+        redraw leave the enumerated label posterior invariant: thinned
+        label frequencies pass a chi-square test against it."""
+        rng = np.random.default_rng(41)
+        pvalues = []
+        for k, n_pool in ((2, 7), (2, 7), (3, 5), (3, 5)):
+            m = int(rng.integers(5, 10))
+            net, _ = random_network(rng, k, m=m, n_pool=n_pool, max_arity=2)
+            alpha = rng.uniform(0.2, 0.8, size=k)
+            theta = rng.uniform(0.5, 5.0, size=k)
+            exact = enumerated_label_posterior(net, k, alpha, theta)
+
+            sampler = GibbsSampler(
+                net, GibbsConfig(k=k, iterations=1, burn_in=0, seed=int(rng.integers(1e6)))
+            )
+            sampler.alpha[:] = alpha
+            sampler.theta[:] = theta
+            sampler._refresh_deg_table()
+            sampler.update_propensity()
+            place = k ** np.arange(net.n_nodes)
+            seen = []
+            for t in range(30_000):
+                sampler.sweep()
+                sampler.update_propensity()
+                if t % 3 == 0:
+                    seen.append(int(np.dot(sampler.labels, place)))
+            observed = np.bincount(seen, minlength=len(exact))
+            expected = exact * len(seen)
+            # Cells expected below 5 are pooled into one.
+            small = expected < 5
+            obs = np.append(observed[~small], observed[small].sum())
+            exp = np.append(expected[~small], expected[small].sum())
+            if not small.any():
+                obs, exp = obs[:-1], exp[:-1]
+            pvalues.append(sp_stats.chisquare(obs, exp).pvalue)
+        assert min(pvalues) > 0.001, pvalues
 
 
 class TestParameterUpdates:
