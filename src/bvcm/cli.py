@@ -400,10 +400,11 @@ def cmd_stats(args) -> int:
     from .core import degree_distribution
 
     hist = degree_distribution(network)
+    degrees = np.flatnonzero(hist)
     fileio.write_csv(
         out / "degree_distribution.csv",
         ["degree", "count"],
-        sorted(hist.items()),
+        zip(degrees.tolist(), hist[degrees].tolist()),
     )
 
     fits = powerlaw_diagnostic(network, truth)

@@ -63,6 +63,12 @@ class BoundResult(NamedTuple):
     terms: int
 
 
+def _margin(within_prob: float, gamma1: float, gamma2: float) -> float:
+    """Signal margin mu_min of ``misclassification_bound``."""
+    g_min, g_max = min(gamma1, gamma2), max(gamma1, gamma2)
+    return 2.0 * within_prob * (g_min + g_max - 1.0) - (2.0 * g_max - 1.0)
+
+
 def misclassification_bound(
     alpha: float,
     within_prob: float,
@@ -84,8 +90,7 @@ def misclassification_bound(
     for g in (gamma1, gamma2):
         if not 0.5 < g <= 1.0:
             raise UsageError(f"correct fractions must lie in (1/2,1], got {g}")
-    g_min, g_max = min(gamma1, gamma2), max(gamma1, gamma2)
-    mu_min = 2.0 * within_prob * (g_min + g_max - 1.0) - (2.0 * g_max - 1.0)
+    mu_min = _margin(within_prob, gamma1, gamma2)
     if mu_min <= 0.0:
         raise NumericalError(
             f"margin {mu_min} <= 0: the labeling is too unbalanced for the "
@@ -148,9 +153,7 @@ class LabelingQuality:
 
     @property
     def mu_min(self) -> float:
-        return 2.0 * self.within_prob * (self.gamma_min + self.gamma_max - 1.0) - (
-            2.0 * self.gamma_max - 1.0
-        )
+        return _margin(self.within_prob, self.gamma1, self.gamma2)
 
     def bound(self, alpha: float, tol: float = 1e-10) -> BoundResult:
         return misclassification_bound(

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -262,25 +261,22 @@ class ModelParams:
 class SufficientStats:
     """All count statistics of a (network, assignment) pair.
 
-    deg counts every appearance of a node (sender or receiver) with
-    multiplicity.  initiations[b] is the number of interactions whose
-    sender lies in block b.  pair[b, b'] counts (sender-block b,
-    receiver-block b') slots.  block_sizes and block_deg are the
-    non-isolated node count and total degree per block, and
-    deg_hist_by_block[b][d] is the number of block-b nodes of degree d.
+    initiations[b] is the number of interactions whose sender lies in
+    block b.  pair[b, b'] counts (sender-block b, receiver-block b')
+    slots.  deg_hist[b, d] is the number of block-b nodes of degree d,
+    where a node's degree counts every appearance (sender or receiver)
+    with multiplicity; its shape is (k, D + 1) for the maximum degree D,
+    and column 0 is 0, so isolated nodes belong to no block.
+    block_sizes and block_deg are the node count and total degree per
+    block, the row sums of deg_hist.
     """
 
     m: int
-    deg: np.ndarray
     initiations: np.ndarray
     pair: np.ndarray
+    deg_hist: np.ndarray
     block_sizes: np.ndarray
     block_deg: np.ndarray
-    deg_hist_by_block: list[Counter] = field(default_factory=list)
-
-    @property
-    def total_receivers(self) -> int:
-        return int(self.pair.sum())
 
 
 def _check_assignment(network: InteractionNetwork, assignment: BlockAssignment) -> None:
@@ -294,39 +290,31 @@ def _check_assignment(network: InteractionNetwork, assignment: BlockAssignment) 
         )
 
 
-def _degree_hist(deg: np.ndarray) -> Counter:
-    """Map degree -> count over the non-zero entries, keyed in order of
-    first occurrence (the order a per-node loop would insert them)."""
-    deg = deg[deg > 0]
-    values, first, counts = np.unique(deg, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    return Counter(dict(zip(values[order].tolist(), counts[order].tolist())))
-
-
 def compute_stats(
     network: InteractionNetwork, assignment: BlockAssignment
 ) -> SufficientStats:
     """Aggregate every count the likelihood and sampler need.
 
     Pure function of its inputs; interaction order does not affect any
-    field.
+    field.  The per-block degree histogram is one bincount over
+    (label, degree) cells.
     """
     _check_assignment(network, assignment)
     k = assignment.k
     labels = assignment.labels
     deg = network.degrees()
+    width = int(deg.max(initial=0)) + 1
+    deg_hist = np.bincount(labels * width + deg, minlength=k * width).reshape(k, width)
+    deg_hist[:, 0] = 0
     s_pair, r_pair = network.pairs()
     pair = np.bincount(labels[s_pair] * k + labels[r_pair], minlength=k * k)
-    block_deg = np.zeros(k, dtype=np.int64)
-    np.add.at(block_deg, labels, deg)
     return SufficientStats(
         m=network.m,
-        deg=deg,
         initiations=np.bincount(labels[network.senders], minlength=k),
         pair=pair.reshape(k, k),
-        block_sizes=np.bincount(labels[deg > 0], minlength=k),
-        block_deg=block_deg,
-        deg_hist_by_block=[_degree_hist(deg[labels == b]) for b in range(k)],
+        deg_hist=deg_hist,
+        block_sizes=deg_hist.sum(axis=1),
+        block_deg=deg_hist @ np.arange(width),
     )
 
 
@@ -342,9 +330,13 @@ def counterparty_counts(
     return counts.reshape(network.n_nodes, k)
 
 
-def degree_distribution(network: InteractionNetwork) -> Counter:
-    """Map degree -> number of nodes with that degree (non-isolated only)."""
-    return _degree_hist(network.degrees())
+def degree_distribution(network: InteractionNetwork) -> np.ndarray:
+    """Number of nodes of each degree: entry d counts the nodes of
+    degree d, from 0 up to the maximum degree; entry 0 is 0, since
+    isolated nodes are not counted."""
+    hist = np.bincount(network.degrees(), minlength=1)
+    hist[0] = 0
+    return hist
 
 
 def best_relabeling(gain: np.ndarray) -> np.ndarray:

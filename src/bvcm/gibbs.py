@@ -98,11 +98,16 @@ class Chain:
     def post_assignments(self) -> np.ndarray:
         return self.assignments[self.burn_in:]
 
+    def block_counts(self) -> np.ndarray:
+        """counts[i, b]: post-burn-in samples that put node i in block b."""
+        post = self.post_assignments()
+        n = self.n_nodes
+        cells = np.arange(n) * self.k + post
+        return np.bincount(cells.ravel(), minlength=n * self.k).reshape(n, self.k)
+
     def majority_labels(self) -> np.ndarray:
         """Per-node most frequent post-burn-in label (ties -> lowest label)."""
-        post = self.post_assignments()
-        counts = np.stack([(post == b).sum(axis=0) for b in range(self.k)])
-        return counts.argmax(axis=0).astype(np.int64)
+        return self.block_counts().argmax(axis=1)
 
 
 def aux_update_alpha_theta(

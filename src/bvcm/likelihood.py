@@ -78,21 +78,31 @@ def log_discount_factorial(deg, alpha):
     return gammaln(deg - alpha) - gammaln(1.0 - alpha)
 
 
-def block_eppf(
-    n_nodes: int, total_deg: int, deg_hist, alpha: float, theta: float
-) -> float:
-    """Log Pitman-Yor EPPF of one block.
+def block_eppf(hist_row: np.ndarray, alpha: float, theta: float) -> float:
+    """Log Pitman-Yor EPPF of one block from its degree histogram.
 
-    ``deg_hist`` maps degree (>= 1) -> node count; empty blocks
+    ``hist_row[d]`` is the number of the block's nodes of degree d (a
+    row of ``SufficientStats.deg_hist``; entry 0 must be 0).  The node
+    count and total degree are read off the row; empty blocks
     contribute 0.
     """
-    if n_nodes == 0:
+    degs = np.flatnonzero(hist_row)
+    if degs.size == 0:
         return 0.0
+    counts = hist_row[degs]
+    n_nodes = int(counts.sum())
+    total_deg = int(counts @ degs)
     out = log_ascending_factorial(theta + alpha, alpha, n_nodes - 1)
     out -= log_ascending_factorial(theta + 1.0, 1.0, total_deg - 1)
-    degs = np.fromiter(deg_hist.keys(), dtype=float, count=len(deg_hist))
-    counts = np.fromiter(deg_hist.values(), dtype=float, count=len(deg_hist))
-    return out + float(counts @ log_discount_factorial(degs, alpha))
+    return out + float(counts.astype(float) @ log_discount_factorial(degs, alpha))
+
+
+def _term_nodes(stats: SufficientStats, alpha, theta) -> float:
+    """Sum of the per-block EPPFs."""
+    return sum(
+        block_eppf(row, float(a), float(t))
+        for row, a, t in zip(stats.deg_hist, alpha, theta)
+    )
 
 
 def _validate_params(k: int, alpha, theta, block_conc: float, recv_conc: float) -> None:
@@ -117,15 +127,7 @@ def log_prob_from_stats(
     for b in range(k):
         term_block += la(block_conc, 1.0, int(stats.initiations[b]))
 
-    term_nodes = 0.0
-    for b in range(k):
-        term_nodes += block_eppf(
-            int(stats.block_sizes[b]),
-            int(stats.block_deg[b]),
-            stats.deg_hist_by_block[b],
-            float(alpha[b]),
-            float(theta[b]),
-        )
+    term_nodes = _term_nodes(stats, alpha, theta)
 
     term_prop = 0.0
     for b in range(k):
@@ -180,7 +182,7 @@ def log_prob_conditional(
 
     zero_blocks = []
     zero_pairs = []
-    value = 0.0
+    value = _term_nodes(stats, alpha, theta)
     for b in range(k):
         l_b = int(stats.initiations[b])
         if l_b:
@@ -188,13 +190,6 @@ def log_prob_conditional(
                 zero_blocks.append(b)
             else:
                 value += l_b * np.log(pi[b])
-        value += block_eppf(
-            int(stats.block_sizes[b]),
-            int(stats.block_deg[b]),
-            stats.deg_hist_by_block[b],
-            float(alpha[b]),
-            float(theta[b]),
-        )
         for b2 in range(k):
             c = int(stats.pair[b, b2])
             if not c:

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy import stats as sp_stats
-from scipy.special import gammaln
+from scipy.special import chdtrc, gammaln
 
 from .core import (
     BlockAssignment,
@@ -59,10 +58,7 @@ class PosteriorMembership:
 
     @classmethod
     def from_chain(cls, chain) -> "PosteriorMembership":
-        post = chain.post_assignments()
-        probs = np.stack(
-            [(post == b).mean(axis=0) for b in range(chain.k)], axis=1
-        )
+        probs = chain.block_counts() / len(chain.post_assignments())
         return cls(list(chain.node_ids), probs)
 
     @classmethod
@@ -183,14 +179,15 @@ def degree_law_pmf(ks: np.ndarray, alpha: float) -> np.ndarray:
     )
 
 
-def _fit_one(hist: dict[int, int], block: Optional[int], min_nodes: int) -> PowerlawFit:
-    v = sum(hist.values())
+def _fit_one(hist: np.ndarray, block: Optional[int], min_nodes: int) -> PowerlawFit:
+    """Fit of one degree histogram; hist[d] counts the nodes of degree d."""
+    v = int(hist.sum())
     if v < min_nodes:
         return PowerlawFit(
             block, v, float("nan"), float("nan"), None, None, None, True,
             f"only {v} nodes (< {min_nodes}); skipped",
         )
-    p1 = hist.get(1, 0) / v
+    p1 = int(hist[1]) / v
     alpha_hat = p1
     alpha_fit = min(max(alpha_hat, 1e-6), 1.0 - 1e-6)
 
@@ -198,30 +195,28 @@ def _fit_one(hist: dict[int, int], block: Optional[int], min_nodes: int) -> Powe
     # expected count is at least 5) with an exact tail probability for
     # the largest observed degree; the chi-square alone cannot see one
     # monstrous hub hiding in its final bin.
-    max_d = max(hist)
+    max_d = int(np.flatnonzero(hist)[-1])
     ks = np.arange(1, max_d + 1)
     pmf = degree_law_pmf(ks, alpha_fit)
     # At least two bins ({1} and {>=2}) so the test never degenerates.
     cut = 2
     while cut < max_d and v * pmf[cut] >= 5.0:
         cut += 1
-    obs = np.array([hist.get(int(d), 0) for d in range(1, cut)], dtype=float)
+    obs = hist[1:cut].astype(float)
     obs = np.append(obs, v - obs.sum())  # tail bin: degree >= cut
     exp = v * pmf[: cut - 1]
     exp = np.append(exp, max(v - exp.sum(), _LOG_CLIP))
     chi2 = float(((obs - exp) ** 2 / exp).sum())
     dof = max(len(obs) - 2, 1)
-    p_bulk = float(sp_stats.chi2.sf(chi2, dof))
+    p_bulk = float(chdtrc(dof, chi2))
     tail_mass = max(float(1.0 - pmf[: max_d - 1].sum()), _LOG_CLIP)
     p_max = float(1.0 - (1.0 - min(tail_mass, 1.0)) ** v)
     pvalue = min(1.0, 2.0 * min(p_bulk, p_max))
 
     slope = None
-    pts = [(d, c) for d, c in hist.items() if c >= 5]
+    pts = np.flatnonzero(hist >= 5)
     if len(pts) >= 3:
-        xs = np.log([d for d, _ in pts])
-        ys = np.log([c / v for _, c in pts])
-        slope = float(np.polyfit(xs, ys, 1)[0])
+        slope = float(np.polyfit(np.log(pts), np.log(hist[pts] / v), 1)[0])
     return PowerlawFit(block, v, p1, alpha_hat, chi2, pvalue, slope, False, "")
 
 
@@ -233,15 +228,17 @@ def powerlaw_diagnostic(
     """Degree-law fit for the whole network and, when labels are given,
     for each block-restricted network.
 
-    The discount estimate is the degree-one fraction (alpha_hat = p1,
-    its limit under ``degree_law_pmf``); the chi-square compares the
-    empirical histogram against the implied degree law; the tail slope
-    is the log-log regression over degrees seen at least 5 times.
+    The histograms are ``degree_distribution(network)`` and the rows of
+    ``compute_stats(network, assignment).deg_hist``.  The discount
+    estimate is the degree-one fraction (alpha_hat = p1, its limit under
+    ``degree_law_pmf``); the chi-square compares the empirical histogram
+    against the implied degree law; the tail slope is the log-log
+    regression over degrees seen at least 5 times.
     """
-    results = [_fit_one(dict(degree_distribution(network)), None, min_nodes)]
+    results = [_fit_one(degree_distribution(network), None, min_nodes)]
     if assignment is not None:
-        hists = compute_stats(network, assignment).deg_hist_by_block
-        results += [_fit_one(dict(h), b, min_nodes) for b, h in enumerate(hists)]
+        hists = compute_stats(network, assignment).deg_hist
+        results += [_fit_one(h, b, min_nodes) for b, h in enumerate(hists)]
     return results
 
 

@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bvcm
 from bvcm import fileio
 from bvcm.cli import main
 from bvcm.core import BlockAssignment, InteractionNetwork
@@ -241,7 +244,13 @@ class TestBoundAndStats:
             "--checkpoints", "4,40,200,400", "--out", st,
         )
         assert code == 0
-        assert (st / "degree_distribution.csv").exists()
+        header, *rows = (st / "degree_distribution.csv").read_text().splitlines()
+        assert header == "degree,count"
+        degrees = [int(r.split(",")[0]) for r in rows]
+        counts = [int(r.split(",")[1]) for r in rows]
+        assert degrees == sorted(set(degrees)) and degrees[0] >= 1
+        assert min(counts) >= 1
+        assert sum(counts) == fileio.read_interactions_jsonl(out).n_nodes
         pl = (st / "powerlaw.csv").read_text().splitlines()
         assert pl[0].startswith("block,n_nodes")
         assert (st / "sparsity.csv").exists()
@@ -365,3 +374,16 @@ class TestFileio:
                 raise RuntimeError("boom")
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats is slow to import and no CLI command needs it, so
+    # every command's start-up would pay for nothing.
+    src = str(Path(bvcm.__file__).resolve().parents[1])
+    code = "import sys, bvcm.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"

@@ -65,7 +65,8 @@ class TestComputeStats:
         st_ = compute_stats(tiny_network, assignment)
         assert st_.m == 3
         a, b, c = (tiny_network.node_index(x) for x in "abc")
-        assert st_.deg[a] == 2 and st_.deg[b] == 2 and st_.deg[c] == 2
+        deg = tiny_network.degrees()
+        assert deg[a] == 2 and deg[b] == 2 and deg[c] == 2
         assert st_.pair[0, 0] == 3
         assert st_.initiations[0] == 3
         assert st_.block_deg[0] == 6
@@ -76,6 +77,8 @@ class TestComputeStats:
         assert st_.m == 0
         assert st_.pair.sum() == 0
         assert st_.block_sizes.sum() == 0
+        assert st_.deg_hist.tolist() == [[0], [0]]
+        assert st_.block_deg.tolist() == [0, 0]
 
     def test_demo_pair_counts(self, demo_network, demo_truth):
         st_ = compute_stats(demo_network, demo_truth)
@@ -93,13 +96,43 @@ class TestComputeStats:
             total_recv = len(net.receivers)
             assert st_.initiations.sum() == st_.m
             assert st_.pair.sum() == total_recv
-            assert st_.deg.sum() == st_.m + total_recv
-            assert st_.block_sizes.sum() == (st_.deg > 0).sum()
+            deg = net.degrees()
+            assert deg.sum() == st_.m + total_recv
+            assert st_.block_sizes.sum() == (deg > 0).sum()
             for b in range(k):
                 assert (
-                    sum(d * c for d, c in st_.deg_hist_by_block[b].items())
+                    sum(d * c for d, c in enumerate(st_.deg_hist[b]))
                     == st_.block_deg[b]
                 )
+
+    def test_deg_hist_matches_per_node_count(self):
+        rng = np.random.default_rng(6)
+        for k in (1, 2, 3):
+            for _ in range(5):
+                net, assign = random_network(rng, k, m=15, n_pool=8, max_arity=3)
+                deg = [0] * net.n_nodes
+                for sender, receivers in net.records():
+                    for name in [sender, *receivers]:
+                        deg[net.node_index(name)] += 1
+                expected = np.zeros((k, max(deg) + 1), dtype=np.int64)
+                for i, d in enumerate(deg):
+                    if d:
+                        expected[assign.labels[i], d] += 1
+                st_ = compute_stats(net, assign)
+                assert np.array_equal(st_.deg_hist, expected)
+                assert np.array_equal(st_.block_sizes, expected.sum(axis=1))
+                assert np.array_equal(
+                    st_.block_deg, expected @ np.arange(expected.shape[1])
+                )
+
+    def test_isolated_node_in_no_block(self):
+        # c is in the node table but takes part in no interaction
+        net = InteractionNetwork([0], [0, 1], [1], ["a", "b", "c"])
+        st_ = compute_stats(net, BlockAssignment(np.array([0, 1, 1]), 2))
+        assert st_.block_sizes.tolist() == [1, 1]
+        assert st_.block_deg.tolist() == [1, 1]
+        assert st_.deg_hist.tolist() == [[0, 1], [0, 1]]
+        assert degree_distribution(net).tolist() == [0, 2]
 
     def test_order_invariance(self):
         rng = np.random.default_rng(4)
@@ -107,7 +140,8 @@ class TestComputeStats:
         st1 = compute_stats(net, assign)
         shuffled = permuted(net, rng)
         st2 = compute_stats(shuffled, assign)
-        assert np.array_equal(st1.deg, st2.deg)
+        assert np.array_equal(net.degrees(), shuffled.degrees())
+        assert np.array_equal(st1.deg_hist, st2.deg_hist)
         assert np.array_equal(st1.pair, st2.pair)
         assert np.array_equal(st1.initiations, st2.initiations)
         assert np.array_equal(
@@ -118,9 +152,8 @@ class TestComputeStats:
     def test_neighbor_counts_single_commentator(self):
         rng = np.random.default_rng(5)
         net, assign = random_network(rng, 2, m=20, n_pool=6, max_arity=1)
-        st_ = compute_stats(net, assign)
         counts = counterparty_counts(net, assign.labels, 2)
-        assert np.array_equal(counts.sum(axis=1), st_.deg)
+        assert np.array_equal(counts.sum(axis=1), net.degrees())
 
     def test_unassigned_node_named(self, tiny_network):
         with pytest.raises(DataError, match="c"):
@@ -144,23 +177,30 @@ class TestColumnarNetwork:
             demo_network.senders[0] = 1
 
 
+def _nonzero(hist) -> dict[int, int]:
+    """degree -> count over the nonzero entries of a dense histogram."""
+    return {d: int(c) for d, c in enumerate(hist) if c}
+
+
 class TestDegreeDistribution:
     def test_two_posts(self):
         net = InteractionNetwork.from_records([("a", ["b"]), ("a", ["c"])])
         hist = degree_distribution(net)
-        assert hist == {1: 2, 2: 1}
+        assert _nonzero(hist) == {1: 2, 2: 1}
 
     def test_empty(self):
-        assert degree_distribution(InteractionNetwork.from_records([])) == {}
+        hist = degree_distribution(InteractionNetwork.from_records([]))
+        assert _nonzero(hist) == {}
+        assert hist.tolist() == [0]
 
     def test_single_pair(self):
         net = InteractionNetwork.from_records([("a", ["b"])])
-        assert degree_distribution(net) == {1: 2}
+        assert _nonzero(degree_distribution(net)) == {1: 2}
 
     def test_block_variant(self, demo_network, demo_truth):
-        hist = compute_stats(demo_network, demo_truth).deg_hist_by_block[1]
+        hist = compute_stats(demo_network, demo_truth).deg_hist[1]
         # block 2 holds f (degree 2), g and h (degree 1)
-        assert hist == {1: 2, 2: 1}
+        assert _nonzero(hist) == {1: 2, 2: 1}
 
 
 class TestTypes:

@@ -92,7 +92,7 @@ class TestSequential:
         )
         res = simulate_sequential(GeneratorConfig(params=p, m=100_000, seed=2))
         hist = degree_distribution(res.network)
-        v = sum(hist.values())
+        v = hist.sum()
         assert hist[1] / v == pytest.approx(0.5, abs=0.02)
 
     def test_multi_commentator(self):

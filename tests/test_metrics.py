@@ -56,6 +56,14 @@ class TestMembership:
         assert m.probs[0] == pytest.approx([2 / 3, 1 / 3])
         assert m.probs[1] == pytest.approx([0.0, 1.0])
 
+    def test_counts_and_majority_labels(self):
+        # node 0: one sample in each block (tie); node 1: blocks 2, 2, 1
+        chain = chain_from([[0, 2], [1, 2], [2, 1]], k=3)
+        assert chain.block_counts().tolist() == [[1, 1, 1], [0, 1, 2]]
+        assert chain.majority_labels().tolist() == [0, 2]
+        m = PosteriorMembership.from_chain(chain)
+        assert np.array_equal(m.probs, chain.block_counts() / 3)
+
     def test_row_sums_validated(self):
         with pytest.raises(DataError):
             PosteriorMembership(["a"], np.array([[0.4, 0.4]]))
