@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DataError, NumericalError
 
@@ -346,4 +345,8 @@ def best_relabeling(gain: np.ndarray) -> np.ndarray:
     matrix, O(k^3).  Every label-invariant score aligns labelings
     through this one routine.
     """
+    # Imported here: scipy.optimize is most of `import bvcm.cli`'s start-up
+    # time, and only label-invariant scores need it.
+    from scipy.optimize import linear_sum_assignment
+
     return linear_sum_assignment(gain, maximize=True)[1]

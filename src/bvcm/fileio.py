@@ -180,6 +180,8 @@ def write_chain(out_dir: Path, chain: Chain) -> None:
             "block_conc": chain.block_conc,
             "recv_conc": chain.recv_conc,
             "elapsed_s": chain.elapsed_s,
+            "sweep_backend": chain.sweep_backend,
+            "nodes_moved": chain.nodes_moved,
         },
     )
 
@@ -225,6 +227,8 @@ def read_chain(out_dir: Path) -> Chain:
         block_conc=float(meta["block_conc"]),
         recv_conc=float(meta["recv_conc"]),
         elapsed_s=float(meta.get("elapsed_s", 0.0)),
+        sweep_backend=str(meta.get("sweep_backend", "python")),
+        nodes_moved=int(meta.get("nodes_moved", 0)),
     )
 
 

@@ -7,6 +7,13 @@ and a row-wise Dirichlet redraw of the mixing matrix.  The block counts
 come from ``compute_stats`` when labels are set and are then maintained
 incrementally by the sweep; ``log_prob`` is ``log_prob_from_stats`` at
 the current sample.
+
+The sweep state is numpy arrays (int64 labels and counts, CSR
+neighbour lists, float64 log mixing matrix and degree table), updated
+in place.  ``sweep()`` runs them through the compiled kernel in
+``_sweep.c`` when it builds; the Python per-node path
+(``update_block_assignment`` over ``_log_weights_detached``) is the
+reference it matches bit for bit, and the fallback.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _sweep
 from .core import BlockAssignment, InteractionNetwork, compute_stats, counterparty_counts
 from .errors import UsageError
 from .likelihood import log_discount_factorial, log_prob_from_stats
@@ -87,6 +95,8 @@ class Chain:
     block_conc: float
     recv_conc: float
     elapsed_s: float = 0.0
+    sweep_backend: str = "python"  # "c" (compiled kernel) or "python"
+    nodes_moved: int = 0  # label changes summed over every sweep
 
     def __len__(self) -> int:
         return len(self.alphas)
@@ -164,47 +174,98 @@ def aux_update_alpha_theta(
     return new_alpha, new_theta
 
 
-class GibbsSampler:
-    """Mutable sampler state plus the three conditional updates."""
+class _Labels(np.ndarray):
+    """int64 block labels whose iteration yields Python ints, so code that
+    walks the labels node by node (say, counting moved nodes and writing
+    the count as JSON) gets plain ints, as it did from the label list."""
 
-    def __init__(self, network: InteractionNetwork, config: GibbsConfig):
+    def __iter__(self):
+        return iter(self.tolist())
+
+
+def _csr(keys: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, idx): values grouped by key 0..n-1, each group in input order."""
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=offsets[1:])
+    return offsets, np.ascontiguousarray(values[np.argsort(keys, kind="stable")], dtype=np.int64)
+
+
+class GibbsSampler:
+    """Mutable sampler state plus the three conditional updates.
+
+    backend selects the sweep: "c" (the compiled kernel; an error if it
+    cannot be built), "python" (the reference) or None (the kernel when
+    it builds, else the reference).
+    """
+
+    def __init__(self, network: InteractionNetwork, config: GibbsConfig,
+                 backend: Optional[str] = None):
         if network.m == 0:
             raise UsageError("cannot run the sampler on an empty network")
+        if backend not in (None, "c", "python"):
+            raise UsageError(f"unknown sweep backend {backend!r}")
         self.network = network
         self.config = config
-        self.k = config.k
+        self.k = k = config.k
         self.rng = np.random.default_rng(np.random.SeedSequence(config.seed))
         n = network.n_nodes
         self.n = n
 
-        deg = network.degrees()
+        self.deg = np.ascontiguousarray(network.degrees(), dtype=np.int64)
         # Count aggregates treat every tracked node as non-isolated.
-        if deg.min() == 0:
+        if self.deg.min() == 0:
             raise UsageError("network node table contains isolated nodes")
         s_pair, r_pair = network.pairs()
         loop = s_pair == r_pair
         s_out, r_in = s_pair[~loop], r_pair[~loop]
-        # The single-node sweep reads these per node: plain lists are
-        # faster there than numpy scalars.
-        self.deg = deg.tolist()
-        self.node_inits = np.bincount(network.senders, minlength=n).tolist()
-        self.out_nbrs = _group_by(s_out, r_in, n)
-        self.in_nbrs = _group_by(r_in, s_out, n)
-        self.self_pairs = np.bincount(s_pair[loop], minlength=n).tolist()
-        self.max_deg = int(deg.max())
+        self.node_inits = np.bincount(network.senders, minlength=n)
+        self.out_off, self.out_idx = _csr(s_out, r_in, n)
+        self.in_off, self.in_idx = _csr(r_in, s_out, n)
+        self.self_pairs = np.bincount(s_pair[loop], minlength=n)
+        self.max_deg = int(self.deg.max())
+
+        # The sweep state.  The compiled kernel holds pointers to these
+        # arrays, so every update writes into them in place.
+        self.labels = np.zeros(n, dtype=np.int64).view(_Labels)
+        self.block_n = np.zeros(k, dtype=np.int64)
+        self.block_deg = np.zeros(k, dtype=np.int64)
+        self.inits = np.zeros(k, dtype=np.int64)
+        self.pair = np.zeros((k, k), dtype=np.int64)
+        self.alpha = np.empty(k)
+        self.theta = np.empty(k)
+        self._log_prop = np.empty((k, k))
+        self._la_deg = np.empty((k, self.max_deg + 1))
+        self._uniforms = np.empty(n)
+        self.nodes_moved = 0
 
         labels = self._initial_labels()
-        self.alpha = np.empty(self.k)
-        self.theta = np.empty(self.k)
         c, d = config.alpha_prior
         a, b = config.theta_prior
-        for blk in range(self.k):
+        for blk in range(k):
             self.alpha[blk] = self._clip_alpha(self.rng.beta(c, d))
             self.theta[blk] = max(self.rng.gamma(a, 1.0 / b), _EPS)
 
         self.set_labels(labels)
         self._refresh_deg_table()
         self.prop = self.update_propensity()
+
+        self._kernel = None if backend == "python" else _sweep.load()
+        if self._kernel is None and backend == "c":
+            raise UsageError("the compiled sweep is unavailable (see the warning)")
+        self.sweep_backend = "python" if self._kernel is None else "c"
+        if self._kernel is not None:
+            self._state = _sweep.bind(
+                dict(
+                    labels=self.labels, deg=self.deg, node_inits=self.node_inits,
+                    self_pairs=self.self_pairs, out_off=self.out_off, out_idx=self.out_idx,
+                    in_off=self.in_off, in_idx=self.in_idx, block_n=self.block_n,
+                    block_deg=self.block_deg, inits=self.inits, pair=self.pair,
+                    log_prop=self._log_prop, la_deg=self._la_deg, alpha=self.alpha,
+                    theta=self.theta, uniforms=self._uniforms,
+                ),
+                n=self.n, k=self.k, deg_stride=self.max_deg + 1,
+                block_conc=self.config.block_conc,
+            )
 
     # ---------------------------------------------------------------- setup
 
@@ -226,23 +287,34 @@ class GibbsSampler:
 
     def _stats(self):
         """compute_stats for the current labels."""
-        return compute_stats(self.network, BlockAssignment(np.array(self.labels), self.k))
+        return compute_stats(self.network, BlockAssignment(self.labels, self.k))
 
     def set_labels(self, labels) -> None:
         """Set every node's block and rebuild the sweep's counts for them."""
-        self.labels = np.asarray(labels, dtype=np.int64).tolist()
+        self.labels[...] = labels
         stats = self._stats()
-        self.block_n = stats.block_sizes.tolist()
-        self.block_deg = stats.block_deg.tolist()
-        self.inits = stats.initiations.tolist()
-        self.pair = stats.pair.tolist()
+        self.block_n[...] = stats.block_sizes
+        self.block_deg[...] = stats.block_deg
+        self.inits[...] = stats.initiations
+        self.pair[...] = stats.pair
 
     def _refresh_deg_table(self) -> None:
         """Per-block lookup of log (1 - alpha_b)_{d-1} by degree d."""
         d = np.arange(self.max_deg + 1, dtype=float)
-        self._la_deg = log_discount_factorial(d, self.alpha[:, None]).tolist()
+        self._la_deg[...] = log_discount_factorial(d, self.alpha[:, None])
 
     # ------------------------------------------------------- block updates
+    #
+    # The Python per-node path below is the reference the compiled sweep
+    # (_sweep.c) matches bit for bit, and the fallback when it cannot be
+    # built.
+
+    def _neighbour_counts(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per block, node i's out- and in-neighbours (loops excluded)."""
+        lab = self.labels
+        out = lab[self.out_idx[self.out_off[i] : self.out_off[i + 1]]]
+        inn = lab[self.in_idx[self.in_off[i] : self.in_off[i + 1]]]
+        return np.bincount(out, minlength=self.k), np.bincount(inn, minlength=self.k)
 
     def _detach(self, i: int) -> None:
         b = self.labels[i]
@@ -256,48 +328,41 @@ class GibbsSampler:
         self.block_deg[b] += self.deg[i]
         self.inits[b] += self.node_inits[i]
         if b != old:
-            lab = self.labels
+            cnt_out, cnt_in = self._neighbour_counts(i)
             pair = self.pair
-            for r in self.out_nbrs[i]:
-                br = lab[r]
-                pair[old][br] -= 1
-                pair[b][br] += 1
-            for s in self.in_nbrs[i]:
-                bs = lab[s]
-                pair[bs][old] -= 1
-                pair[bs][b] += 1
+            pair[old] -= cnt_out
+            pair[b] += cnt_out
+            pair[:, old] -= cnt_in
+            pair[:, b] += cnt_in
             sp = self.self_pairs[i]
-            if sp:
-                pair[old][old] -= sp
-                pair[b][b] += sp
-            lab[i] = b
+            pair[old, old] -= sp
+            pair[b, b] += sp
+            self.labels[i] = b
 
     def _log_weights_detached(self, i: int) -> list[float]:
         """Unnormalized log conditional over blocks for a detached node i."""
         k = self.k
-        lab = self.labels
         lgamma = math.lgamma
         log = math.log
-        d_i = self.deg[i]
-        l_i = self.node_inits[i]
-        sp = self.self_pairs[i]
-        logb = self._log_prop
-
-        cnt_out = [0] * k
-        for r in self.out_nbrs[i]:
-            cnt_out[lab[r]] += 1
-        cnt_in = [0] * k
-        for s in self.in_nbrs[i]:
-            cnt_in[lab[s]] += 1
+        d_i = int(self.deg[i])
+        l_i = int(self.node_inits[i])
+        sp = int(self.self_pairs[i])
+        logb = self._log_prop.tolist()
+        cnt_out, cnt_in = (c.tolist() for c in self._neighbour_counts(i))
+        inits = self.inits.tolist()
+        block_n = self.block_n.tolist()
+        block_deg = self.block_deg.tolist()
+        la_deg = self._la_deg[:, d_i].tolist()
+        # Python scalars from here: the per-block loop is scalar arithmetic.
 
         omega = self.config.block_conc
-        alpha = self.alpha
-        theta = self.theta
+        alpha = self.alpha.tolist()
+        theta = self.theta.tolist()
         weights = []
         for b in range(k):
             w = 0.0
             if l_i:
-                w = lgamma(omega + self.inits[b] + l_i) - lgamma(omega + self.inits[b])
+                w = lgamma(omega + inits[b] + l_i) - lgamma(omega + inits[b])
             row = logb[b]
             for b2 in range(k):
                 co = cnt_out[b2]
@@ -309,11 +374,11 @@ class GibbsSampler:
             if sp:
                 w += sp * row[b]
             th = theta[b]
-            vb = self.block_n[b]
+            vb = block_n[b]
             if vb:
                 w += log(th + vb * alpha[b])
-            w += self._la_deg[b][d_i]
-            md = self.block_deg[b]
+            w += la_deg[b]
+            md = block_deg[b]
             if md:
                 w += lgamma(th + md) - lgamma(th + md + d_i)
             else:
@@ -323,11 +388,14 @@ class GibbsSampler:
 
     def full_conditional(self, i: int) -> np.ndarray:
         """Normalized probability of each block for node i given the rest."""
-        self._detach(i)
-        weights = self._log_weights_detached(i)
-        self._reattach(i, self.labels[i])
-        m = max(weights)
-        p = np.exp(np.array(weights) - m)
+        if self._kernel is not None:
+            weights = np.empty(self.k)
+            self._kernel.bvcm_log_weights(self._state, i, weights.ctypes.data)
+        else:
+            self._detach(i)
+            weights = np.array(self._log_weights_detached(i))
+            self._reattach(i, self.labels[i])
+        p = np.exp(weights - weights.max())
         return p / p.sum()
 
     def update_block_assignment(self, i: int, u: Optional[float] = None) -> int:
@@ -339,7 +407,12 @@ class GibbsSampler:
         mx = max(weights)
         exp = math.exp
         probs = [exp(w - mx) for w in weights]
-        r = u * sum(probs)
+        # Plain left-to-right sum, as in the kernel (sum() of floats is
+        # compensated from Python 3.12 on).
+        total = 0.0
+        for p in probs:
+            total += p
+        r = u * total
         b = self.k - 1
         for j in range(self.k - 1):
             r -= probs[j]
@@ -351,9 +424,16 @@ class GibbsSampler:
 
     # --------------------------------------------------- parameter updates
 
-    def update_alpha_theta(self, b: int) -> tuple[float, float]:
-        """Auxiliary-variable conjugate redraw of (alpha_b, theta_b)."""
-        degs = self.network.degrees()[np.array(self.labels) == b]
+    def _degrees_by_block(self) -> list[np.ndarray]:
+        """Node degrees split by block, from one stable argsort of the labels."""
+        order = np.argsort(self.labels, kind="stable")
+        return np.split(self.deg[order], np.cumsum(self.block_n)[:-1])
+
+    def update_alpha_theta(self, b: int, degs: Optional[np.ndarray] = None) -> tuple[float, float]:
+        """Auxiliary-variable conjugate redraw of (alpha_b, theta_b); degs
+        are block b's node degrees (computed here when not given)."""
+        if degs is None:
+            degs = self._degrees_by_block()[b]
         return aux_update_alpha_theta(
             degs,
             self.alpha[b],
@@ -376,20 +456,30 @@ class GibbsSampler:
         for b in range(k):
             prop[b] = self.rng.dirichlet(counts[b] + zeta)
         self.prop = prop
-        self._log_prop = np.log(np.maximum(prop, _EPS)).tolist()
+        self._log_prop[...] = np.log(np.maximum(prop, _EPS))
         return prop
 
     # ------------------------------------------------------------ full run
 
-    def sweep(self) -> None:
-        us = self.rng.random(self.n)
-        for i in range(self.n):
-            self.update_block_assignment(i, float(us[i]))
+    def sweep(self) -> int:
+        """One pass of single-node updates in node order; returns how many
+        nodes changed block (also added to nodes_moved)."""
+        us = self.rng.random(out=self._uniforms)
+        if self._kernel is not None:
+            moved = self._kernel.bvcm_sweep(self._state)
+        else:
+            moved = 0
+            for i, u in enumerate(us.tolist()):
+                old = int(self.labels[i])
+                moved += self.update_block_assignment(i, u) != old
+        self.nodes_moved += moved
+        return moved
 
     def iteration(self) -> None:
         self.sweep()
+        by_block = self._degrees_by_block()
         for b in range(self.k):
-            self.alpha[b], self.theta[b] = self.update_alpha_theta(b)
+            self.alpha[b], self.theta[b] = self.update_alpha_theta(b, by_block[b])
         self._refresh_deg_table()
         self.update_propensity()
 
@@ -430,14 +520,9 @@ class GibbsSampler:
             block_conc=cfg.block_conc,
             recv_conc=cfg.recv_conc,
             elapsed_s=time.perf_counter() - start,
+            sweep_backend=self.sweep_backend,
+            nodes_moved=self.nodes_moved,
         )
-
-
-def _group_by(keys: np.ndarray, values: np.ndarray, n: int) -> list[list[int]]:
-    """values split by key: one list per key 0..n-1, each in input order."""
-    ends = np.cumsum(np.bincount(keys, minlength=n)).tolist()
-    ordered = values[np.argsort(keys, kind="stable")].tolist()
-    return [ordered[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
 def run_gibbs(network: InteractionNetwork, config: GibbsConfig) -> Chain:

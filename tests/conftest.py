@@ -9,6 +9,15 @@ sys.path.insert(0, str(Path(__file__).parent))
 from bvcm import BlockAssignment, InteractionNetwork
 
 
+@pytest.fixture(autouse=True, scope="session")
+def _sweep_cache(tmp_path_factory):
+    """The compiled sweep is built once per session, into a temporary
+    cache rather than the user's (fresh interpreters inherit it too)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
+
+
 @pytest.fixture
 def demo_network():
     """Three posts: a->{b,c,d}, e->{d,f}, g->{f,h}."""

@@ -11,10 +11,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import shutil
 
 import numpy as np
 
 from bvcm.core import BlockAssignment, InteractionNetwork
+
+# Sampler checks run on every sweep backend: the compiled one wherever a
+# C compiler exists, and always the Python reference.
+SWEEP_BACKENDS = ("c", "python") if shutil.which("cc") else ("python",)
 
 
 def replay_log_prob(

@@ -387,3 +387,46 @@ def test_cli_import_leaves_out_scipy_stats():
         check=True, timeout=120,
     )
     assert out.stdout.strip() == "False"
+
+
+def _fresh_python(code: str) -> str:
+    src = str(Path(bvcm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # Only label alignment needs scipy.optimize, which takes most of the
+    # import time of the CLI, so it is imported where it is used.
+    code = "import sys, bvcm.cli; print('scipy.optimize' in sys.modules)"
+    assert _fresh_python(code) == "False"
+
+
+def test_bound_neither_builds_nor_loads_the_sweep():
+    code = (
+        "import bvcm._sweep as s, bvcm.cli as c\n"
+        "c.main(['bound', '--alpha', '0.5', '--a', '0.9', '--gamma1', '0.9', '--gamma2', '0.9'])\n"
+        "print(s.load.cache_info().misses)"
+    )
+    assert _fresh_python(code).splitlines()[-1] == "0"
+
+
+def test_chain_manifest_records_sweep_backend(sim_files, tmp_path):
+    out, _ = sim_files
+    chain_dir = tmp_path / "chain"
+    run_cli(
+        "fit", "--input", out, "--k", 2, "--iters", 6, "--burnin", 2,
+        "--seed", 4, "--out", chain_dir,
+    )
+    meta = json.loads((chain_dir / "chain_manifest.json").read_text())
+    chain = fileio.read_chain(chain_dir)
+    assert meta["sweep_backend"] in ("c", "python")
+    # Every sweep visits each node once, so the moves after the first
+    # sweep are exactly the label changes between recorded iterations.
+    later = int((chain.assignments[1:] != chain.assignments[:-1]).sum())
+    assert later <= meta["nodes_moved"] <= later + chain.n_nodes
+    assert (chain.sweep_backend, chain.nodes_moved) == (meta["sweep_backend"], meta["nodes_moved"])
