@@ -1,8 +1,8 @@
 /* Compiled single-site sweep of the B-VCM Gibbs sampler.
  *
- * The arithmetic is that of GibbsSampler._log_weights_detached plus
- * GibbsSampler.update_block_assignment (gibbs.py), in the same order, so
- * both give bit-identical chains: every sum runs left to right, no
+ * The arithmetic is that of the Python sweep (gibbs._ListSweep.update
+ * over log_weights_detached), in the same order, so both give
+ * bit-identical chains: every sum runs left to right, no
  * multiply-add is fused (built with -ffp-contract=off), log and exp are
  * libm's as in Python's math module, and lgamma is a port of CPython's
  * own (libm's lgamma differs from math.lgamma in the last bits).
@@ -105,7 +105,7 @@ static void detach(const SweepState *s, int64_t i)
 }
 
 /* Neighbour counts per block of detached node i, then its unnormalized
- * log conditional over blocks (GibbsSampler._log_weights_detached). */
+ * log conditional over blocks (_ListSweep.log_weights_detached). */
 static void log_weights(const SweepState *s, int64_t i, int64_t *cnt_out,
                         int64_t *cnt_in, double *w)
 {
@@ -149,7 +149,7 @@ static void log_weights(const SweepState *s, int64_t i, int64_t *cnt_out,
     }
 }
 
-/* Put detached node i into block b (GibbsSampler._reattach). */
+/* Put detached node i into block b (_ListSweep.reattach). */
 static void reattach(const SweepState *s, int64_t i, int64_t b,
                      const int64_t *cnt_out, const int64_t *cnt_in)
 {
@@ -206,15 +206,4 @@ int64_t bvcm_sweep(const SweepState *s)
         reattach(s, i, b, cnt_out, cnt_in);
     }
     return moved;
-}
-
-/* Unnormalized log conditional of node i over blocks into w[k], state
- * left as it was (the compiled counterpart of the detach / weights /
- * reattach in GibbsSampler.full_conditional). */
-void bvcm_log_weights(const SweepState *s, int64_t i, double *w)
-{
-    int64_t cnt_out[s->k], cnt_in[s->k];
-    detach(s, i);
-    log_weights(s, i, cnt_out, cnt_in, w);
-    reattach(s, i, s->labels[i], cnt_out, cnt_in);
 }

@@ -55,7 +55,7 @@ _FLOAT_ARRAYS = {"log_prop", "la_deg", "alpha", "theta", "uniforms"}
 
 
 def bind(arrays: dict, n: int, k: int, deg_stride: int, block_conc: float):
-    """The kernels' state argument over ``arrays`` (one per pointer field,
+    """The kernel's state argument over ``arrays`` (one per pointer field,
     written and read in place), after checking each one's dtype and
     layout.  The state keeps the arrays alive."""
     if sorted(arrays) != sorted(_ARRAYS):
@@ -126,8 +126,6 @@ def load() -> Optional[ctypes.CDLL]:
     state = ctypes.POINTER(SweepState)
     lib.bvcm_sweep.argtypes = [state]
     lib.bvcm_sweep.restype = _i64
-    lib.bvcm_log_weights.argtypes = [state, _i64, _ptr]
-    lib.bvcm_log_weights.restype = None
     lib.bvcm_lgamma.argtypes = [ctypes.c_double]
     lib.bvcm_lgamma.restype = ctypes.c_double
     return lib

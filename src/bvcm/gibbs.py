@@ -11,13 +11,14 @@ the current sample.
 The sweep state is numpy arrays (int64 labels and counts, CSR
 neighbour lists, float64 log mixing matrix and degree table), updated
 in place.  ``sweep()`` runs them through the compiled kernel in
-``_sweep.c`` when it builds; the Python per-node path
-(``update_block_assignment`` over ``_log_weights_detached``) is the
-reference it matches bit for bit, and the fallback.
+``_sweep.c`` when it builds; the Python sweep (``_ListSweep``, over a
+list copy of the state) is the reference it matches bit for bit, and
+the fallback.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -177,10 +178,158 @@ def aux_update_alpha_theta(
 class _Labels(np.ndarray):
     """int64 block labels whose iteration yields Python ints, so code that
     walks the labels node by node (say, counting moved nodes and writing
-    the count as JSON) gets plain ints, as it did from the label list."""
+    the count as JSON) gets plain ints, as it did from the label list.
+
+    Only perfbench's ``--trace`` sweep span relies on this; remove the
+    subclass once that span reads ``nodes_moved`` (ROADMAP item 2)."""
 
     def __iter__(self):
         return iter(self.tolist())
+
+
+class _ListSweep:
+    """The Python single-site sweep, on a list copy of a sampler's state.
+
+    Plain lists index far faster than numpy scalars, so the copy is made
+    once per sweep (or per single-node call) and ``store`` writes the
+    labels and counts back.  This is the reference the compiled kernel
+    (``_sweep.c``) matches bit for bit.
+    """
+
+    def __init__(self, sampler: "GibbsSampler"):
+        self.k = sampler.k
+        self.omega = sampler.config.block_conc
+        (self.deg, self.node_inits, self.self_pairs,
+         self.out_nbrs, self.in_nbrs) = sampler._node_lists
+        self.labels = sampler.labels.tolist()
+        self.block_n = sampler.block_n.tolist()
+        self.block_deg = sampler.block_deg.tolist()
+        self.inits = sampler.inits.tolist()
+        self.pair = sampler.pair.tolist()
+        self.logb = sampler._log_prop.tolist()
+        self.la_deg = sampler._la_deg.tolist()
+        self.alpha = sampler.alpha.tolist()
+        self.theta = sampler.theta.tolist()
+
+    def store(self, sampler: "GibbsSampler") -> None:
+        sampler.labels[...] = self.labels
+        sampler.block_n[...] = self.block_n
+        sampler.block_deg[...] = self.block_deg
+        sampler.inits[...] = self.inits
+        sampler.pair[...] = self.pair
+
+    def detach(self, i: int) -> None:
+        b = self.labels[i]
+        self.block_n[b] -= 1
+        self.block_deg[b] -= self.deg[i]
+        self.inits[b] -= self.node_inits[i]
+
+    def reattach(self, i: int, b: int) -> None:
+        old = self.labels[i]
+        self.block_n[b] += 1
+        self.block_deg[b] += self.deg[i]
+        self.inits[b] += self.node_inits[i]
+        if b != old:
+            lab = self.labels
+            pair = self.pair
+            for r in self.out_nbrs[i]:
+                br = lab[r]
+                pair[old][br] -= 1
+                pair[b][br] += 1
+            for s in self.in_nbrs[i]:
+                bs = lab[s]
+                pair[bs][old] -= 1
+                pair[bs][b] += 1
+            sp = self.self_pairs[i]
+            if sp:
+                pair[old][old] -= sp
+                pair[b][b] += sp
+            lab[i] = b
+
+    def log_weights_detached(self, i: int) -> list[float]:
+        """Unnormalized log conditional over blocks for a detached node i."""
+        k = self.k
+        lab = self.labels
+        lgamma = math.lgamma
+        log = math.log
+        d_i = self.deg[i]
+        l_i = self.node_inits[i]
+        sp = self.self_pairs[i]
+        logb = self.logb
+
+        cnt_out = [0] * k
+        for r in self.out_nbrs[i]:
+            cnt_out[lab[r]] += 1
+        cnt_in = [0] * k
+        for s in self.in_nbrs[i]:
+            cnt_in[lab[s]] += 1
+
+        omega = self.omega
+        inits = self.inits
+        block_n = self.block_n
+        block_deg = self.block_deg
+        la_deg = self.la_deg
+        alpha = self.alpha
+        theta = self.theta
+        weights = []
+        for b in range(k):
+            w = 0.0
+            if l_i:
+                w = lgamma(omega + inits[b] + l_i) - lgamma(omega + inits[b])
+            row = logb[b]
+            for b2 in range(k):
+                co = cnt_out[b2]
+                if co:
+                    w += co * row[b2]
+                ci = cnt_in[b2]
+                if ci:
+                    w += ci * logb[b2][b]
+            if sp:
+                w += sp * row[b]
+            th = theta[b]
+            vb = block_n[b]
+            if vb:
+                w += log(th + vb * alpha[b])
+            w += la_deg[b][d_i]
+            md = block_deg[b]
+            if md:
+                w += lgamma(th + md) - lgamma(th + md + d_i)
+            else:
+                w += lgamma(th + 1.0) - lgamma(th + d_i)
+            weights.append(w)
+        return weights
+
+    def update(self, i: int, u: float) -> int:
+        """Draw node i's block by inverting the uniform u; returns it."""
+        k = self.k
+        self.detach(i)
+        weights = self.log_weights_detached(i)
+        mx = max(weights)
+        exp = math.exp
+        probs = [exp(w - mx) for w in weights]
+        # Plain left-to-right sum, as in the kernel (sum() of floats is
+        # compensated from Python 3.12 on).
+        total = 0.0
+        for p in probs:
+            total += p
+        r = u * total
+        b = k - 1
+        for j in range(k - 1):
+            r -= probs[j]
+            if r < 0.0:
+                b = j
+                break
+        self.reattach(i, b)
+        return b
+
+    def sweep(self, us: list[float]) -> int:
+        """Node i updated with us[i], in node order; returns the moves."""
+        labels = self.labels
+        moved = 0
+        for i, u in enumerate(us):
+            old = labels[i]
+            moved += self.update(i, u) != old
+        return moved
 
 
 def _csr(keys: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -191,19 +340,11 @@ def _csr(keys: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.n
 
 
 class GibbsSampler:
-    """Mutable sampler state plus the three conditional updates.
+    """Mutable sampler state plus the three conditional updates."""
 
-    backend selects the sweep: "c" (the compiled kernel; an error if it
-    cannot be built), "python" (the reference) or None (the kernel when
-    it builds, else the reference).
-    """
-
-    def __init__(self, network: InteractionNetwork, config: GibbsConfig,
-                 backend: Optional[str] = None):
+    def __init__(self, network: InteractionNetwork, config: GibbsConfig):
         if network.m == 0:
             raise UsageError("cannot run the sampler on an empty network")
-        if backend not in (None, "c", "python"):
-            raise UsageError(f"unknown sweep backend {backend!r}")
         self.network = network
         self.config = config
         self.k = k = config.k
@@ -249,9 +390,7 @@ class GibbsSampler:
         self._refresh_deg_table()
         self.prop = self.update_propensity()
 
-        self._kernel = None if backend == "python" else _sweep.load()
-        if self._kernel is None and backend == "c":
-            raise UsageError("the compiled sweep is unavailable (see the warning)")
+        self._kernel = _sweep.load()
         self.sweep_backend = "python" if self._kernel is None else "c"
         if self._kernel is not None:
             self._state = _sweep.bind(
@@ -305,121 +444,42 @@ class GibbsSampler:
 
     # ------------------------------------------------------- block updates
     #
-    # The Python per-node path below is the reference the compiled sweep
+    # The Python path (_ListSweep) is the reference the compiled sweep
     # (_sweep.c) matches bit for bit, and the fallback when it cannot be
     # built.
 
-    def _neighbour_counts(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per block, node i's out- and in-neighbours (loops excluded)."""
-        lab = self.labels
-        out = lab[self.out_idx[self.out_off[i] : self.out_off[i + 1]]]
-        inn = lab[self.in_idx[self.in_off[i] : self.in_off[i + 1]]]
-        return np.bincount(out, minlength=self.k), np.bincount(inn, minlength=self.k)
+    @functools.cached_property
+    def _node_lists(self) -> tuple[list, ...]:
+        """Per node, as lists for _ListSweep: degree, initiations,
+        self-pairs, out-neighbours and in-neighbours (loops excluded)."""
 
-    def _detach(self, i: int) -> None:
-        b = self.labels[i]
-        self.block_n[b] -= 1
-        self.block_deg[b] -= self.deg[i]
-        self.inits[b] -= self.node_inits[i]
+        def grouped(off, idx):
+            off, idx = off.tolist(), idx.tolist()
+            return [idx[off[i] : off[i + 1]] for i in range(self.n)]
 
-    def _reattach(self, i: int, b: int) -> None:
-        old = self.labels[i]
-        self.block_n[b] += 1
-        self.block_deg[b] += self.deg[i]
-        self.inits[b] += self.node_inits[i]
-        if b != old:
-            cnt_out, cnt_in = self._neighbour_counts(i)
-            pair = self.pair
-            pair[old] -= cnt_out
-            pair[b] += cnt_out
-            pair[:, old] -= cnt_in
-            pair[:, b] += cnt_in
-            sp = self.self_pairs[i]
-            pair[old, old] -= sp
-            pair[b, b] += sp
-            self.labels[i] = b
-
-    def _log_weights_detached(self, i: int) -> list[float]:
-        """Unnormalized log conditional over blocks for a detached node i."""
-        k = self.k
-        lgamma = math.lgamma
-        log = math.log
-        d_i = int(self.deg[i])
-        l_i = int(self.node_inits[i])
-        sp = int(self.self_pairs[i])
-        logb = self._log_prop.tolist()
-        cnt_out, cnt_in = (c.tolist() for c in self._neighbour_counts(i))
-        inits = self.inits.tolist()
-        block_n = self.block_n.tolist()
-        block_deg = self.block_deg.tolist()
-        la_deg = self._la_deg[:, d_i].tolist()
-        # Python scalars from here: the per-block loop is scalar arithmetic.
-
-        omega = self.config.block_conc
-        alpha = self.alpha.tolist()
-        theta = self.theta.tolist()
-        weights = []
-        for b in range(k):
-            w = 0.0
-            if l_i:
-                w = lgamma(omega + inits[b] + l_i) - lgamma(omega + inits[b])
-            row = logb[b]
-            for b2 in range(k):
-                co = cnt_out[b2]
-                if co:
-                    w += co * row[b2]
-                ci = cnt_in[b2]
-                if ci:
-                    w += ci * logb[b2][b]
-            if sp:
-                w += sp * row[b]
-            th = theta[b]
-            vb = block_n[b]
-            if vb:
-                w += log(th + vb * alpha[b])
-            w += la_deg[b]
-            md = block_deg[b]
-            if md:
-                w += lgamma(th + md) - lgamma(th + md + d_i)
-            else:
-                w += lgamma(th + 1.0) - lgamma(th + d_i)
-            weights.append(w)
-        return weights
+        return (
+            self.deg.tolist(),
+            self.node_inits.tolist(),
+            self.self_pairs.tolist(),
+            grouped(self.out_off, self.out_idx),
+            grouped(self.in_off, self.in_idx),
+        )
 
     def full_conditional(self, i: int) -> np.ndarray:
         """Normalized probability of each block for node i given the rest."""
-        if self._kernel is not None:
-            weights = np.empty(self.k)
-            self._kernel.bvcm_log_weights(self._state, i, weights.ctypes.data)
-        else:
-            self._detach(i)
-            weights = np.array(self._log_weights_detached(i))
-            self._reattach(i, self.labels[i])
-        p = np.exp(weights - weights.max())
+        ref = _ListSweep(self)
+        ref.detach(i)
+        weights = ref.log_weights_detached(i)
+        p = np.exp(np.array(weights) - max(weights))
         return p / p.sum()
 
     def update_block_assignment(self, i: int, u: Optional[float] = None) -> int:
         """Sample a new block for node i and apply it; returns the label."""
         if u is None:
             u = self.rng.random()
-        self._detach(i)
-        weights = self._log_weights_detached(i)
-        mx = max(weights)
-        exp = math.exp
-        probs = [exp(w - mx) for w in weights]
-        # Plain left-to-right sum, as in the kernel (sum() of floats is
-        # compensated from Python 3.12 on).
-        total = 0.0
-        for p in probs:
-            total += p
-        r = u * total
-        b = self.k - 1
-        for j in range(self.k - 1):
-            r -= probs[j]
-            if r < 0.0:
-                b = j
-                break
-        self._reattach(i, b)
+        ref = _ListSweep(self)
+        b = ref.update(i, u)
+        ref.store(self)
         return b
 
     # --------------------------------------------------- parameter updates
@@ -468,10 +528,9 @@ class GibbsSampler:
         if self._kernel is not None:
             moved = self._kernel.bvcm_sweep(self._state)
         else:
-            moved = 0
-            for i, u in enumerate(us.tolist()):
-                old = int(self.labels[i])
-                moved += self.update_block_assignment(i, u) != old
+            ref = _ListSweep(self)
+            moved = ref.sweep(us.tolist())
+            ref.store(self)
         self.nodes_moved += moved
         return moved
 

@@ -14,12 +14,21 @@ import math
 import shutil
 
 import numpy as np
+import pytest
 
+from bvcm import _sweep
 from bvcm.core import BlockAssignment, InteractionNetwork
 
-# Sampler checks run on every sweep backend: the compiled one wherever a
-# C compiler exists, and always the Python reference.
-SWEEP_BACKENDS = ("c", "python") if shutil.which("cc") else ("python",)
+
+def sweep_backends():
+    """Iterate to run a check on every sweep backend: "c" (the compiled
+    kernel) wherever a C compiler exists, then always "python", during
+    which samplers built see no kernel and run the Python reference."""
+    if shutil.which("cc"):
+        yield "c"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_sweep, "load", lambda: None)
+        yield "python"
 
 
 def replay_log_prob(

@@ -20,7 +20,7 @@ from bvcm import (
 )
 from bvcm.gibbs import aux_update_alpha_theta, warm_start_labels
 
-from oracles import SWEEP_BACKENDS, enumerate_full_conditional, random_network
+from oracles import enumerate_full_conditional, random_network, sweep_backends
 
 
 def diag_block_data(m=2500, alpha=(0.5, 0.5), diag=0.9, seed=0):
@@ -148,10 +148,9 @@ class TestExactPosterior:
             seed = int(rng.integers(1e6))
             place = k ** np.arange(net.n_nodes)
             chains = []
-            for backend in SWEEP_BACKENDS:
-                sampler = GibbsSampler(
-                    net, GibbsConfig(k=k, iterations=1, burn_in=0, seed=seed), backend=backend
-                )
+            for backend in sweep_backends():
+                sampler = GibbsSampler(net, GibbsConfig(k=k, iterations=1, burn_in=0, seed=seed))
+                assert sampler.sweep_backend == backend
                 sampler.alpha[:] = alpha
                 sampler.theta[:] = theta
                 sampler._refresh_deg_table()

@@ -15,7 +15,7 @@ import pytest
 from bvcm import GibbsConfig, GibbsSampler, run_gibbs
 from bvcm import _sweep
 
-from oracles import random_network
+from oracles import random_network, sweep_backends
 
 pytestmark = pytest.mark.skipif(
     shutil.which("cc") is None, reason="no C compiler: only the Python sweep runs here"
@@ -62,7 +62,7 @@ def test_backends_give_identical_chains():
             len(set(net.receivers[a:b].tolist())) < b - a for a, b in zip(ends[:-1], ends[1:])
         )
         cfg = GibbsConfig(k=k, iterations=1, seed=trial)
-        samplers = [GibbsSampler(net, cfg, backend=b) for b in ("c", "python")]
+        samplers = [GibbsSampler(net, cfg) for _ in sweep_backends()]
         assert [x.sweep_backend for x in samplers] == ["c", "python"]
         for _ in range(50):
             for x in samplers:
@@ -79,8 +79,9 @@ def test_backends_give_identical_chains():
 def test_sweep_returns_moves():
     rng = np.random.default_rng(9)
     net, _ = random_network(rng, 3, m=30, n_pool=12, max_arity=2)
-    for backend in ("c", "python"):
-        sampler = GibbsSampler(net, GibbsConfig(k=3, iterations=1, seed=1), backend=backend)
+    for backend in sweep_backends():
+        sampler = GibbsSampler(net, GibbsConfig(k=3, iterations=1, seed=1))
+        assert sampler.sweep_backend == backend
         total = 0
         for _ in range(10):
             before = np.array(sampler.labels)
