@@ -23,17 +23,13 @@ from .generator import (
 )
 from .gibbs import Chain, GibbsConfig, GibbsSampler, run_gibbs
 from .likelihood import (
-    ConditionalLogProb,
     LogProb,
-    log_prob_conditional,
     log_prob_sequential,
     marginal_log_likelihood,
 )
 from .consistency import (
     BoundResult,
-    LabelingQuality,
     degree_majority_update,
-    estimate_gamma,
     misclassification_bound,
     restricted_misclassification,
 )
@@ -53,13 +49,11 @@ __all__ = [
     "BoundResult",
     "BvcmError",
     "Chain",
-    "ConditionalLogProb",
     "DataError",
     "GeneratorConfig",
     "GibbsConfig",
     "GibbsSampler",
     "InteractionNetwork",
-    "LabelingQuality",
     "LogProb",
     "ModelParams",
     "NumericalError",
@@ -71,10 +65,8 @@ __all__ = [
     "cross_entropy_loss",
     "degree_distribution",
     "degree_majority_update",
-    "estimate_gamma",
     "hellinger_distance",
     "log_ascending_factorial",
-    "log_prob_conditional",
     "log_prob_sequential",
     "marginal_log_likelihood",
     "misclassification_bound",

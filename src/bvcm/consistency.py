@@ -10,7 +10,6 @@ of each block's (propensity-weighted) mass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -25,12 +24,10 @@ from .errors import NumericalError, UsageError
 
 __all__ = [
     "BoundResult",
-    "LabelingQuality",
     "CutoffPoint",
     "degree_majority_update",
     "misclassification_bound",
     "restricted_misclassification",
-    "estimate_gamma",
 ]
 
 
@@ -63,12 +60,6 @@ class BoundResult(NamedTuple):
     terms: int
 
 
-def _margin(within_prob: float, gamma1: float, gamma2: float) -> float:
-    """Signal margin mu_min of ``misclassification_bound``."""
-    g_min, g_max = min(gamma1, gamma2), max(gamma1, gamma2)
-    return 2.0 * within_prob * (g_min + g_max - 1.0) - (2.0 * g_max - 1.0)
-
-
 def misclassification_bound(
     alpha: float,
     within_prob: float,
@@ -90,7 +81,8 @@ def misclassification_bound(
     for g in (gamma1, gamma2):
         if not 0.5 < g <= 1.0:
             raise UsageError(f"correct fractions must lie in (1/2,1], got {g}")
-    mu_min = _margin(within_prob, gamma1, gamma2)
+    g_min, g_max = min(gamma1, gamma2), max(gamma1, gamma2)
+    mu_min = 2.0 * within_prob * (g_min + g_max - 1.0) - (2.0 * g_max - 1.0)
     if mu_min <= 0.0:
         raise NumericalError(
             f"margin {mu_min} <= 0: the labeling is too unbalanced for the "
@@ -110,55 +102,6 @@ def misclassification_bound(
         if d > 10_000_000:
             raise NumericalError("misclassification bound series did not converge")
     return BoundResult(mu_min, total, d)
-
-
-def estimate_gamma(
-    network: InteractionNetwork,
-    labeling: BlockAssignment,
-    truth: BlockAssignment,
-    weighted: bool = False,
-) -> tuple[float, float]:
-    """Per-block correct fraction of a labeling against the truth.
-
-    Unweighted: node fraction.  Weighted: degree-weighted fraction, a
-    plug-in proxy for the propensity-weighted quantity the bound uses.
-    """
-    if truth.k != 2 or labeling.k != 2:
-        raise UsageError("gamma estimation is defined for k = 2")
-    out = []
-    w = network.degrees().astype(float) if weighted else np.ones(network.n_nodes)
-    correct = labeling.labels == truth.labels
-    for b in (0, 1):
-        sel = truth.labels == b
-        mass = w[sel].sum()
-        out.append(float(w[sel & correct].sum() / mass) if mass > 0 else float("nan"))
-    return out[0], out[1]
-
-
-@dataclass(frozen=True)
-class LabelingQuality:
-    """Correct fractions of a two-block labeling plus the derived margin."""
-
-    gamma1: float
-    gamma2: float
-    within_prob: float
-
-    @property
-    def gamma_min(self) -> float:
-        return min(self.gamma1, self.gamma2)
-
-    @property
-    def gamma_max(self) -> float:
-        return max(self.gamma1, self.gamma2)
-
-    @property
-    def mu_min(self) -> float:
-        return _margin(self.within_prob, self.gamma1, self.gamma2)
-
-    def bound(self, alpha: float, tol: float = 1e-10) -> BoundResult:
-        return misclassification_bound(
-            alpha, self.within_prob, self.gamma1, self.gamma2, tol
-        )
 
 
 class CutoffPoint(NamedTuple):

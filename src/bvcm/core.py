@@ -342,11 +342,52 @@ def best_relabeling(gain: np.ndarray) -> np.ndarray:
     """Label map maximizing sum_a gain[a, perm[a]] over all permutations.
 
     Exact at every k: the Hungarian method (Kuhn 1955) on the k x k
-    matrix, O(k^3).  Every label-invariant score aligns labelings
-    through this one routine.
+    matrix, as k shortest augmenting paths with row and column
+    potentials, O(k^3).  Every label-invariant score aligns labelings
+    through this one routine.  Gains that are not finite, or so large
+    that (2k + 1) max|gain| overflows, raise NumericalError.
     """
-    # Imported here: scipy.optimize is most of `import bvcm.cli`'s start-up
-    # time, and only label-invariant scores need it.
-    from scipy.optimize import linear_sum_assignment
-
-    return linear_sum_assignment(gain, maximize=True)[1]
+    cost = -np.asarray(gain, dtype=float)
+    k = cost.shape[0]
+    # Potentials and reduced costs stay within (2k + 1) max|gain|.  A NaN,
+    # an infinity or an overflow there would keep the augmenting loop
+    # from ending.
+    if not math.isfinite(float(np.abs(cost).max(initial=0.0)) * (2 * k + 1)):
+        raise NumericalError("label alignment needs finite gains")
+    cost = cost.tolist()
+    # Index 0 is a virtual column: the root of each augmenting path.
+    u = [0.0] * (k + 1)  # row potentials
+    v = [0.0] * (k + 1)  # column potentials
+    row_of = [0] * (k + 1)  # row_of[j]: 1-based row matched to column j, 0 if free
+    way = [0] * (k + 1)  # previous column on the shortest path to column j
+    for i in range(1, k + 1):
+        row_of[0] = i
+        j0 = 0
+        minv = [math.inf] * (k + 1)
+        used = [False] * (k + 1)
+        while row_of[j0]:
+            used[j0] = True
+            i0 = row_of[j0]
+            row = cost[i0 - 1]
+            delta, j1 = math.inf, 0
+            for j in range(1, k + 1):
+                if not used[j]:
+                    cur = row[j - 1] - u[i0] - v[j]
+                    if cur < minv[j]:
+                        minv[j], way[j] = cur, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            for j in range(k + 1):
+                if used[j]:
+                    u[row_of[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+        while j0:  # augment along the path back to the root
+            j1 = way[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    perm = np.empty(k, dtype=np.int64)
+    perm[np.array(row_of[1:], dtype=np.int64) - 1] = np.arange(k)
+    return perm

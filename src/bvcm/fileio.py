@@ -10,6 +10,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
@@ -157,7 +158,7 @@ def write_chain(out_dir: Path, chain: Chain) -> None:
     write_csv(
         out_dir / "assignments.csv",
         ["iter"] + list(chain.node_ids),
-        ([t] + [int(b) + 1 for b in chain.assignments[t]] for t in range(len(chain))),
+        ([t] + (row + 1).tolist() for t, row in enumerate(chain.assignments)),
     )
 
     membership = PosteriorMembership.from_chain(chain)
@@ -187,32 +188,53 @@ def write_chain(out_dir: Path, chain: Chain) -> None:
 
 
 def read_chain(out_dir: Path) -> Chain:
+    """Inverse of write_chain.  Assignments come back as int32 0-based
+    labels, (iterations, nodes); the body of assignments.csv is parsed
+    by one numpy call.  A malformed cell or row is a DataError naming
+    the file and its line."""
     out_dir = Path(out_dir)
     meta = read_manifest(out_dir / "chain_manifest.json")
     k = int(meta["k"])
 
-    with open(out_dir / "assignments.csv", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        node_ids = header[1:]
-        assignments = np.array(
-            [[int(x) - 1 for x in row[1:]] for row in reader], dtype=np.int32
-        )
+    path = out_dir / "assignments.csv"
+    with open(path, encoding="utf-8") as fh:
+        node_ids = next(csv.reader(fh), [])[1:]
+        try:
+            with warnings.catch_warnings():
+                # An empty body is reported below, not warned about.
+                warnings.simplefilter("ignore", UserWarning)
+                body = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
+        except ValueError:
+            body = None
+    if body is None or body.shape[1] != len(node_ids) + 1 or len(body) == 0:
+        raise DataError(f"{path}: {_bad_label_row(path, len(node_ids) + 1)}")
+    labels = body[:, 1:]
+    if labels.size and (labels.min() < 1 or labels.max() > k):
+        raise DataError(f"{path}: block labels outside 1..{k}")
+    assignments = (labels - 1).astype(np.int32)
 
     iters = assignments.shape[0]
     alphas = np.empty((iters, k))
     thetas = np.empty((iters, k))
     props = np.empty((iters, k, k))
     log_probs = np.empty(iters)
-    with open(out_dir / "chain.csv", encoding="utf-8") as fh:
+    path = out_dir / "chain.csv"
+    with open(path, encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        next(reader, None)
+        rows = 0
         for t, row in enumerate(reader):
-            vals = [float(x) for x in row[1:]]
-            log_probs[t] = vals[0]
-            alphas[t] = vals[1 : 1 + k]
-            thetas[t] = vals[1 + k : 1 + 2 * k]
-            props[t] = np.array(vals[1 + 2 * k :]).reshape(k, k)
+            try:
+                vals = [float(x) for x in row[1:]]
+                log_probs[t] = vals[0]
+                alphas[t] = vals[1 : 1 + k]
+                thetas[t] = vals[1 + k : 1 + 2 * k]
+                props[t] = np.array(vals[1 + 2 * k :]).reshape(k, k)
+            except (ValueError, IndexError):
+                raise DataError(f"{path}: line {reader.line_num}: malformed row") from None
+            rows += 1
+    if rows != iters:
+        raise DataError(f"{path}: {rows} rows, but assignments.csv has {iters}")
 
     return Chain(
         k=k,
@@ -230,6 +252,23 @@ def read_chain(out_dir: Path) -> Chain:
         sweep_backend=str(meta.get("sweep_backend", "python")),
         nodes_moved=int(meta.get("nodes_moved", 0)),
     )
+
+
+def _bad_label_row(path: Path, width: int) -> str:
+    """Where the body of an assignments.csv stops being rows of `width`
+    integers (only called once the fast parse has failed)."""
+    with open(path, encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for row in filter(None, reader):
+            try:
+                if len(row) == width:
+                    [int(x) for x in row]
+                    continue
+            except ValueError:
+                pass
+            return f"line {reader.line_num}: expected {width} integers"
+    return "no samples"
 
 
 def write_manifest(path: Path, payload: dict) -> None:

@@ -99,7 +99,8 @@ class _BlockUrn:
 
     Existing nodes are drawn proportionally to degree - alpha via a
     uniform appearance token plus a rejection step; a new node arrives
-    with weight theta + alpha * (distinct node count).
+    with weight theta + alpha * (distinct node count).  The first draw
+    is always a new node, also when theta <= 0.
     """
 
     __slots__ = ("alpha", "theta", "tokens", "distinct")
@@ -113,7 +114,9 @@ class _BlockUrn:
     def draw(self, rng, deg: list[int], new_node) -> int:
         total = len(self.tokens)
         denom = self.theta + total
-        if rng.random() * denom < self.theta + self.alpha * self.distinct:
+        # The uniform is drawn even for the first node, so the stream for
+        # theta > 0 (where the comparison alone picks the new node) is kept.
+        if rng.random() * denom < self.theta + self.alpha * self.distinct or not total:
             node = new_node()
             self.distinct += 1
         else:

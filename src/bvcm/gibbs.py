@@ -5,8 +5,10 @@ One full iteration is: a sweep of collapsed single-node block updates
 auxiliary-variable conjugate update of (alpha_b, theta_b) per block,
 and a row-wise Dirichlet redraw of the mixing matrix.  The block counts
 come from ``compute_stats`` when labels are set and are then maintained
-incrementally by the sweep; ``log_prob`` is ``log_prob_from_stats`` at
-the current sample.
+incrementally by the sweep.  Each iteration builds one per-block degree
+histogram from a single bincount; the (alpha, theta) updates read its
+rows, and ``log_prob`` is ``log_prob_from_stats`` on it plus the
+incremental counts.
 
 The sweep state is numpy arrays (int64 labels and counts, CSR
 neighbour lists, float64 log mixing matrix and degree table), updated
@@ -27,7 +29,13 @@ from typing import Optional
 import numpy as np
 
 from . import _sweep
-from .core import BlockAssignment, InteractionNetwork, compute_stats, counterparty_counts
+from .core import (
+    BlockAssignment,
+    InteractionNetwork,
+    SufficientStats,
+    compute_stats,
+    counterparty_counts,
+)
 from .errors import UsageError
 from .likelihood import log_discount_factorial, log_prob_from_stats
 
@@ -122,7 +130,7 @@ class Chain:
 
 
 def aux_update_alpha_theta(
-    degs,
+    hist,
     alpha: float,
     theta: float,
     alpha_prior: tuple[float, float],
@@ -131,8 +139,11 @@ def aux_update_alpha_theta(
 ) -> tuple[float, float]:
     """Conjugate redraw of one block's (discount, strength) pair.
 
-    Given the block's node degrees, three auxiliary draws split the
-    urn's likelihood into conjugate pieces: a Beta variable for the
+    ``hist[d]`` is the number of the block's nodes of degree d (a row of
+    the sampler's degree histogram, the layout ``block_eppf`` takes;
+    entry 0 must be 0).  The node count, total degree, maximum degree
+    and tail counts are read off the row.  Three auxiliary draws split
+    the urn's likelihood into conjugate pieces: a Beta variable for the
     strength denominator (skipped when the block holds fewer than two
     appearances), one Bernoulli per distinct node beyond the first, and
     one Bernoulli per repeat appearance of each node.  An empty block
@@ -140,11 +151,15 @@ def aux_update_alpha_theta(
     """
     c_hyp, d_hyp = alpha_prior
     a_hyp, b_hyp = theta_prior
-    v_b = len(degs)
-    if v_b == 0:
+    hist = np.asarray(hist, dtype=np.int64)
+    present = np.flatnonzero(hist)
+    if present.size == 0:
         new_alpha = GibbsSampler._clip_alpha(rng.beta(c_hyp, d_hyp))
         return new_alpha, max(rng.gamma(a_hyp, 1.0 / b_hyp), _EPS)
-    m_b = np.sum(degs)
+    max_d = int(present[-1])
+    hist = hist[: max_d + 1]
+    v_b = int(hist.sum())
+    m_b = int(hist @ np.arange(max_d + 1))
 
     rate = b_hyp
     if m_b >= 2:
@@ -160,13 +175,10 @@ def aux_update_alpha_theta(
     sum_not_y = n_y - sum_y
 
     sum_not_z = 0.0
-    max_d = np.max(degs)
     if max_d > 1:
-        cnt = np.bincount(degs, minlength=max_d + 1)
         # n_j = number of block members with degree > j, j = 1..max_d-1
-        tail = np.cumsum(cnt[::-1])[::-1]
+        n_j = np.cumsum(hist[:1:-1])[::-1]
         j = np.arange(1, max_d, dtype=float)
-        n_j = tail[2:]
         p_not = (1.0 - alpha) / (j - alpha)
         sum_not_z = float(rng.binomial(n_j, p_not).sum())
 
@@ -377,6 +389,7 @@ class GibbsSampler:
         self._log_prop = np.empty((k, k))
         self._la_deg = np.empty((k, self.max_deg + 1))
         self._uniforms = np.empty(n)
+        self._hist: Optional[np.ndarray] = None
         self.nodes_moved = 0
 
         labels = self._initial_labels()
@@ -424,14 +437,11 @@ class GibbsSampler:
             labels = assignment.labels
         return labels
 
-    def _stats(self):
-        """compute_stats for the current labels."""
-        return compute_stats(self.network, BlockAssignment(self.labels, self.k))
-
     def set_labels(self, labels) -> None:
         """Set every node's block and rebuild the sweep's counts for them."""
         self.labels[...] = labels
-        stats = self._stats()
+        self._hist = None
+        stats = compute_stats(self.network, BlockAssignment(self.labels, self.k))
         self.block_n[...] = stats.block_sizes
         self.block_deg[...] = stats.block_deg
         self.inits[...] = stats.initiations
@@ -480,22 +490,31 @@ class GibbsSampler:
         ref = _ListSweep(self)
         b = ref.update(i, u)
         ref.store(self)
+        self._hist = None
         return b
 
     # --------------------------------------------------- parameter updates
 
-    def _degrees_by_block(self) -> list[np.ndarray]:
-        """Node degrees split by block, from one stable argsort of the labels."""
-        order = np.argsort(self.labels, kind="stable")
-        return np.split(self.deg[order], np.cumsum(self.block_n)[:-1])
+    def _deg_hist(self) -> np.ndarray:
+        """int64[k, D+1]: entry [b, d] counts block-b nodes of degree d.
 
-    def update_alpha_theta(self, b: int, degs: Optional[np.ndarray] = None) -> tuple[float, float]:
-        """Auxiliary-variable conjugate redraw of (alpha_b, theta_b); degs
-        are block b's node degrees (computed here when not given)."""
-        if degs is None:
-            degs = self._degrees_by_block()[b]
+        One bincount over (label, degree) cells, made once for the
+        current labels and reused until they change.
+        """
+        if self._hist is None:
+            width = self.max_deg + 1
+            cells = self.labels * width + self.deg
+            self._hist = np.bincount(cells, minlength=self.k * width).reshape(self.k, width)
+        return self._hist
+
+    def update_alpha_theta(self, b: int, hist_row: Optional[np.ndarray] = None) -> tuple[float, float]:
+        """Auxiliary-variable conjugate redraw of (alpha_b, theta_b);
+        hist_row is block b's row of ``_deg_hist()`` (read here when not
+        given)."""
+        if hist_row is None:
+            hist_row = self._deg_hist()[b]
         return aux_update_alpha_theta(
-            degs,
+            hist_row,
             self.alpha[b],
             self.theta[b],
             self.config.alpha_prior,
@@ -531,23 +550,37 @@ class GibbsSampler:
             ref = _ListSweep(self)
             moved = ref.sweep(us.tolist())
             ref.store(self)
+        self._hist = None
         self.nodes_moved += moved
         return moved
 
     def iteration(self) -> None:
         self.sweep()
-        by_block = self._degrees_by_block()
+        hist = self._deg_hist()
         for b in range(self.k):
-            self.alpha[b], self.theta[b] = self.update_alpha_theta(b, by_block[b])
+            self.alpha[b], self.theta[b] = self.update_alpha_theta(b, hist[b])
         self._refresh_deg_table()
         self.update_propensity()
 
     def log_prob(self) -> float:
         """Collapsed log-probability of (network, current labels, params):
-        log_prob_sequential at the current sample."""
+        log_prob_sequential at the current sample.
+
+        The statistics are the sweep's incremental counts plus the
+        iteration's degree histogram, so no count is rebuilt from the
+        network.
+        """
         cfg = self.config
+        stats = SufficientStats(
+            m=self.network.m,
+            initiations=self.inits,
+            pair=self.pair,
+            deg_hist=self._deg_hist(),
+            block_sizes=self.block_n,
+            block_deg=self.block_deg,
+        )
         return log_prob_from_stats(
-            self._stats(), self.k, cfg.block_conc, cfg.recv_conc, self.alpha, self.theta
+            stats, self.k, cfg.block_conc, cfg.recv_conc, self.alpha, self.theta
         ).value
 
     def run(self) -> Chain:

@@ -3,10 +3,8 @@
 ``log_prob_sequential`` is the fully collapsed form: the block urn, the
 per-block node urns and the receiver-block urns are all marginalized,
 leaving a product of Dirichlet-multinomial factors and one Pitman-Yor
-EPPF per block.  ``log_prob_conditional`` instead conditions on an
-explicit block-frequency vector and mixing matrix.  Both are pure
-functions of the count statistics, hence invariant to interaction
-order.
+EPPF per block.  It is a pure function of the count statistics, hence
+invariant to interaction order.
 """
 
 from __future__ import annotations
@@ -29,9 +27,7 @@ from .errors import UsageError
 
 __all__ = [
     "LogProb",
-    "ConditionalLogProb",
     "log_prob_sequential",
-    "log_prob_conditional",
     "marginal_log_likelihood",
     "block_eppf",
 ]
@@ -49,24 +45,6 @@ class LogProb:
     term_block: float
     term_nodes: float
     term_prop: float
-
-
-@dataclass(frozen=True)
-class ConditionalLogProb:
-    """Log-probability given explicit block frequencies and mixing matrix.
-
-    When a zero-probability factor carries a positive count the value is
-    -inf and the offending coordinates are listed so downstream
-    averaging can reject loudly instead of propagating a sentinel.
-    """
-
-    value: float
-    zero_blocks: tuple[int, ...] = ()
-    zero_pairs: tuple[tuple[int, int], ...] = ()
-
-    @property
-    def is_neg_inf(self) -> bool:
-        return bool(self.zero_blocks) or bool(self.zero_pairs)
 
 
 def log_discount_factorial(deg, alpha):
@@ -97,14 +75,6 @@ def block_eppf(hist_row: np.ndarray, alpha: float, theta: float) -> float:
     return out + float(counts.astype(float) @ log_discount_factorial(degs, alpha))
 
 
-def _term_nodes(stats: SufficientStats, alpha, theta) -> float:
-    """Sum of the per-block EPPFs."""
-    return sum(
-        block_eppf(row, float(a), float(t))
-        for row, a, t in zip(stats.deg_hist, alpha, theta)
-    )
-
-
 def _validate_params(k: int, alpha, theta, block_conc: float, recv_conc: float) -> None:
     alpha = np.asarray(alpha, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -127,7 +97,10 @@ def log_prob_from_stats(
     for b in range(k):
         term_block += la(block_conc, 1.0, int(stats.initiations[b]))
 
-    term_nodes = _term_nodes(stats, alpha, theta)
+    term_nodes = sum(
+        block_eppf(row, float(a), float(t))
+        for row, a, t in zip(stats.deg_hist, alpha, theta)
+    )
 
     term_prop = 0.0
     for b in range(k):
@@ -160,49 +133,6 @@ def log_prob_sequential(
     return log_prob_from_stats(
         stats, assignment.k, block_conc, recv_conc, alpha, theta
     )
-
-
-def log_prob_conditional(
-    network: InteractionNetwork,
-    assignment: BlockAssignment,
-    block_probs: Sequence[float],
-    propensity,
-    alpha: Sequence[float],
-    theta: Sequence[float],
-) -> ConditionalLogProb:
-    """Log-probability conditional on explicit (frequencies, mixing matrix)."""
-    k = assignment.k
-    pi = np.asarray(block_probs, dtype=float)
-    prop = np.asarray(propensity, dtype=float)
-    if pi.shape != (k,) or abs(pi.sum() - 1.0) > 1e-9 or np.any(pi < 0):
-        raise UsageError("block_probs must lie on the k-simplex")
-    if prop.shape != (k, k) or np.any(np.abs(prop.sum(axis=1) - 1.0) > 1e-9):
-        raise UsageError("propensity rows must lie on the k-simplex")
-    stats = compute_stats(network, assignment)
-
-    zero_blocks = []
-    zero_pairs = []
-    value = _term_nodes(stats, alpha, theta)
-    for b in range(k):
-        l_b = int(stats.initiations[b])
-        if l_b:
-            if pi[b] <= 0.0:
-                zero_blocks.append(b)
-            else:
-                value += l_b * np.log(pi[b])
-        for b2 in range(k):
-            c = int(stats.pair[b, b2])
-            if not c:
-                continue
-            if prop[b, b2] <= 0.0:
-                zero_pairs.append((b, b2))
-            else:
-                value += c * np.log(prop[b, b2])
-    if zero_blocks or zero_pairs:
-        return ConditionalLogProb(
-            float("-inf"), tuple(zero_blocks), tuple(zero_pairs)
-        )
-    return ConditionalLogProb(float(value))
 
 
 def marginal_log_likelihood(chain) -> float:

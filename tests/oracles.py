@@ -3,7 +3,11 @@
 Nothing here shares code with the package internals beyond the domain
 types: probabilities are accumulated step by step (replay oracle),
 joints are enumerated exhaustively (conditional oracle), and series are
-summed in high precision (bound oracle).
+summed in high precision (bound oracle).  The exceptions are
+``log_prob_conditional``, which reuses ``compute_stats`` and
+``block_eppf`` because it is checked against the collapsed form by Monte
+Carlo, and ``aux_update_alpha_theta_degrees``, the degree-list form of
+the sampler's (alpha, theta) update kept to pin its RNG stream.
 """
 
 from __future__ import annotations
@@ -12,12 +16,15 @@ from __future__ import annotations
 import itertools
 import math
 import shutil
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from bvcm import _sweep
-from bvcm.core import BlockAssignment, InteractionNetwork
+from bvcm.core import BlockAssignment, InteractionNetwork, compute_stats
+from bvcm.errors import UsageError
+from bvcm.likelihood import block_eppf
 
 
 def sweep_backends():
@@ -234,3 +241,112 @@ def size_rank_trap() -> tuple[np.ndarray, np.ndarray]:
     hard[:4] = 1
     relabel = np.array([3, 7, 0, 8, 1, 5, 2, 6, 4])
     return truth, relabel[hard]
+
+
+def aux_update_alpha_theta_degrees(degs, alpha, theta, alpha_prior, theta_prior, rng):
+    """The (alpha, theta) auxiliary update on a block's list of node
+    degrees, as the sampler ran it before it read a degree histogram:
+    the same RNG calls, in the same order, with the same arguments."""
+    eps = 1e-12
+
+    def clip(x):
+        return min(max(x, eps), 1.0 - eps)
+
+    c_hyp, d_hyp = alpha_prior
+    a_hyp, b_hyp = theta_prior
+    v_b = len(degs)
+    if v_b == 0:
+        new_alpha = clip(rng.beta(c_hyp, d_hyp))
+        return new_alpha, max(rng.gamma(a_hyp, 1.0 / b_hyp), eps)
+    m_b = np.sum(degs)
+
+    rate = b_hyp
+    if m_b >= 2:
+        x = rng.beta(theta + 1.0, m_b - 1)
+        rate = b_hyp - math.log(max(x, eps))
+
+    sum_y = 0.0
+    n_y = v_b - 1
+    if n_y:
+        idx = np.arange(1, v_b, dtype=float)
+        p = theta / (theta + alpha * idx)
+        sum_y = float((rng.random(n_y) < p).sum())
+    sum_not_y = n_y - sum_y
+
+    sum_not_z = 0.0
+    max_d = np.max(degs)
+    if max_d > 1:
+        cnt = np.bincount(degs, minlength=max_d + 1)
+        tail = np.cumsum(cnt[::-1])[::-1]
+        j = np.arange(1, max_d, dtype=float)
+        n_j = tail[2:]
+        p_not = (1.0 - alpha) / (j - alpha)
+        sum_not_z = float(rng.binomial(n_j, p_not).sum())
+
+    new_theta = max(rng.gamma(a_hyp + sum_y, 1.0 / rate), eps)
+    new_alpha = clip(rng.beta(c_hyp + sum_not_y, d_hyp + sum_not_z))
+    return new_alpha, new_theta
+
+
+@dataclass(frozen=True)
+class ConditionalLogProb:
+    """Log-probability given explicit block frequencies and mixing matrix.
+
+    When a zero-probability factor carries a positive count the value is
+    -inf and the offending coordinates are listed.
+    """
+
+    value: float
+    zero_blocks: tuple[int, ...] = ()
+    zero_pairs: tuple[tuple[int, int], ...] = ()
+
+    @property
+    def is_neg_inf(self) -> bool:
+        return bool(self.zero_blocks) or bool(self.zero_pairs)
+
+
+def log_prob_conditional(
+    network: InteractionNetwork,
+    assignment: BlockAssignment,
+    block_probs,
+    propensity,
+    alpha,
+    theta,
+) -> ConditionalLogProb:
+    """Log-probability conditional on explicit (frequencies, mixing
+    matrix): the block and receiver-block urns are not integrated out,
+    so its expectation over their Dirichlet priors is the collapsed
+    ``log_prob_sequential`` (checked by Monte Carlo)."""
+    k = assignment.k
+    pi = np.asarray(block_probs, dtype=float)
+    prop = np.asarray(propensity, dtype=float)
+    if pi.shape != (k,) or abs(pi.sum() - 1.0) > 1e-9 or np.any(pi < 0):
+        raise UsageError("block_probs must lie on the k-simplex")
+    if prop.shape != (k, k) or np.any(np.abs(prop.sum(axis=1) - 1.0) > 1e-9):
+        raise UsageError("propensity rows must lie on the k-simplex")
+    stats = compute_stats(network, assignment)
+
+    zero_blocks = []
+    zero_pairs = []
+    value = sum(
+        block_eppf(row, float(a), float(t))
+        for row, a, t in zip(stats.deg_hist, alpha, theta)
+    )
+    for b in range(k):
+        l_b = int(stats.initiations[b])
+        if l_b:
+            if pi[b] <= 0.0:
+                zero_blocks.append(b)
+            else:
+                value += l_b * np.log(pi[b])
+        for b2 in range(k):
+            c = int(stats.pair[b, b2])
+            if not c:
+                continue
+            if prop[b, b2] <= 0.0:
+                zero_pairs.append((b, b2))
+            else:
+                value += c * np.log(prop[b, b2])
+    if zero_blocks or zero_pairs:
+        return ConditionalLogProb(float("-inf"), tuple(zero_blocks), tuple(zero_pairs))
+    return ConditionalLogProb(float(value))

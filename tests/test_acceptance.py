@@ -19,7 +19,6 @@ blocks each is given here:
 import itertools
 import math
 import time
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -362,10 +361,8 @@ def test_criterion_9_geweke_alpha():
             block_conc=1.0, recv_conc=1.0,
         )
         res = simulate_sequential(GeneratorConfig(params=params, m=200, seed=900_000 + step))
-        deg = Counter(res.network.senders.tolist())
-        deg.update(res.network.receivers.tolist())
         alpha, theta = aux_update_alpha_theta(
-            list(deg.values()), alpha, theta, (1.0, 1.0), (1.0, 1.0),
+            np.bincount(res.network.degrees()), alpha, theta, (1.0, 1.0), (1.0, 1.0),
             np.random.default_rng(800_000 + step),
         )
         if step % thin == 0:

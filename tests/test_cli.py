@@ -11,6 +11,7 @@ import bvcm
 from bvcm import fileio
 from bvcm.cli import main
 from bvcm.core import BlockAssignment, InteractionNetwork
+from bvcm.gibbs import Chain
 from bvcm.errors import DataError
 
 
@@ -52,6 +53,21 @@ class TestSimulate:
             )
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_negative_theta(self, tmp_path):
+        # theta > -alpha is allowed; the urn's first draw in a block must
+        # then create a node rather than pick from an empty block.
+        for mode in ("sequential", "conditional_iid"):
+            out = tmp_path / f"neg_{mode}.jsonl"
+            code = run_cli(
+                "simulate", "--k", 2, "--alpha", "0.5,0.5", "--theta=-0.2,-0.2",
+                "--m", 50, "--seed", 1, "--mode", mode, "--out", out,
+            )
+            assert code == 0, mode
+            net = fileio.read_interactions_jsonl(out)
+            truth = fileio.read_assignment_csv(out.with_name(f"neg_{mode}_truth.csv"), net, k=2)
+            assert net.m == 50
+            assert len(truth.labels) == net.n_nodes
 
     def test_empty_network(self, tmp_path):
         out = tmp_path / "empty.jsonl"
@@ -289,6 +305,42 @@ class TestErrorsAndConfig:
             "--out", tmp_path / "m",
         ) == 3
 
+    def test_malformed_assignments_csv_is_data_error(self, sim_files, tmp_path, capsys):
+        out, truth = sim_files
+        chain_dir = tmp_path / "c_a"
+        run_cli(
+            "fit", "--input", out, "--k", 2, "--iters", 3, "--burnin", 1,
+            "--out", chain_dir,
+        )
+        path = chain_dir / "assignments.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",x"
+        path.write_text("\n".join(lines) + "\n")
+        code = run_cli(
+            "eval", "--input", out, "--chain", chain_dir, "--truth", truth,
+            "--out", tmp_path / "m",
+        )
+        assert code == 3
+        assert "assignments.csv: line 3" in capsys.readouterr().err
+
+    def test_malformed_chain_csv_is_data_error(self, sim_files, tmp_path, capsys):
+        out, truth = sim_files
+        chain_dir = tmp_path / "c_c"
+        run_cli(
+            "fit", "--input", out, "--k", 2, "--iters", 3, "--burnin", 1,
+            "--out", chain_dir,
+        )
+        path = chain_dir / "chain.csv"
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].replace(",", ",1.5e,", 1)
+        path.write_text("\n".join(lines) + "\n")
+        code = run_cli(
+            "eval", "--input", out, "--chain", chain_dir, "--truth", truth,
+            "--out", tmp_path / "m",
+        )
+        assert code == 3
+        assert "chain.csv: line 4" in capsys.readouterr().err
+
     def test_missing_path_exits_2_and_names_it(self, sim_files, tmp_path, capsys):
         out, truth = sim_files
         code = run_cli("stats", "--input", tmp_path / "nope.jsonl", "--out", tmp_path / "s")
@@ -343,6 +395,23 @@ class TestFileio:
         assert back.node_ids == net.node_ids
         for name in ("senders", "offsets", "receivers"):
             assert np.array_equal(getattr(back, name), getattr(net, name)), name
+
+    def test_one_iteration_single_block_chain_round_trip(self, tmp_path):
+        chain = Chain(
+            k=1, burn_in=0, seed=3, node_ids=["a", "b,c", "d"],
+            assignments=np.zeros((1, 3), dtype=np.int32),
+            alphas=np.array([[0.25]]), thetas=np.array([[1.5]]),
+            props=np.ones((1, 1, 1)), log_probs=np.array([-7.125]),
+            block_conc=1.0, recv_conc=2.0, sweep_backend="c", nodes_moved=2,
+        )
+        fileio.write_chain(tmp_path / "c", chain)
+        back = fileio.read_chain(tmp_path / "c")
+        assert back.node_ids == chain.node_ids
+        assert back.assignments.dtype == np.int32
+        assert back.assignments.shape == (1, 3)
+        for name in ("assignments", "alphas", "thetas", "props", "log_probs"):
+            assert np.array_equal(getattr(back, name), getattr(chain, name)), name
+        assert (back.k, back.burn_in, back.seed, back.nodes_moved) == (1, 0, 3, 2)
 
     def test_assignment_round_trip(self, tmp_path):
         net = InteractionNetwork.from_records([("a", ["b"]), ("c", ["a"])])
@@ -399,11 +468,26 @@ def _fresh_python(code: str) -> str:
     return out.stdout.strip()
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    # Only label alignment needs scipy.optimize, which takes most of the
-    # import time of the CLI, so it is imported where it is used.
+def test_cli_import_leaves_out_scipy_optimize(sim_files, tmp_path):
+    # scipy.optimize takes most of the import time of the CLI; label
+    # alignment is in-package, so not even eval loads it.
     code = "import sys, bvcm.cli; print('scipy.optimize' in sys.modules)"
     assert _fresh_python(code) == "False"
+    out, truth = sim_files
+    chain_dir = tmp_path / "chain"
+    run_cli(
+        "fit", "--input", out, "--k", 2, "--iters", 4, "--burnin", 1,
+        "--out", chain_dir,
+    )
+    argv = ["eval", "--input", str(out), "--chain", str(chain_dir), "--truth", str(truth),
+            "--out", str(tmp_path / "m")]
+    code = (
+        "import sys, bvcm.cli\n"
+        f"assert bvcm.cli.main({argv!r}) == 0\n"
+        "print('scipy.optimize' in sys.modules)"
+    )
+    assert _fresh_python(code).splitlines()[-1] == "False"
+    assert (tmp_path / "m" / "misclassification.csv").exists()
 
 
 def test_bound_neither_builds_nor_loads_the_sweep():

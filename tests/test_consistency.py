@@ -10,11 +10,10 @@ from bvcm import (
     NumericalError,
     UsageError,
     degree_majority_update,
-    estimate_gamma,
     misclassification_bound,
     restricted_misclassification,
 )
-from bvcm.consistency import LabelingQuality, min_permutation_error
+from bvcm.consistency import min_permutation_error
 
 from oracles import bound_series_mpmath, size_rank_trap
 
@@ -121,27 +120,6 @@ class TestBound:
             misclassification_bound(0.5, 0.4, 0.9, 0.9)
         with pytest.raises(UsageError):
             misclassification_bound(0.5, 0.9, 0.4, 0.9)
-
-
-class TestLabelingQuality:
-    def test_mu_formula(self):
-        q = LabelingQuality(gamma1=0.9, gamma2=0.9, within_prob=0.9)
-        assert q.mu_min == pytest.approx(0.64)
-        assert q.gamma_min == 0.9 and q.gamma_max == 0.9
-        assert q.bound(0.5).mu_min == pytest.approx(0.64)
-
-    def test_estimate_gamma(self):
-        net = InteractionNetwork.from_records(
-            [("a", ["b"]), ("a", ["c"]), ("d", ["a"])]
-        )
-        truth = BlockAssignment(np.array([0, 0, 1, 1]), 2)
-        lab = BlockAssignment(np.array([0, 1, 1, 1]), 2)
-        g1, g2 = estimate_gamma(net, lab, truth)
-        assert g1 == pytest.approx(0.5)  # a right, b wrong
-        assert g2 == pytest.approx(1.0)
-        # degree weighted: a carries 3 of block-0's total degree 4
-        g1w, _ = estimate_gamma(net, lab, truth, weighted=True)
-        assert g1w == pytest.approx(3.0 / 4.0)
 
 
 def _chain_from_labels(net, labels_list, k=2, burn_in=0):

@@ -259,14 +259,29 @@ class TestTypes:
 
 class TestBestRelabeling:
     def test_matches_enumeration(self):
-        # Same objective as the brute-force maximum; the permutation itself
-        # may differ where several reach it.
+        # Same objective as the brute-force maximum and as scipy's
+        # assignment solver; the permutation itself may differ where
+        # several reach it (tied integer gains, constant matrices).
+        from scipy.optimize import linear_sum_assignment
+
         rng = np.random.default_rng(40)
-        for k in range(1, 7):
-            for _ in range(5):
-                for gain in (rng.integers(0, 4, size=(k, k)), rng.normal(size=(k, k))):
-                    perm = best_relabeling(gain)
-                    assert sorted(perm.tolist()) == list(range(k))
-                    assert gain[np.arange(k), perm].sum() == pytest.approx(
-                        best_permutation_gain(gain), abs=1e-12
-                    )
+        for k in range(1, 9):
+            gains = [np.zeros((k, k)), np.ones((k, k), dtype=int)]
+            for _ in range(3 if k == 8 else 5):
+                gains += [rng.integers(0, 2, size=(k, k)), rng.integers(0, 4, size=(k, k)),
+                          rng.normal(size=(k, k))]
+            for gain in gains:
+                perm = best_relabeling(gain)
+                assert sorted(perm.tolist()) == list(range(k))
+                value = gain[np.arange(k), perm].sum()
+                assert value == pytest.approx(best_permutation_gain(gain), abs=1e-12)
+                scipy_cols = linear_sum_assignment(gain, maximize=True)[1]
+                assert value == pytest.approx(gain[np.arange(k), scipy_cols].sum(), abs=1e-12)
+
+    def test_rejects_non_finite_gains(self):
+        # 1.7e308 is finite, but the potentials would overflow.
+        for bad in (np.nan, np.inf, -np.inf, 1.7e308):
+            gain = np.eye(3)
+            gain[1, 2] = bad
+            with pytest.raises(NumericalError, match="finite"):
+                best_relabeling(gain)

@@ -157,6 +157,24 @@ def _within_pair_count(res):
 
 
 @pytest.mark.slow
+def test_negative_theta_urn_law():
+    """theta in (-alpha, 0]: a block's first appearance is a new node and
+    its second is new with probability (theta + alpha) / (theta + 1),
+    in both generators."""
+    for theta, p_new in ((-0.2, 0.3 / 0.8), (0.0, 0.5)):
+        params = ModelParams(
+            alpha=np.array([0.5]), theta=np.array([theta]), block_conc=1.0, recv_conc=1.0
+        )
+        for fn in (simulate_sequential, simulate_conditional_iid):
+            nodes = np.array([
+                fn(GeneratorConfig(params=params, m=1, seed=seed)).network.n_nodes
+                for seed in range(2000)
+            ])
+            assert set(nodes.tolist()) <= {1, 2}, fn.__name__
+            # binomial standard deviation at 2000 draws is at most 0.0112
+            assert np.mean(nodes == 2) == pytest.approx(p_new, abs=0.045), (theta, fn.__name__)
+
+
 def test_marginal_agreement_between_generators():
     """Block-pair count distribution matches across the two routes.
 

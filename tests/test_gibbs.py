@@ -19,8 +19,14 @@ from bvcm import (
     simulate_sequential,
 )
 from bvcm.gibbs import aux_update_alpha_theta, warm_start_labels
+from bvcm.likelihood import log_prob_from_stats
 
-from oracles import enumerate_full_conditional, random_network, sweep_backends
+from oracles import (
+    aux_update_alpha_theta_degrees,
+    enumerate_full_conditional,
+    random_network,
+    sweep_backends,
+)
 
 
 def diag_block_data(m=2500, alpha=(0.5, 0.5), diag=0.9, seed=0):
@@ -116,6 +122,34 @@ class TestBlockUpdate:
             assert np.array_equal(np.array(sampler.block_n), fresh.block_sizes)
             assert np.array_equal(np.array(sampler.block_deg), fresh.block_deg)
 
+    def test_log_prob_matches_recompute_every_iteration(self):
+        """log_prob reads the sweep's counts and the iteration's degree
+        histogram; it must equal log_prob_from_stats on a fresh
+        compute_stats exactly, also after a single-node update."""
+        rng = np.random.default_rng(21)
+
+        def recomputed(sampler):
+            cfg = sampler.config
+            fresh = compute_stats(sampler.network, BlockAssignment(np.array(sampler.labels), cfg.k))
+            return log_prob_from_stats(
+                fresh, cfg.k, cfg.block_conc, cfg.recv_conc, sampler.alpha, sampler.theta
+            ).value
+
+        for backend in sweep_backends():
+            for k in range(1, 6):
+                net, _ = random_network(
+                    rng, k, m=int(rng.integers(5, 40)), n_pool=12, max_arity=3
+                )
+                sampler = GibbsSampler(net, GibbsConfig(k=k, iterations=1, seed=k))
+                assert sampler.sweep_backend == backend
+                assert sampler.log_prob() == recomputed(sampler)
+                for _ in range(30):
+                    sampler.iteration()
+                    assert sampler.log_prob() == recomputed(sampler)
+                for i in range(net.n_nodes):
+                    sampler.update_block_assignment(i)
+                assert sampler.log_prob() == recomputed(sampler)
+
 
 def enumerated_label_posterior(net, k, alpha, theta):
     """P(labels | network, alpha, theta) over all k**n labelings, indexed
@@ -182,7 +216,7 @@ class TestParameterUpdates:
         # singleton degree-1 block: no auxiliary draws at all
         draws = np.array(
             [
-                aux_update_alpha_theta([1], 0.5, 1.0, (2.0, 3.0), (1.5, 2.0), rng)
+                aux_update_alpha_theta([0, 1], 0.5, 1.0, (2.0, 3.0), (1.5, 2.0), rng)
                 for _ in range(4000)
             ]
         )
@@ -190,11 +224,43 @@ class TestParameterUpdates:
         assert draws[:, 1].mean() == pytest.approx(1.5 / 2.0, abs=0.03)  # Gamma(1.5,2)
         empty = np.array(
             [
-                aux_update_alpha_theta([], 0.5, 1.0, (1.0, 1.0), (1.0, 1.0), rng)
+                aux_update_alpha_theta([0], 0.5, 1.0, (1.0, 1.0), (1.0, 1.0), rng)
                 for _ in range(4000)
             ]
         )
         assert empty[:, 0].mean() == pytest.approx(0.5, abs=0.02)
+
+    def test_histogram_update_matches_degree_list_oracle(self):
+        """The update reads a degree-histogram row; it must return the
+        same (alpha, theta) bit for bit, and leave the same generator
+        state, as the degree-list form it replaced."""
+        rng = np.random.default_rng(30)
+        for case in range(2500):
+            kind = case % 5
+            if kind == 0:
+                degs = np.empty(0, dtype=np.int64)
+            elif kind == 1:
+                degs = rng.integers(1, 6, size=1)
+            elif kind == 2:
+                degs = np.ones(int(rng.integers(1, 60)), dtype=np.int64)
+            elif kind == 3:  # long-tailed, capped to keep the histogram small
+                tail = rng.pareto(0.6, size=int(rng.integers(1, 300)))
+                degs = np.minimum(tail, 3000).astype(np.int64) + 1
+            else:
+                degs = rng.integers(1, 25, size=int(rng.integers(1, 120)))
+            # A sampler row runs to the network's maximum degree, so it can
+            # end in zeros.
+            hist = np.bincount(degs, minlength=int(degs.max(initial=0)) + 1 + int(rng.integers(0, 4)))
+            args = (
+                float(rng.uniform(0.01, 0.99)),
+                float(rng.gamma(1.0, 3.0)),
+                (float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.5, 3.0))),
+                (float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.5, 3.0))),
+            )
+            r_old, r_new = np.random.default_rng(case), np.random.default_rng(case)
+            expected = aux_update_alpha_theta_degrees(degs, *args, r_old)
+            assert aux_update_alpha_theta(hist, *args, r_new) == expected, case
+            assert r_new.bit_generator.state == r_old.bit_generator.state, case
 
     def test_alpha_recovery_at_truth_labels(self):
         # strength of the conjugate machinery on one big block

@@ -10,7 +10,6 @@ from bvcm import (
     InteractionNetwork,
     UsageError,
     compute_stats,
-    log_prob_conditional,
     log_prob_sequential,
     marginal_log_likelihood,
     run_gibbs,
@@ -19,7 +18,7 @@ from bvcm import (
     ModelParams,
 )
 
-from oracles import permuted, random_network, replay_log_prob
+from oracles import log_prob_conditional, permuted, random_network, replay_log_prob
 
 
 def test_single_interaction_node_term():
