@@ -10,7 +10,6 @@ from .core import (
     SufficientStats,
     compute_stats,
     degree_distribution,
-    log_ascending_factorial,
 )
 from .errors import BvcmError, DataError, NumericalError, UsageError
 from .generator import (
@@ -66,7 +65,6 @@ __all__ = [
     "degree_distribution",
     "degree_majority_update",
     "hellinger_distance",
-    "log_ascending_factorial",
     "log_prob_sequential",
     "marginal_log_likelihood",
     "misclassification_bound",

@@ -471,17 +471,13 @@ def _apply_config(parser, subs, argv) -> argparse.Namespace:
     converters = {
         a.dest: a.type for a in sub._actions if a.dest != "help"
     }
-    flags = {a.dest for a in sub._actions if isinstance(a, argparse._StoreTrueAction)}
     defaults = {}
     for key, raw in ini.items(args.command):
         dest = key.replace("-", "_")
-        if dest not in converters and dest not in flags:
+        if dest not in converters:
             raise UsageError(f"config key {key!r} is not a {args.command} option")
-        if dest in flags:
-            defaults[dest] = ini.getboolean(args.command, key)
-        else:
-            conv = converters[dest]
-            defaults[dest] = conv(raw) if conv is not None else raw
+        conv = converters[dest]
+        defaults[dest] = conv(raw) if conv is not None else raw
     sub.set_defaults(**defaults)
     # Re-parse: explicit flags still win over config-provided defaults.
     return parser.parse_args(argv)

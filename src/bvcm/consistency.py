@@ -81,6 +81,8 @@ def misclassification_bound(
     for g in (gamma1, gamma2):
         if not 0.5 < g <= 1.0:
             raise UsageError(f"correct fractions must lie in (1/2,1], got {g}")
+    if not 0.0 < tol < math.inf:
+        raise UsageError(f"tol must be positive and finite, got {tol}")
     g_min, g_max = min(gamma1, gamma2), max(gamma1, gamma2)
     mu_min = 2.0 * within_prob * (g_min + g_max - 1.0) - (2.0 * g_max - 1.0)
     if mu_min <= 0.0:

@@ -24,47 +24,25 @@ __all__ = [
     "BlockAssignment",
     "ModelParams",
     "SufficientStats",
-    "log_ascending_factorial",
     "compute_stats",
     "counterparty_counts",
     "degree_distribution",
     "best_relabeling",
 ]
 
-# Direct product is exact and cheap for short factorials; above this the
-# log-gamma form avoids O(n) work.
-_DIRECT_PRODUCT_LIMIT = 64
 
+def _record_problem(sender, receivers) -> Optional[str]:
+    """Why ``InteractionNetwork.from_records`` rejects a record, or None.
 
-def log_ascending_factorial(x: float, step: float, n: int) -> float:
-    """log of x(x+step)(x+2*step)...(x+(n-1)*step); 0.0 when n == 0.
-
-    All factors must be strictly positive, otherwise a NumericalError
-    names the first offending factor index.
+    Identifiers are non-empty strings or integers (not bool, although
+    it subclasses int).
     """
-    if n < 0:
-        raise NumericalError(f"ascending factorial needs n >= 0, got {n}")
-    if n == 0:
-        return 0.0
-    if n <= _DIRECT_PRODUCT_LIMIT or step <= 0:
-        total = 0.0
-        for k in range(n):
-            f = x + k * step
-            if f <= 0.0:
-                raise NumericalError(
-                    f"ascending factorial factor x + k*step = {f} <= 0 at k={k} "
-                    f"(x={x}, step={step}, n={n})"
-                )
-            total += math.log(f)
-        return total
-    if x <= 0.0:
-        raise NumericalError(
-            f"ascending factorial factor x + k*step = {x} <= 0 at k=0 "
-            f"(x={x}, step={step}, n={n})"
-        )
-    # step > 0: [x]_step^n = step^n * Gamma(x/step + n) / Gamma(x/step)
-    r = x / step
-    return n * math.log(step) + math.lgamma(r + n) - math.lgamma(r)
+    for role, ident in [("sender", sender)] + [("receiver", r) for r in receivers]:
+        if ident is None or (isinstance(ident, str) and not ident):
+            return f"missing {role}"
+        if not isinstance(ident, (str, int)) or isinstance(ident, bool):
+            return f"{role} must be a string or an integer, got {ident!r}"
+    return None if receivers else "empty receiver list"
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -93,21 +71,30 @@ class InteractionNetwork:
 
     @classmethod
     def from_records(
-        cls, records: Iterable[tuple[str, Sequence[str]]]
+        cls, records: Iterable[tuple[str, Sequence[str]]], where=None
     ) -> "InteractionNetwork":
-        """Network from (sender, receivers) name records; node indices
-        follow order of first appearance."""
+        """Network from (sender, receivers) records; node indices follow
+        order of first appearance.
+
+        Identifiers are non-empty strings or integers; an integer is
+        named by its decimal string.  A rejected record raises DataError
+        naming ``where(pos)`` for its 1-based position pos, by default
+        "interaction pos".
+        """
         index: dict[str, int] = {}
         senders: list[int] = []
         offsets = [0]
         receivers: list[int] = []
         for pos, (sender, rs) in enumerate(records, start=1):
-            if sender is None or sender == "":
-                raise DataError(f"interaction {pos}: missing sender")
-            if not rs:
-                raise DataError(f"interaction {pos}: empty receiver list")
-            if None in rs or "" in rs:
-                raise DataError(f"interaction {pos}: missing receiver")
+            # The quick test passes records of non-empty strings only:
+            # join raises TypeError unless every receiver is a string.
+            try:
+                quick = type(sender) is str and sender and rs and "".join(rs) and "" not in rs
+            except TypeError:
+                quick = False
+            if not quick and (problem := _record_problem(sender, rs)):
+                at = where(pos) if where else f"interaction {pos}"
+                raise DataError(f"{at}: {problem}")
             senders.append(index.setdefault(str(sender), len(index)))
             receivers.extend(index.setdefault(str(r), len(index)) for r in rs)
             offsets.append(len(receivers))

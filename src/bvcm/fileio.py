@@ -65,11 +65,19 @@ def write_interactions_jsonl(path: Path, network: InteractionNetwork) -> None:
 def read_interactions_jsonl(path: Path) -> InteractionNetwork:
     """Inverse of write_interactions_jsonl; blank lines are skipped and
     every rejected record names its file line."""
+    last_line = [0]
+    # from_records checks each record as it draws it, so a rejected
+    # record is the one on the line read last.
     with open(path, encoding="utf-8") as fh:
-        return InteractionNetwork.from_records(_jsonl_records(path, fh))
+        return InteractionNetwork.from_records(
+            _jsonl_records(path, fh, last_line),
+            where=lambda pos: f"{path}: line {last_line[0]}",
+        )
 
 
-def _jsonl_records(path: Path, lines):
+def _jsonl_records(path: Path, lines, last_line: list):
+    """(sender, receivers) of each non-blank line, setting last_line[0]
+    to the file line of each record before yielding it."""
     for ln, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -80,12 +88,9 @@ def _jsonl_records(path: Path, lines):
             receivers = obj["receivers"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise DataError(f"{path}: line {ln}: malformed interaction: {exc}")
-        if not isinstance(receivers, list) or not receivers:
-            raise DataError(f"{path}: line {ln}: receivers must be a non-empty list")
-        if sender is None or sender == "":
-            raise DataError(f"{path}: line {ln}: missing sender")
-        if None in receivers or "" in receivers:
-            raise DataError(f"{path}: line {ln}: missing receiver identifier")
+        if not isinstance(receivers, list):
+            raise DataError(f"{path}: line {ln}: receivers must be a list")
+        last_line[0] = ln
         yield sender, receivers
 
 

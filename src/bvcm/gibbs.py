@@ -203,9 +203,10 @@ class _ListSweep:
     """The Python single-site sweep, on a list copy of a sampler's state.
 
     Plain lists index far faster than numpy scalars, so the copy is made
-    once per sweep (or per single-node call) and ``store`` writes the
-    labels and counts back.  This is the reference the compiled kernel
-    (``_sweep.c``) matches bit for bit.
+    once per sweep and ``store`` writes the labels and counts back.  This
+    is the reference the compiled kernel (``_sweep.c``) matches bit for
+    bit; the tests' single-node oracles (``tests/oracles.py``) run its
+    ``detach``, ``log_weights_detached`` and ``update`` on one node.
     """
 
     def __init__(self, sampler: "GibbsSampler"):
@@ -475,24 +476,6 @@ class GibbsSampler:
             grouped(self.in_off, self.in_idx),
         )
 
-    def full_conditional(self, i: int) -> np.ndarray:
-        """Normalized probability of each block for node i given the rest."""
-        ref = _ListSweep(self)
-        ref.detach(i)
-        weights = ref.log_weights_detached(i)
-        p = np.exp(np.array(weights) - max(weights))
-        return p / p.sum()
-
-    def update_block_assignment(self, i: int, u: Optional[float] = None) -> int:
-        """Sample a new block for node i and apply it; returns the label."""
-        if u is None:
-            u = self.rng.random()
-        ref = _ListSweep(self)
-        b = ref.update(i, u)
-        ref.store(self)
-        self._hist = None
-        return b
-
     # --------------------------------------------------- parameter updates
 
     def _deg_hist(self) -> np.ndarray:
@@ -507,12 +490,9 @@ class GibbsSampler:
             self._hist = np.bincount(cells, minlength=self.k * width).reshape(self.k, width)
         return self._hist
 
-    def update_alpha_theta(self, b: int, hist_row: Optional[np.ndarray] = None) -> tuple[float, float]:
+    def update_alpha_theta(self, b: int, hist_row: np.ndarray) -> tuple[float, float]:
         """Auxiliary-variable conjugate redraw of (alpha_b, theta_b);
-        hist_row is block b's row of ``_deg_hist()`` (read here when not
-        given)."""
-        if hist_row is None:
-            hist_row = self._deg_hist()[b]
+        hist_row is block b's row of ``_deg_hist()``."""
         return aux_update_alpha_theta(
             hist_row,
             self.alpha[b],

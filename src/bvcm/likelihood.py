@@ -21,7 +21,6 @@ from .core import (
     ModelParams,
     SufficientStats,
     compute_stats,
-    log_ascending_factorial,
 )
 from .errors import UsageError
 
@@ -47,6 +46,12 @@ class LogProb:
     term_prop: float
 
 
+def _log_rising(x, n):
+    """log x(x+1)...(x+n-1) = lgamma(x + n) - lgamma(x); exactly 0 at
+    n = 0.  Elementwise, with numpy broadcasting."""
+    return gammaln(x + n) - gammaln(x)
+
+
 def log_discount_factorial(deg, alpha):
     """log (1 - alpha)_{d-1} = lgamma(d - alpha) - lgamma(1 - alpha).
 
@@ -60,9 +65,15 @@ def block_eppf(hist_row: np.ndarray, alpha: float, theta: float) -> float:
     """Log Pitman-Yor EPPF of one block from its degree histogram.
 
     ``hist_row[d]`` is the number of the block's nodes of degree d (a
-    row of ``SufficientStats.deg_hist``; entry 0 must be 0).  The node
-    count and total degree are read off the row; empty blocks
-    contribute 0.
+    row of ``SufficientStats.deg_hist``; entry 0 must be 0).  With v
+    nodes of total degree M it is
+
+        sum_{i=1}^{v-1} log(theta + i alpha) - log (theta + 1)_{M-1}
+            + sum over nodes of log (1 - alpha)_{d-1};
+
+    empty blocks contribute 0.  The discount product is summed as logs,
+    not taken as the gamma ratio alpha^{v-1} Gamma(theta/alpha + v) /
+    Gamma(theta/alpha + 1), which cancels when theta / alpha is large.
     """
     degs = np.flatnonzero(hist_row)
     if degs.size == 0:
@@ -70,9 +81,9 @@ def block_eppf(hist_row: np.ndarray, alpha: float, theta: float) -> float:
     counts = hist_row[degs]
     n_nodes = int(counts.sum())
     total_deg = int(counts @ degs)
-    out = log_ascending_factorial(theta + alpha, alpha, n_nodes - 1)
-    out -= log_ascending_factorial(theta + 1.0, 1.0, total_deg - 1)
-    return out + float(counts.astype(float) @ log_discount_factorial(degs, alpha))
+    out = np.log(theta + alpha * np.arange(1, n_nodes)).sum()
+    out -= _log_rising(theta + 1.0, total_deg - 1)
+    return float(out + counts.astype(float) @ log_discount_factorial(degs, alpha))
 
 
 def _validate_params(k: int, alpha, theta, block_conc: float, recv_conc: float) -> None:
@@ -92,25 +103,22 @@ def log_prob_from_stats(
     alpha: Sequence[float],
     theta: Sequence[float],
 ) -> LogProb:
-    la = log_ascending_factorial
-    term_block = -la(k * block_conc, 1.0, stats.m)
-    for b in range(k):
-        term_block += la(block_conc, 1.0, int(stats.initiations[b]))
-
+    """Collapsed log-probability from count statistics: one
+    Dirichlet-multinomial factor for the sender-block urn and one per
+    sender block's receiver-block urn (an empty row gives 0), plus one
+    EPPF per block."""
+    term_block = float(
+        _log_rising(block_conc, stats.initiations).sum()
+        - _log_rising(k * block_conc, stats.m)
+    )
     term_nodes = sum(
         block_eppf(row, float(a), float(t))
         for row, a, t in zip(stats.deg_hist, alpha, theta)
     )
-
-    term_prop = 0.0
-    for b in range(k):
-        r_b = int(stats.pair[b].sum())
-        if r_b == 0:
-            continue
-        term_prop -= la(k * recv_conc, 1.0, r_b)
-        for b2 in range(k):
-            term_prop += la(recv_conc, 1.0, int(stats.pair[b, b2]))
-
+    term_prop = float(
+        _log_rising(recv_conc, stats.pair).sum()
+        - _log_rising(k * recv_conc, stats.pair.sum(axis=1)).sum()
+    )
     return LogProb(
         value=term_block + term_nodes + term_prop,
         term_block=term_block,

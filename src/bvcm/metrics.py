@@ -24,6 +24,7 @@ from .core import (
     degree_distribution,
 )
 from .errors import DataError, UsageError
+from .likelihood import log_discount_factorial
 
 __all__ = [
     "PosteriorMembership",
@@ -174,9 +175,7 @@ def degree_law_pmf(ks: np.ndarray, alpha: float) -> np.ndarray:
     alpha itself, which is what the moment estimator below inverts.
     """
     ks = np.asarray(ks, dtype=float)
-    return alpha * np.exp(
-        gammaln(ks - alpha) - gammaln(1.0 - alpha) - gammaln(ks + 1.0)
-    )
+    return alpha * np.exp(log_discount_factorial(ks, alpha) - gammaln(ks + 1.0))
 
 
 def _fit_one(hist: np.ndarray, block: Optional[int], min_nodes: int) -> PowerlawFit:

@@ -6,8 +6,11 @@ joints are enumerated exhaustively (conditional oracle), and series are
 summed in high precision (bound oracle).  The exceptions are
 ``log_prob_conditional``, which reuses ``compute_stats`` and
 ``block_eppf`` because it is checked against the collapsed form by Monte
-Carlo, and ``aux_update_alpha_theta_degrees``, the degree-list form of
-the sampler's (alpha, theta) update kept to pin its RNG stream.
+Carlo, ``aux_update_alpha_theta_degrees``, the degree-list form of the
+sampler's (alpha, theta) update kept to pin its RNG stream, and
+``full_conditional`` and ``update_block_assignment``, single-node
+entry points into the sampler's Python sweep (``gibbs._ListSweep``),
+which the enumeration oracle checks.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import pytest
 from bvcm import _sweep
 from bvcm.core import BlockAssignment, InteractionNetwork, compute_stats
 from bvcm.errors import UsageError
+from bvcm.gibbs import _ListSweep
 from bvcm.likelihood import block_eppf
 
 
@@ -169,6 +173,30 @@ def enumerate_full_conditional(
     logs = np.array(logs)
     p = np.exp(logs - logs.max())
     return p / p.sum()
+
+
+def full_conditional(sampler, i: int) -> np.ndarray:
+    """Normalized probability of each block for a sampler's node i given
+    the rest, from the Python sweep's log weights; the sampler is left
+    unchanged."""
+    ref = _ListSweep(sampler)
+    ref.detach(i)
+    weights = ref.log_weights_detached(i)
+    p = np.exp(np.array(weights) - max(weights))
+    return p / p.sum()
+
+
+def update_block_assignment(sampler, i: int, u=None) -> int:
+    """Draw a new block for a sampler's node i with the Python sweep's
+    update (inverting u, by default a draw from the sampler's generator)
+    and apply it; returns the label."""
+    if u is None:
+        u = sampler.rng.random()
+    ref = _ListSweep(sampler)
+    b = ref.update(i, u)
+    ref.store(sampler)
+    sampler._hist = None
+    return b
 
 
 def bound_series_mpmath(alpha: float, mu_min: float, dps: int = 50) -> float:

@@ -252,6 +252,14 @@ class TestBoundAndStats:
             "bound", "--alpha", 0.5, "--a", 0.55, "--gamma1", 0.51, "--gamma2", 1.0
         ) == 4
 
+    def test_bound_rejects_bad_tol(self, capsys):
+        for tol in ("0", "-1e-10", "nan", "inf"):
+            assert run_cli(
+                "bound", "--alpha", 0.5, "--a", 0.9, "--gamma1", 0.9, "--gamma2", 0.9,
+                f"--tol={tol}",
+            ) == 2, tol
+            assert "tol" in capsys.readouterr().err
+
     def test_stats(self, sim_files, tmp_path):
         out, truth = sim_files
         st = tmp_path / "stats"
@@ -280,6 +288,14 @@ class TestErrorsAndConfig:
             (good + '{"sender": null, "receivers": ["a"]}\n', "line 2"),
             (good + '{"sender": "a", "receivers": [null]}\n', "line 2"),
             (good + '\n{"sender": "", "receivers": ["b"]}\n', "line 3"),
+            # Identifiers must be strings or integers: no lists, objects,
+            # booleans or floats.
+            (good + '{"sender": "a", "receivers": [["b"]]}\n', "line 2"),
+            (good + '{"sender": "a", "receivers": ["b", {"c": 1}]}\n', "line 2"),
+            (good + '{"sender": true, "receivers": ["a"]}\n', "line 2"),
+            (good + '{"sender": "a", "receivers": [1.5]}\n', "line 2"),
+            (good + '{"sender": ["a"], "receivers": ["b"]}\n', "line 2"),
+            (good + '{"sender": "a", "receivers": []}\n', "line 2"),
         ]
         for text, where in cases:
             bad = tmp_path / "bad.jsonl"

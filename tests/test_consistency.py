@@ -90,6 +90,11 @@ class TestBound:
         assert r1.mu_min == r2.mu_min
         assert r1.p_out == r2.p_out
 
+    def test_tol_must_be_positive_and_finite(self):
+        for tol in (0.0, -1e-10, math.nan, math.inf):
+            with pytest.raises(UsageError, match="tol"):
+                misclassification_bound(0.5, 0.9, 0.9, 0.9, tol=tol)
+
     def test_nonpositive_margin_rejected(self):
         # gamma_max large, gamma_min barely above 1/2 drives the margin negative
         with pytest.raises(NumericalError, match="positivity"):

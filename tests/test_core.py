@@ -1,9 +1,5 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bvcm import (
     BlockAssignment,
@@ -13,50 +9,10 @@ from bvcm import (
     NumericalError,
     compute_stats,
     degree_distribution,
-    log_ascending_factorial,
 )
 from bvcm.core import best_relabeling, counterparty_counts
 
 from oracles import best_permutation_gain, random_network, permuted
-
-
-class TestLogAscendingFactorial:
-    def test_integer_case(self):
-        assert log_ascending_factorial(2, 1, 3) == pytest.approx(math.log(24))
-
-    def test_empty_product(self):
-        assert log_ascending_factorial(3.7, 0.2, 0) == 0.0
-
-    def test_half_steps(self):
-        assert log_ascending_factorial(0.5, 0.5, 2) == pytest.approx(math.log(0.5))
-
-    def test_falling_factorial(self):
-        # step < 0 walks downward: 5 * 4 * 3
-        assert log_ascending_factorial(5, -1, 3) == pytest.approx(math.log(60))
-
-    def test_domain_error_names_offending_index(self):
-        with pytest.raises(NumericalError, match="k=2"):
-            log_ascending_factorial(2, -1, 4)
-        with pytest.raises(NumericalError, match="k=0"):
-            log_ascending_factorial(-1.0, 1.0, 3)
-
-    @given(
-        x=st.floats(0.1, 10),
-        step=st.floats(0.1, 10),
-        n=st.integers(0, 50),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_matches_direct_product(self, x, step, n):
-        direct = sum(math.log(x + k * step) for k in range(n))
-        assert log_ascending_factorial(x, step, n) == pytest.approx(
-            direct, rel=1e-10, abs=1e-12
-        )
-
-    def test_large_n_gamma_form(self):
-        # force the log-gamma branch, compare against the direct sum
-        n = 500
-        direct = sum(math.log(1.3 + k * 0.7) for k in range(n))
-        assert log_ascending_factorial(1.3, 0.7, n) == pytest.approx(direct, rel=1e-12)
 
 
 class TestComputeStats:
@@ -213,6 +169,14 @@ class TestTypes:
             InteractionNetwork.from_records([("a", ["b"]), ("a", [None])])
         with pytest.raises(DataError, match="interaction 1: missing receiver"):
             InteractionNetwork.from_records([("a", ["b", ""])])
+        for bad in (["b"], {"c": 1}, True, False, 1.5):
+            with pytest.raises(DataError, match="interaction 2: receiver must be"):
+                InteractionNetwork.from_records([("a", ["b"]), ("a", ["c", bad])])
+            with pytest.raises(DataError, match="interaction 1: sender must be"):
+                InteractionNetwork.from_records([(bad, ["b"])])
+        # Integers are identifiers, named by their decimal string.
+        net = InteractionNetwork.from_records([(1, ["1", 2])])
+        assert net.node_ids == ["1", "2"]
 
     def test_assignment_round_trip(self, demo_network, demo_truth):
         mapping = demo_truth.to_mapping(demo_network)

@@ -24,8 +24,10 @@ from bvcm.likelihood import log_prob_from_stats
 from oracles import (
     aux_update_alpha_theta_degrees,
     enumerate_full_conditional,
+    full_conditional,
     random_network,
     sweep_backends,
+    update_block_assignment,
 )
 
 
@@ -60,7 +62,7 @@ class TestBlockUpdate:
             sampler._refresh_deg_table()
             prop = sampler.update_propensity()
             for node in range(net.n_nodes):
-                mine = sampler.full_conditional(node)
+                mine = full_conditional(sampler, node)
                 ref = enumerate_full_conditional(
                     net, np.array(sampler.labels), node, k,
                     sampler.config.block_conc, prop, sampler.alpha, sampler.theta,
@@ -79,7 +81,7 @@ class TestBlockUpdate:
             list(sampler.block_deg),
             list(sampler.inits),
         )
-        sampler.full_conditional(0)
+        full_conditional(sampler, 0)
         after = (
             list(sampler.labels),
             [list(r) for r in sampler.pair],
@@ -92,8 +94,8 @@ class TestBlockUpdate:
     def test_k1_is_certain(self):
         net = InteractionNetwork.from_records([("a", ["b"]), ("b", ["a"])])
         sampler = GibbsSampler(net, GibbsConfig(k=1, iterations=1, burn_in=0, seed=0))
-        assert sampler.full_conditional(0) == pytest.approx([1.0])
-        assert sampler.update_block_assignment(0) == 0
+        assert full_conditional(sampler, 0) == pytest.approx([1.0])
+        assert update_block_assignment(sampler, 0) == 0
 
     def test_diagonal_pull(self):
         # node 'x' with every counterparty labeled block 0 under a strongly
@@ -106,7 +108,7 @@ class TestBlockUpdate:
         sampler._refresh_deg_table()
         sampler.prop = np.array([[0.9, 0.1], [0.1, 0.9]])
         sampler._log_prop[...] = np.log(sampler.prop)
-        probs = sampler.full_conditional(net.node_index("x"))
+        probs = full_conditional(sampler, net.node_index("x"))
         assert probs[0] > probs[1]
 
     def test_incremental_counts_match_scratch(self):
@@ -147,7 +149,7 @@ class TestBlockUpdate:
                     sampler.iteration()
                     assert sampler.log_prob() == recomputed(sampler)
                 for i in range(net.n_nodes):
-                    sampler.update_block_assignment(i)
+                    update_block_assignment(sampler, i)
                 assert sampler.log_prob() == recomputed(sampler)
 
 
@@ -164,6 +166,7 @@ def enumerated_label_posterior(net, k, alpha, theta):
     return p / p.sum()
 
 
+@pytest.mark.slow
 class TestExactPosterior:
     def test_label_frequencies_match_enumeration(self):
         """With (alpha, theta) held fixed, the sweep plus the mixing-matrix
@@ -270,8 +273,9 @@ class TestParameterUpdates:
         res = simulate_sequential(GeneratorConfig(params=params, m=5000, seed=5))
         sampler = GibbsSampler(res.network, GibbsConfig(k=1, iterations=1, burn_in=0, seed=6))
         trace = []
+        hist_row = sampler._deg_hist()[0]
         for it in range(200):
-            sampler.alpha[0], sampler.theta[0] = sampler.update_alpha_theta(0)
+            sampler.alpha[0], sampler.theta[0] = sampler.update_alpha_theta(0, hist_row)
             if it >= 50:
                 trace.append(sampler.alpha[0])
         assert np.mean(trace) == pytest.approx(0.8, abs=0.04)

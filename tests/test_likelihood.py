@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ import pytest
 from bvcm import (
     BlockAssignment,
     Chain,
+    DataError,
     GibbsConfig,
     InteractionNetwork,
+    SufficientStats,
     UsageError,
     compute_stats,
     log_prob_sequential,
@@ -17,6 +20,8 @@ from bvcm import (
     GeneratorConfig,
     ModelParams,
 )
+
+from bvcm.likelihood import block_eppf, log_prob_from_stats
 
 from oracles import log_prob_conditional, permuted, random_network, replay_log_prob
 
@@ -87,6 +92,148 @@ def test_joint_relabeling_invariance():
     )
     lp2 = log_prob_sequential(renamed, assign, 1.2, 0.7, alpha, theta)
     assert lp2.value == pytest.approx(base.value, abs=1e-10)
+
+
+def test_domain_is_data_error():
+    """theta_b <= -alpha_b and alpha outside (0, 1) are rejected before
+    any factor is evaluated."""
+    net = InteractionNetwork.from_records([("a", ["b"]), ("b", ["c"])])
+    assign = BlockAssignment(np.zeros(3, dtype=int), 1)
+    for alpha, theta in (
+        (0.5, -0.5), (0.5, -0.7), (0.0, 1.0), (1.0, 1.0), (-0.2, 1.0), (1.5, 1.0),
+    ):
+        with pytest.raises(DataError):
+            log_prob_sequential(net, assign, 1.0, 1.0, [alpha], [theta])
+
+
+class TestAgainstMpmath:
+    """block_eppf and the three LogProb terms against 40-digit mpmath.
+
+    The reference takes every product as a ratio of gamma functions
+    (the discount product as alpha^{v-1} Gamma(theta/alpha + v) /
+    Gamma(theta/alpha + 1)), a different route from the code's.  Each
+    value must lie within 1e-12 of the reference relative to its scale:
+    the summed magnitudes of the log factors and log-gammas that a
+    double-precision evaluation adds.  Where those cancel (a block of
+    two degree-1 nodes at theta = 1000 sums to about -1e-3 from
+    factors near 7), no double computation holds 1e-12 relative to the
+    value itself.
+    """
+
+    ALPHAS = (1e-6, 1e-3, 0.5, 0.99)
+    # One degree list per block: empty, single nodes, two degree-1
+    # nodes, 5 000 nodes of degree 1, one node of degree 5 000, and a
+    # long-tailed block of 1 500 nodes.
+    DEGREES = (
+        [], [1], [1, 1], [1] * 5000, [5000],
+        list(np.minimum(np.random.default_rng(3).zipf(1.8, size=1500), 40)),
+    )
+
+    @staticmethod
+    def thetas(alpha):
+        return (-alpha / 2, 0.1, 5.0, 1000.0)
+
+    @classmethod
+    def stats(cls):
+        k = len(cls.DEGREES)
+        width = max(max(d, default=0) for d in cls.DEGREES) + 1
+        hist = np.zeros((k, width), dtype=np.int64)
+        for b, degs in enumerate(cls.DEGREES):
+            np.add.at(hist[b], np.asarray(degs, dtype=np.int64), 1)
+        initiations = np.array([0, 1, 2, 2500, 1000, 497])
+        # Receiver counts up to 5 000, with zeros and an empty row.
+        pair = np.random.default_rng(4).integers(0, 5001, size=(k, k))
+        pair[pair < 800] = 0
+        pair[1] = 0
+        return SufficientStats(
+            m=int(initiations.sum()),
+            initiations=initiations,
+            pair=pair,
+            deg_hist=hist,
+            block_sizes=hist.sum(axis=1),
+            block_deg=hist @ np.arange(width),
+        )
+
+    @staticmethod
+    def _log_rising(x, n):
+        """mpmath value and double-precision scale of log (x)_n."""
+        import mpmath as mp
+
+        if not n:
+            return mp.mpf(0), 0.0
+        value = mp.loggamma(x + n) - mp.loggamma(x)
+        return value, abs(math.lgamma(x + n)) + abs(math.lgamma(x))
+
+    @classmethod
+    def eppf_reference(cls, degs, alpha, theta):
+        import mpmath as mp
+
+        if not degs:
+            return mp.mpf(0), 0.0
+        a, t = mp.mpf(alpha), mp.mpf(theta)
+        v, total = len(degs), int(sum(degs))
+        value = (v - 1) * mp.log(a) + mp.loggamma(t / a + v) - mp.loggamma(t / a + 1)
+        scale = float(np.abs(np.log(theta + alpha * np.arange(1, v))).sum())
+        rising, s = cls._log_rising(t + 1, total - 1)
+        value -= rising
+        scale += s
+        for d, count in Counter(degs).items():
+            value += count * (mp.loggamma(d - a) - mp.loggamma(1 - a))
+            scale += count * (abs(math.lgamma(d - alpha)) + abs(math.lgamma(1 - alpha)))
+        return value, scale
+
+    @classmethod
+    def urn_reference(cls, conc, counts):
+        """log Dirichlet-multinomial factor of one urn over k categories."""
+        import mpmath as mp
+
+        c = mp.mpf(conc)
+        value, scale = mp.mpf(0), 0.0
+        for n in counts:
+            v, s = cls._log_rising(c, int(n))
+            value, scale = value + v, scale + s
+        v, s = cls._log_rising(len(counts) * c, int(sum(counts)))
+        return value - v, scale + s
+
+    def test_block_eppf(self):
+        import mpmath as mp
+
+        hist = self.stats().deg_hist
+        with mp.workdps(40):
+            for alpha in self.ALPHAS:
+                for theta in self.thetas(alpha):
+                    for b, degs in enumerate(self.DEGREES):
+                        want, scale = self.eppf_reference(degs, alpha, theta)
+                        got = block_eppf(hist[b], alpha, theta)
+                        assert abs(got - want) <= 1e-12 * scale, (alpha, theta, b)
+
+    def test_log_prob_terms(self):
+        import mpmath as mp
+
+        stats = self.stats()
+        k = len(self.DEGREES)
+        with mp.workdps(40):
+            for omega, zeta in ((1.0, 1.0), (0.05, 30.0), (1000.0, 1e-3)):
+                want_block, s_block = self.urn_reference(omega, stats.initiations)
+                want_prop, s_prop = mp.mpf(0), 0.0
+                for row in stats.pair:
+                    if row.sum():
+                        v, s = self.urn_reference(zeta, row)
+                        want_prop, s_prop = want_prop + v, s_prop + s
+                for alpha in self.ALPHAS:
+                    for theta in self.thetas(alpha):
+                        lp = log_prob_from_stats(
+                            stats, k, omega, zeta, [alpha] * k, [theta] * k
+                        )
+                        where = (omega, zeta, alpha, theta)
+                        assert abs(lp.term_block - want_block) <= 1e-12 * s_block, where
+                        assert abs(lp.term_prop - want_prop) <= 1e-12 * s_prop, where
+                        refs = [
+                            self.eppf_reference(d, alpha, theta) for d in self.DEGREES
+                        ]
+                        want_nodes = mp.fsum(v for v, _ in refs)
+                        s_nodes = sum(s for _, s in refs)
+                        assert abs(lp.term_nodes - want_nodes) <= 1e-12 * s_nodes, where
 
 
 class TestConditional:
