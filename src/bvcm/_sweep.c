@@ -1,4 +1,5 @@
-/* Compiled single-site sweep of the B-VCM Gibbs sampler.
+/* Compiled single-site sweep of the B-VCM Gibbs sampler, and the
+ * auxiliary-variable (alpha, theta) update.
  *
  * The arithmetic is that of the Python sweep (gibbs._ListSweep.update
  * over log_weights_detached), in the same order, so both give
@@ -9,18 +10,28 @@
  *
  * The state layout mirrors bvcm._sweep.SweepState; arrays are numpy's,
  * row-major, with the mixing matrix and degree table flattened.
+ *
+ * bvcm_aux makes the draws of gibbs.aux_update_alpha_theta, in the same
+ * order, through numpy's random C API (numpy/random/distributions.h,
+ * linked from libnpyrandom.a) on the Generator's own bit generator, so
+ * it returns the same values and leaves the Generator in the same state.
  */
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
+
+#include "numpy/random/distributions.h"
 
 typedef struct {
     int64_t n;             /* nodes */
     int64_t k;             /* blocks */
-    int64_t deg_stride;    /* max degree + 1: row length of la_deg */
+    int64_t n_degrees;     /* distinct node degrees: row length of la_deg */
+    int64_t memo_bits;     /* log2 of the lgamma memo's size */
     double block_conc;     /* omega */
     int64_t *labels;       /* [n] */
     const int64_t *deg;    /* [n] appearances */
+    const int64_t *deg_rank;    /* [n] index of deg[i] among the distinct degrees */
     const int64_t *node_inits;  /* [n] interactions initiated */
     const int64_t *self_pairs;  /* [n] self-addressed receptions */
     const int64_t *out_off, *out_idx;  /* CSR out-neighbours, loops excluded */
@@ -30,10 +41,12 @@ typedef struct {
     int64_t *inits;        /* [k] initiations per block */
     int64_t *pair;         /* [k*k] sender-block x receiver-block counts */
     const double *log_prop;  /* [k*k] log mixing matrix */
-    const double *la_deg;    /* [k*deg_stride] log (1 - alpha_b)_{d-1} */
+    const double *la_deg;    /* [k*n_degrees] log (1 - alpha_b)_{d-1} by degree rank */
     const double *alpha;     /* [k] */
     const double *theta;     /* [k] */
     const double *uniforms;  /* [n] one per node, in node order */
+    uint64_t *memo_key;      /* [1 << memo_bits] lgamma argument bits; 0 = empty */
+    double *memo_val;        /* [1 << memo_bits] lgamma of that argument */
 } SweepState;
 
 /* ---- lgamma: port of m_lgamma from CPython's Modules/mathmodule.c
@@ -94,6 +107,26 @@ double bvcm_lgamma(double x)
     return r;
 }
 
+/* lgamma through a direct-mapped memo keyed by the argument's bits
+ * (Fibonacci hashing).  A sweep makes several thousand calls on a few
+ * hundred distinct arguments, and a hit returns the value the same
+ * function gave for the same input.  Every argument is positive, so its
+ * bits are never 0 and a zeroed table starts empty. */
+static double memo_lgamma(const SweepState *s, double x)
+{
+    uint64_t bits;
+    size_t slot;
+    double v;
+    memcpy(&bits, &x, sizeof bits);
+    slot = (size_t)((bits * UINT64_C(0x9E3779B97F4A7C15)) >> (64 - s->memo_bits));
+    if (s->memo_key[slot] == bits)
+        return s->memo_val[slot];
+    v = bvcm_lgamma(x);
+    s->memo_key[slot] = bits;
+    s->memo_val[slot] = v;
+    return v;
+}
+
 /* ---- the sweep */
 
 static void detach(const SweepState *s, int64_t i)
@@ -128,8 +161,8 @@ static void log_weights(const SweepState *s, int64_t i, int64_t *cnt_out,
         const int64_t vb = s->block_n[b], md = s->block_deg[b];
         double wb = 0.0;
         if (l_i)
-            wb = bvcm_lgamma(omega + (double)s->inits[b] + (double)l_i)
-                 - bvcm_lgamma(omega + (double)s->inits[b]);
+            wb = memo_lgamma(s, omega + (double)s->inits[b] + (double)l_i)
+                 - memo_lgamma(s, omega + (double)s->inits[b]);
         for (b2 = 0; b2 < k; b2++) {
             if (cnt_out[b2])
                 wb += (double)cnt_out[b2] * row[b2];
@@ -140,11 +173,11 @@ static void log_weights(const SweepState *s, int64_t i, int64_t *cnt_out,
             wb += (double)sp * row[b];
         if (vb)
             wb += log(th + (double)vb * s->alpha[b]);
-        wb += s->la_deg[b * s->deg_stride + d_i];
+        wb += s->la_deg[b * s->n_degrees + s->deg_rank[i]];
         if (md)
-            wb += bvcm_lgamma(th + (double)md) - bvcm_lgamma(th + (double)md + (double)d_i);
+            wb += memo_lgamma(s, th + (double)md) - memo_lgamma(s, th + (double)md + (double)d_i);
         else
-            wb += bvcm_lgamma(th + 1.0) - bvcm_lgamma(th + (double)d_i);
+            wb += memo_lgamma(s, th + 1.0) - memo_lgamma(s, th + (double)d_i);
         w[b] = wb;
     }
 }
@@ -206,4 +239,66 @@ int64_t bvcm_sweep(const SweepState *s)
         reattach(s, i, b, cnt_out, cnt_in);
     }
     return moved;
+}
+
+/* ---- the (alpha, theta) update (gibbs.aux_update_alpha_theta) */
+
+#define AUX_EPS 1e-12
+
+static double at_least_eps(double x)
+{
+    return AUX_EPS > x ? AUX_EPS : x;  /* Python's max(x, _EPS) */
+}
+
+static double clip_alpha(double x)
+{
+    x = at_least_eps(x);
+    return 1.0 - AUX_EPS < x ? 1.0 - AUX_EPS : x;
+}
+
+/* Conjugate redraw of one block's (alpha, theta) from its degree
+ * histogram hist[0..len-1] (hist[d]: nodes of degree d, hist[0] = 0);
+ * prior holds (c, d) of the Beta prior on alpha, then (shape, rate) of
+ * the Gamma prior on theta.  Writes (alpha, theta) to out.  The tail
+ * count n_j (nodes of degree > j) is carried down from the node count,
+ * so no buffer is needed. */
+void bvcm_aux(bitgen_t *bitgen, const int64_t *hist, int64_t len, double alpha,
+              double theta, const double *prior, double *out)
+{
+    const double c_hyp = prior[0], d_hyp = prior[1], a_hyp = prior[2], b_hyp = prior[3];
+    binomial_t binomial;
+    int64_t max_d = len - 1, v_b = 0, m_b = 0, n_y, sum_y = 0, sum_not_z = 0, n_j, d, i;
+    double rate = b_hyp;
+
+    while (max_d >= 0 && hist[max_d] == 0)
+        max_d--;
+    if (max_d < 0) {
+        out[0] = clip_alpha(random_beta(bitgen, c_hyp, d_hyp));
+        out[1] = at_least_eps(random_gamma(bitgen, a_hyp, 1.0 / b_hyp));
+        return;
+    }
+    for (d = 0; d <= max_d; d++) {
+        v_b += hist[d];
+        m_b += hist[d] * d;
+    }
+    if (m_b >= 2)
+        rate = b_hyp - log(at_least_eps(random_beta(bitgen, theta + 1.0, (double)(m_b - 1))));
+
+    n_y = v_b - 1;
+    for (i = 1; i <= n_y; i++)
+        sum_y += random_standard_uniform(bitgen) < theta / (theta + alpha * (double)i);
+
+    if (max_d > 1) {
+        memset(&binomial, 0, sizeof binomial);
+        n_j = v_b - hist[0] - hist[1];
+        for (i = 1; i < max_d; i++) {
+            sum_not_z += random_binomial(bitgen, (1.0 - alpha) / ((double)i - alpha), n_j,
+                                         &binomial);
+            n_j -= hist[i + 1];
+        }
+    }
+
+    out[1] = at_least_eps(random_gamma(bitgen, a_hyp + (double)sum_y, 1.0 / rate));
+    out[0] = clip_alpha(random_beta(bitgen, c_hyp + (double)(n_y - sum_y),
+                                    d_hyp + (double)sum_not_z));
 }

@@ -1,15 +1,21 @@
-"""Build, cache and load the compiled single-site sweep (``_sweep.c``).
+"""Build, cache and load the compiled sweep and (alpha, theta) update
+(``_sweep.c``).
 
 The kernel is compiled on first use with the system C compiler (``cc -O2
 -fPIC -shared -ffp-contract=off``: no fused multiply-adds, no fast-math,
-no host-specific code, so its floating point matches Python's) and loaded
-with ``ctypes``.  The shared object is cached in ``$XDG_CACHE_HOME/bvcm``
-(default ``~/.cache/bvcm``) under a name keyed by the sha256 of the
-source, the flags and the platform; it is written under a temporary name
+no host-specific code, so its floating point matches Python's), against
+numpy's random C API (the ``numpy/random/distributions.h`` header, which
+needs the Python headers, and the static ``libnpyrandom.a`` that numpy
+ships in ``numpy/random/lib``), and loaded with ``ctypes``.  The shared
+object is cached in ``$XDG_CACHE_HOME/bvcm`` (default ``~/.cache/bvcm``)
+under a name keyed by the sha256 of the source, the bytes of
+``libnpyrandom.a``, the numpy version, the flags and the platform, so a
+numpy upgrade builds a new kernel; it is written under a temporary name
 and renamed into place, so concurrent processes never load a partial
 file.  When that directory is unwritable the build goes to a per-process
-temporary directory.  When no compiler works, ``load`` warns once and
-returns None, and the sampler runs its Python sweep.
+temporary directory.  When no compiler, header or library works,
+``load`` warns once and returns None, and the sampler runs its Python
+sweep and update.
 """
 
 from __future__ import annotations
@@ -31,6 +37,10 @@ import numpy as np
 
 SOURCE = Path(__file__).with_name("_sweep.c")
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# numpy's random C library; the tests point this elsewhere.
+NPYRANDOM = Path(np.random.__file__).parent / "lib" / "libnpyrandom.a"
+# The sweep's lgamma memo has 2**LGAMMA_MEMO_BITS entries.
+LGAMMA_MEMO_BITS = 12
 
 _i64 = ctypes.c_int64
 _ptr = ctypes.c_void_p
@@ -38,38 +48,57 @@ _ptr = ctypes.c_void_p
 
 class SweepState(ctypes.Structure):
     """Mirror of the C ``SweepState``: sizes, then pointers to the
-    sampler's arrays (see ``_sweep.c`` for each field)."""
+    sampler's arrays and the lgamma memo (see ``_sweep.c`` for each
+    field)."""
 
     _fields_ = [
-        ("n", _i64), ("k", _i64), ("deg_stride", _i64), ("block_conc", ctypes.c_double),
-        ("labels", _ptr), ("deg", _ptr), ("node_inits", _ptr), ("self_pairs", _ptr),
-        ("out_off", _ptr), ("out_idx", _ptr), ("in_off", _ptr), ("in_idx", _ptr),
-        ("block_n", _ptr), ("block_deg", _ptr), ("inits", _ptr), ("pair", _ptr),
-        ("log_prop", _ptr), ("la_deg", _ptr), ("alpha", _ptr), ("theta", _ptr),
-        ("uniforms", _ptr),
+        ("n", _i64), ("k", _i64), ("n_degrees", _i64), ("memo_bits", _i64),
+        ("block_conc", ctypes.c_double),
+        ("labels", _ptr), ("deg", _ptr), ("deg_rank", _ptr), ("node_inits", _ptr),
+        ("self_pairs", _ptr), ("out_off", _ptr), ("out_idx", _ptr), ("in_off", _ptr),
+        ("in_idx", _ptr), ("block_n", _ptr), ("block_deg", _ptr), ("inits", _ptr),
+        ("pair", _ptr), ("log_prop", _ptr), ("la_deg", _ptr), ("alpha", _ptr),
+        ("theta", _ptr), ("uniforms", _ptr), ("memo_key", _ptr), ("memo_val", _ptr),
     ]
 
 
-_ARRAYS = [name for name, kind in SweepState._fields_ if kind is _ptr]
+_MEMO = ("memo_key", "memo_val")
+_ARRAYS = [name for name, kind in SweepState._fields_ if kind is _ptr and name not in _MEMO]
 _FLOAT_ARRAYS = {"log_prop", "la_deg", "alpha", "theta", "uniforms"}
 
 
-def bind(arrays: dict, n: int, k: int, deg_stride: int, block_conc: float):
-    """The kernel's state argument over ``arrays`` (one per pointer field,
-    written and read in place), after checking each one's dtype and
-    layout.  The state keeps the arrays alive."""
+def bind(arrays: dict, n: int, k: int, n_degrees: int, block_conc: float):
+    """The kernel's state argument over ``arrays`` (one per pointer field
+    but the memo's, written and read in place), after checking each
+    one's dtype and layout, with an empty lgamma memo of its own.  The
+    state keeps the arrays alive."""
     if sorted(arrays) != sorted(_ARRAYS):
         raise TypeError(f"sweep state needs exactly the arrays {_ARRAYS}")
     for name, arr in arrays.items():
         want = np.float64 if name in _FLOAT_ARRAYS else np.int64
         if arr.dtype != want or not arr.flags.c_contiguous:
             raise TypeError(f"sweep state array {name} must be C-contiguous {want.__name__}")
+    size = 1 << LGAMMA_MEMO_BITS
+    arrays = dict(arrays, memo_key=np.zeros(size, np.uint64), memo_val=np.zeros(size))
     state = SweepState(
-        n=n, k=k, deg_stride=deg_stride, block_conc=block_conc,
+        n=n, k=k, n_degrees=n_degrees, memo_bits=LGAMMA_MEMO_BITS, block_conc=block_conc,
         **{name: arr.ctypes.data for name, arr in arrays.items()},
     )
     state.arrays = arrays
     return ctypes.byref(state)
+
+
+def aux_update(lib, hist, alpha, theta, alpha_prior, theta_prior, rng):
+    """``gibbs.aux_update_alpha_theta`` in the kernel: the same draws from
+    ``rng``'s bit generator, in the same order, so the same (alpha, theta)
+    and the same generator state after."""
+    hist = np.ascontiguousarray(hist, dtype=np.int64)
+    out = (ctypes.c_double * 2)()
+    lib.bvcm_aux(
+        rng.bit_generator.ctypes.bit_generator, hist.ctypes.data, hist.size,
+        alpha, theta, (ctypes.c_double * 4)(*alpha_prior, *theta_prior), out,
+    )
+    return out[0], out[1]
 
 
 def _cache_dirs() -> Iterator[Path]:
@@ -80,11 +109,19 @@ def _cache_dirs() -> Iterator[Path]:
     yield Path(scratch)
 
 
+def _cache_key() -> str:
+    """sha256 over everything the kernel's code depends on."""
+    return hashlib.sha256(
+        SOURCE.read_bytes() + NPYRANDOM.read_bytes()
+        + repr((FLAGS, sysconfig.get_platform(), np.__version__)).encode()
+    ).hexdigest()
+
+
 def _build() -> Path:
     """Path of the compiled kernel, compiling it unless already cached."""
-    key = hashlib.sha256(
-        SOURCE.read_bytes() + repr((FLAGS, sysconfig.get_platform())).encode()
-    ).hexdigest()
+    if not NPYRANDOM.is_file():
+        raise OSError(f"numpy's random C library is missing: {NPYRANDOM}")
+    key = _cache_key()
     name = f"_sweep-{key[:16]}.so"
     for cache in _cache_dirs():
         target = cache / name
@@ -98,7 +135,8 @@ def _build() -> Path:
         os.close(fd)
         try:
             proc = subprocess.run(
-                ["cc", *FLAGS, "-o", tmp, str(SOURCE), "-lm"],
+                ["cc", *FLAGS, "-I", sysconfig.get_paths()["include"], "-I", np.get_include(),
+                 "-o", tmp, str(SOURCE), str(NPYRANDOM), "-lm"],
                 capture_output=True, text=True, timeout=120,
             )
             if proc.returncode:
@@ -128,4 +166,7 @@ def load() -> Optional[ctypes.CDLL]:
     lib.bvcm_sweep.restype = _i64
     lib.bvcm_lgamma.argtypes = [ctypes.c_double]
     lib.bvcm_lgamma.restype = ctypes.c_double
+    doubles = ctypes.POINTER(ctypes.c_double)
+    lib.bvcm_aux.argtypes = [_ptr, _ptr, _i64, ctypes.c_double, ctypes.c_double, doubles, doubles]
+    lib.bvcm_aux.restype = None
     return lib

@@ -34,9 +34,12 @@ __all__ = [
 def _record_problem(sender, receivers) -> Optional[str]:
     """Why ``InteractionNetwork.from_records`` rejects a record, or None.
 
-    Identifiers are non-empty strings or integers (not bool, although
-    it subclasses int).
+    Receivers come as a list or tuple (a string would split into its
+    characters); identifiers are non-empty strings or integers (not
+    bool, although it subclasses int).
     """
+    if not isinstance(receivers, (list, tuple)):
+        return f"receivers must be a list or tuple, got {receivers!r}"
     for role, ident in [("sender", sender)] + [("receiver", r) for r in receivers]:
         if ident is None or (isinstance(ident, str) and not ident):
             return f"missing {role}"
@@ -73,8 +76,8 @@ class InteractionNetwork:
     def from_records(
         cls, records: Iterable[tuple[str, Sequence[str]]], where=None
     ) -> "InteractionNetwork":
-        """Network from (sender, receivers) records; node indices follow
-        order of first appearance.
+        """Network from (sender, receivers) records, receivers a list or
+        tuple; node indices follow order of first appearance.
 
         Identifiers are non-empty strings or integers; an integer is
         named by its decimal string.  A rejected record raises DataError
@@ -89,7 +92,10 @@ class InteractionNetwork:
             # The quick test passes records of non-empty strings only:
             # join raises TypeError unless every receiver is a string.
             try:
-                quick = type(sender) is str and sender and rs and "".join(rs) and "" not in rs
+                quick = (
+                    type(sender) is str and sender and type(rs) is list and rs
+                    and "".join(rs) and "" not in rs
+                )
             except TypeError:
                 quick = False
             if not quick and (problem := _record_problem(sender, rs)):

@@ -11,11 +11,13 @@ rows, and ``log_prob`` is ``log_prob_from_stats`` on it plus the
 incremental counts.
 
 The sweep state is numpy arrays (int64 labels and counts, CSR
-neighbour lists, float64 log mixing matrix and degree table), updated
-in place.  ``sweep()`` runs them through the compiled kernel in
-``_sweep.c`` when it builds; the Python sweep (``_ListSweep``, over a
-list copy of the state) is the reference it matches bit for bit, and
-the fallback.
+neighbour lists, float64 log mixing matrix and a degree table over the
+network's distinct degrees), updated in place.  ``sweep()`` runs them
+through the compiled kernel in ``_sweep.c`` when it builds, and
+``update_alpha_theta`` runs the kernel's (alpha, theta) update on the
+sampler's own generator; the Python sweep (``_ListSweep``, over a list
+copy of the state) and ``aux_update_alpha_theta`` are the references the
+kernel matches bit for bit, and the fallback.
 """
 
 from __future__ import annotations
@@ -212,7 +214,7 @@ class _ListSweep:
     def __init__(self, sampler: "GibbsSampler"):
         self.k = sampler.k
         self.omega = sampler.config.block_conc
-        (self.deg, self.node_inits, self.self_pairs,
+        (self.deg, self.deg_rank, self.node_inits, self.self_pairs,
          self.out_nbrs, self.in_nbrs) = sampler._node_lists
         self.labels = sampler.labels.tolist()
         self.block_n = sampler.block_n.tolist()
@@ -266,6 +268,7 @@ class _ListSweep:
         lgamma = math.lgamma
         log = math.log
         d_i = self.deg[i]
+        rank = self.deg_rank[i]
         l_i = self.node_inits[i]
         sp = self.self_pairs[i]
         logb = self.logb
@@ -303,7 +306,7 @@ class _ListSweep:
             vb = block_n[b]
             if vb:
                 w += log(th + vb * alpha[b])
-            w += la_deg[b][d_i]
+            w += la_deg[b][rank]
             md = block_deg[b]
             if md:
                 w += lgamma(th + md) - lgamma(th + md + d_i)
@@ -377,6 +380,11 @@ class GibbsSampler:
         self.in_off, self.in_idx = _csr(r_in, s_out, n)
         self.self_pairs = np.bincount(s_pair[loop], minlength=n)
         self.max_deg = int(self.deg.max())
+        # Distinct degrees and each node's rank among them; bincount, not
+        # np.unique, whose sort buffers add ≈4 MB to the peak at 90k nodes.
+        present = np.bincount(self.deg) > 0
+        self._degrees = np.flatnonzero(present).astype(float)
+        self.deg_rank = (np.cumsum(present) - 1)[self.deg]
 
         # The sweep state.  The compiled kernel holds pointers to these
         # arrays, so every update writes into them in place.
@@ -388,7 +396,7 @@ class GibbsSampler:
         self.alpha = np.empty(k)
         self.theta = np.empty(k)
         self._log_prop = np.empty((k, k))
-        self._la_deg = np.empty((k, self.max_deg + 1))
+        self._la_deg = np.empty((k, self._degrees.size))
         self._uniforms = np.empty(n)
         self._hist: Optional[np.ndarray] = None
         self.nodes_moved = 0
@@ -409,14 +417,15 @@ class GibbsSampler:
         if self._kernel is not None:
             self._state = _sweep.bind(
                 dict(
-                    labels=self.labels, deg=self.deg, node_inits=self.node_inits,
-                    self_pairs=self.self_pairs, out_off=self.out_off, out_idx=self.out_idx,
-                    in_off=self.in_off, in_idx=self.in_idx, block_n=self.block_n,
-                    block_deg=self.block_deg, inits=self.inits, pair=self.pair,
-                    log_prop=self._log_prop, la_deg=self._la_deg, alpha=self.alpha,
-                    theta=self.theta, uniforms=self._uniforms,
+                    labels=self.labels, deg=self.deg, deg_rank=self.deg_rank,
+                    node_inits=self.node_inits, self_pairs=self.self_pairs,
+                    out_off=self.out_off, out_idx=self.out_idx, in_off=self.in_off,
+                    in_idx=self.in_idx, block_n=self.block_n, block_deg=self.block_deg,
+                    inits=self.inits, pair=self.pair, log_prop=self._log_prop,
+                    la_deg=self._la_deg, alpha=self.alpha, theta=self.theta,
+                    uniforms=self._uniforms,
                 ),
-                n=self.n, k=self.k, deg_stride=self.max_deg + 1,
+                n=self.n, k=self.k, n_degrees=self._degrees.size,
                 block_conc=self.config.block_conc,
             )
 
@@ -449,9 +458,9 @@ class GibbsSampler:
         self.pair[...] = stats.pair
 
     def _refresh_deg_table(self) -> None:
-        """Per-block lookup of log (1 - alpha_b)_{d-1} by degree d."""
-        d = np.arange(self.max_deg + 1, dtype=float)
-        self._la_deg[...] = log_discount_factorial(d, self.alpha[:, None])
+        """Per-block log (1 - alpha_b)_{d-1} at each distinct node degree
+        d; node i reads column ``deg_rank[i]``."""
+        self._la_deg[...] = log_discount_factorial(self._degrees, self.alpha[:, None])
 
     # ------------------------------------------------------- block updates
     #
@@ -461,8 +470,9 @@ class GibbsSampler:
 
     @functools.cached_property
     def _node_lists(self) -> tuple[list, ...]:
-        """Per node, as lists for _ListSweep: degree, initiations,
-        self-pairs, out-neighbours and in-neighbours (loops excluded)."""
+        """Per node, as lists for _ListSweep: degree, degree rank,
+        initiations, self-pairs, out-neighbours and in-neighbours (loops
+        excluded)."""
 
         def grouped(off, idx):
             off, idx = off.tolist(), idx.tolist()
@@ -470,6 +480,7 @@ class GibbsSampler:
 
         return (
             self.deg.tolist(),
+            self.deg_rank.tolist(),
             self.node_inits.tolist(),
             self.self_pairs.tolist(),
             grouped(self.out_off, self.out_idx),
@@ -492,15 +503,13 @@ class GibbsSampler:
 
     def update_alpha_theta(self, b: int, hist_row: np.ndarray) -> tuple[float, float]:
         """Auxiliary-variable conjugate redraw of (alpha_b, theta_b);
-        hist_row is block b's row of ``_deg_hist()``."""
-        return aux_update_alpha_theta(
-            hist_row,
-            self.alpha[b],
-            self.theta[b],
-            self.config.alpha_prior,
-            self.config.theta_prior,
-            self.rng,
-        )
+        hist_row is block b's row of ``_deg_hist()``.  Runs in the kernel
+        when it is loaded, with the draws of ``aux_update_alpha_theta``."""
+        cfg = self.config
+        args = (hist_row, self.alpha[b], self.theta[b], cfg.alpha_prior, cfg.theta_prior, self.rng)
+        if self._kernel is not None:
+            return _sweep.aux_update(self._kernel, *args)
+        return aux_update_alpha_theta(*args)
 
     @staticmethod
     def _clip_alpha(x: float) -> float:

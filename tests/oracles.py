@@ -316,6 +316,36 @@ def aux_update_alpha_theta_degrees(degs, alpha, theta, alpha_prior, theta_prior,
     return new_alpha, new_theta
 
 
+def aux_update_cases():
+    """2 500 (case, degrees, histogram row, (alpha, theta, alpha_prior,
+    theta_prior)) inputs of the (alpha, theta) update, cycling through
+    empty, singleton, all-degree-1, long-tailed and mixed blocks.  A
+    sampler's row runs to the network's maximum degree, so the histogram
+    can end in zeros."""
+    rng = np.random.default_rng(30)
+    for case in range(2500):
+        kind = case % 5
+        if kind == 0:
+            degs = np.empty(0, dtype=np.int64)
+        elif kind == 1:
+            degs = rng.integers(1, 6, size=1)
+        elif kind == 2:
+            degs = np.ones(int(rng.integers(1, 60)), dtype=np.int64)
+        elif kind == 3:  # long-tailed, capped to keep the histogram small
+            tail = rng.pareto(0.6, size=int(rng.integers(1, 300)))
+            degs = np.minimum(tail, 3000).astype(np.int64) + 1
+        else:
+            degs = rng.integers(1, 25, size=int(rng.integers(1, 120)))
+        hist = np.bincount(degs, minlength=int(degs.max(initial=0)) + 1 + int(rng.integers(0, 4)))
+        args = (
+            float(rng.uniform(0.01, 0.99)),
+            float(rng.gamma(1.0, 3.0)),
+            (float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.5, 3.0))),
+            (float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.5, 3.0))),
+        )
+        yield case, degs, hist, args
+
+
 @dataclass(frozen=True)
 class ConditionalLogProb:
     """Log-probability given explicit block frequencies and mixing matrix.

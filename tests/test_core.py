@@ -174,6 +174,11 @@ class TestTypes:
                 InteractionNetwork.from_records([("a", ["b"]), ("a", ["c", bad])])
             with pytest.raises(DataError, match="interaction 1: sender must be"):
                 InteractionNetwork.from_records([(bad, ["b"])])
+        # A string is not split into one-character receivers.
+        for bad in ("bc", {"b": 1}, 5, None):
+            with pytest.raises(DataError, match="interaction 2: receivers must be a list"):
+                InteractionNetwork.from_records([("a", ["b"]), ("a", bad)])
+        assert InteractionNetwork.from_records([("a", ("b", "c"))]).node_ids == ["a", "b", "c"]
         # Integers are identifiers, named by their decimal string.
         net = InteractionNetwork.from_records([(1, ["1", 2])])
         assert net.node_ids == ["1", "2"]

@@ -23,6 +23,7 @@ from bvcm.likelihood import log_prob_from_stats
 
 from oracles import (
     aux_update_alpha_theta_degrees,
+    aux_update_cases,
     enumerate_full_conditional,
     full_conditional,
     random_network,
@@ -237,29 +238,7 @@ class TestParameterUpdates:
         """The update reads a degree-histogram row; it must return the
         same (alpha, theta) bit for bit, and leave the same generator
         state, as the degree-list form it replaced."""
-        rng = np.random.default_rng(30)
-        for case in range(2500):
-            kind = case % 5
-            if kind == 0:
-                degs = np.empty(0, dtype=np.int64)
-            elif kind == 1:
-                degs = rng.integers(1, 6, size=1)
-            elif kind == 2:
-                degs = np.ones(int(rng.integers(1, 60)), dtype=np.int64)
-            elif kind == 3:  # long-tailed, capped to keep the histogram small
-                tail = rng.pareto(0.6, size=int(rng.integers(1, 300)))
-                degs = np.minimum(tail, 3000).astype(np.int64) + 1
-            else:
-                degs = rng.integers(1, 25, size=int(rng.integers(1, 120)))
-            # A sampler row runs to the network's maximum degree, so it can
-            # end in zeros.
-            hist = np.bincount(degs, minlength=int(degs.max(initial=0)) + 1 + int(rng.integers(0, 4)))
-            args = (
-                float(rng.uniform(0.01, 0.99)),
-                float(rng.gamma(1.0, 3.0)),
-                (float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.5, 3.0))),
-                (float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.5, 3.0))),
-            )
+        for case, degs, hist, args in aux_update_cases():
             r_old, r_new = np.random.default_rng(case), np.random.default_rng(case)
             expected = aux_update_alpha_theta_degrees(degs, *args, r_old)
             assert aux_update_alpha_theta(hist, *args, r_new) == expected, case

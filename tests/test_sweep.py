@@ -14,8 +14,9 @@ import pytest
 
 from bvcm import GibbsConfig, GibbsSampler, run_gibbs
 from bvcm import _sweep
+from bvcm.gibbs import aux_update_alpha_theta
 
-from oracles import random_network, sweep_backends
+from oracles import aux_update_cases, random_network, sweep_backends
 
 pytestmark = pytest.mark.skipif(
     shutil.which("cc") is None, reason="no C compiler: only the Python sweep runs here"
@@ -91,7 +92,46 @@ def test_sweep_returns_moves():
         assert sampler.nodes_moved == total
 
 
-def test_fallback_warns_once_and_matches_the_compiled_chain(monkeypatch, fresh_loader):
+def test_lgamma_memo_evictions_keep_chains_identical(monkeypatch):
+    """A run that computes more distinct lgamma arguments than the
+    kernel's memo holds, so slots are overwritten: the chains are still
+    identical.  The count comes from the Python reference."""
+    rng = np.random.default_rng(12)
+    net, _ = random_network(rng, 3, m=600, n_pool=250, max_arity=3)
+    cfg = GibbsConfig(k=3, iterations=30, seed=4)
+    args = set()
+    lgamma = math.lgamma
+
+    def counting_lgamma(x):
+        args.add(x)
+        return lgamma(x)
+
+    chains = []
+    for backend in sweep_backends():
+        if backend == "python":
+            monkeypatch.setattr(math, "lgamma", counting_lgamma)
+        chains.append(run_gibbs(net, cfg))
+    assert len(args) > 1 << _sweep.LGAMMA_MEMO_BITS
+    c, py = chains
+    assert (c.sweep_backend, py.sweep_backend) == ("c", "python")
+    assert c.nodes_moved == py.nodes_moved
+    for name in ("assignments", "alphas", "thetas", "props", "log_probs"):
+        assert np.array_equal(getattr(c, name), getattr(py, name)), name
+
+
+def test_kernel_aux_update_matches_python_reference():
+    """The kernel's (alpha, theta) update on the histograms of
+    test_gibbs.py's degree-list oracle test: the same values and the
+    same generator state as aux_update_alpha_theta."""
+    lib = _sweep.load()
+    for case, _, hist, args in aux_update_cases():
+        r_py, r_c = np.random.default_rng(case), np.random.default_rng(case)
+        expected = aux_update_alpha_theta(hist, *args, r_py)
+        assert _sweep.aux_update(lib, hist, *args, r_c) == expected, case
+        assert r_c.bit_generator.state == r_py.bit_generator.state, case
+
+
+def test_fallback_warns_once_and_matches_the_compiled_chain(tmp_path, fresh_loader):
     rng = np.random.default_rng(10)
     net, _ = random_network(rng, 3, m=40, n_pool=15, max_arity=2)
     cfg = GibbsConfig(k=3, iterations=30, burn_in=5, seed=11, init="warm")
@@ -101,19 +141,41 @@ def test_fallback_warns_once_and_matches_the_compiled_chain(monkeypatch, fresh_l
     def no_compiler():
         raise FileNotFoundError("cc")
 
-    monkeypatch.setattr(_sweep, "_build", no_compiler)
-    _sweep.load.cache_clear()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        chains = [run_gibbs(net, cfg) for _ in range(2)]
-    assert [str(w.message) for w in caught if w.category is RuntimeWarning] == [
-        "compiled sweep unavailable, using the Python sweep: cc"
+    missing = tmp_path / "libnpyrandom.a"
+    breakages = [
+        ("_build", no_compiler, "cc"),
+        ("NPYRANDOM", missing, f"numpy's random C library is missing: {missing}"),
     ]
-    for chain in chains:
-        assert chain.sweep_backend == "python"
-        assert chain.nodes_moved == compiled.nodes_moved
-        for name in ("assignments", "alphas", "thetas", "props", "log_probs"):
-            assert np.array_equal(getattr(chain, name), getattr(compiled, name)), name
+    for attr, value, reason in breakages:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_sweep, attr, value)
+            _sweep.load.cache_clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                chains = [run_gibbs(net, cfg) for _ in range(2)]
+        assert [str(w.message) for w in caught if w.category is RuntimeWarning] == [
+            f"compiled sweep unavailable, using the Python sweep: {reason}"
+        ]
+        for chain in chains:
+            assert chain.sweep_backend == "python"
+            assert chain.nodes_moved == compiled.nodes_moved
+            for name in ("assignments", "alphas", "thetas", "props", "log_probs"):
+                assert np.array_equal(getattr(chain, name), getattr(compiled, name)), name
+
+
+def test_cache_key_covers_numpy_random(monkeypatch, tmp_path):
+    """A kernel linked to another numpy's random library is not reused."""
+    original = _sweep.NPYRANDOM.read_bytes()
+    lib = tmp_path / "libnpyrandom.a"
+    lib.write_bytes(original)
+    monkeypatch.setattr(_sweep, "NPYRANDOM", lib)
+    key = _sweep._cache_key()
+    lib.write_bytes(original + b"\0")
+    assert _sweep._cache_key() != key
+    lib.write_bytes(original)
+    assert _sweep._cache_key() == key
+    monkeypatch.setattr(np, "__version__", np.__version__ + ".post1")
+    assert _sweep._cache_key() != key
 
 
 def test_kernel_is_cached_by_content(monkeypatch, tmp_path, fresh_loader):
