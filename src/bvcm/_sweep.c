@@ -9,7 +9,10 @@
  * own (libm's lgamma differs from math.lgamma in the last bits).
  *
  * The state layout mirrors bvcm._sweep.SweepState; arrays are numpy's,
- * row-major, with the mixing matrix and degree table flattened.
+ * row-major, with the mixing matrix, degree table and degree histogram
+ * flattened.  The five count arrays are the fields of the sampler's
+ * core.SufficientStats, under the same names, and the sweep keeps every
+ * one of them current, the degree histogram included.
  *
  * bvcm_aux makes the draws of gibbs.aux_update_alpha_theta, in the same
  * order, through numpy's random C API (numpy/random/distributions.h,
@@ -27,6 +30,7 @@ typedef struct {
     int64_t n;             /* nodes */
     int64_t k;             /* blocks */
     int64_t n_degrees;     /* distinct node degrees: row length of la_deg */
+    int64_t hist_width;    /* maximum degree + 1: row length of deg_hist */
     int64_t memo_bits;     /* log2 of the lgamma memo's size */
     double block_conc;     /* omega */
     int64_t *labels;       /* [n] */
@@ -36,10 +40,11 @@ typedef struct {
     const int64_t *self_pairs;  /* [n] self-addressed receptions */
     const int64_t *out_off, *out_idx;  /* CSR out-neighbours, loops excluded */
     const int64_t *in_off, *in_idx;    /* CSR in-neighbours, loops excluded */
-    int64_t *block_n;      /* [k] nodes per block */
+    int64_t *block_sizes;  /* [k] nodes per block */
     int64_t *block_deg;    /* [k] total degree per block */
-    int64_t *inits;        /* [k] initiations per block */
+    int64_t *initiations;  /* [k] interactions initiated per block */
     int64_t *pair;         /* [k*k] sender-block x receiver-block counts */
+    int64_t *deg_hist;     /* [k*hist_width] block-b nodes of degree d at [b, d] */
     const double *log_prop;  /* [k*k] log mixing matrix */
     const double *la_deg;    /* [k*n_degrees] log (1 - alpha_b)_{d-1} by degree rank */
     const double *alpha;     /* [k] */
@@ -131,10 +136,11 @@ static double memo_lgamma(const SweepState *s, double x)
 
 static void detach(const SweepState *s, int64_t i)
 {
-    int64_t b = s->labels[i];
-    s->block_n[b] -= 1;
-    s->block_deg[b] -= s->deg[i];
-    s->inits[b] -= s->node_inits[i];
+    const int64_t b = s->labels[i], d = s->deg[i];
+    s->block_sizes[b] -= 1;
+    s->block_deg[b] -= d;
+    s->initiations[b] -= s->node_inits[i];
+    s->deg_hist[b * s->hist_width + d] -= 1;
 }
 
 /* Neighbour counts per block of detached node i, then its unnormalized
@@ -158,11 +164,11 @@ static void log_weights(const SweepState *s, int64_t i, int64_t *cnt_out,
     for (b = 0; b < k; b++) {
         const double *row = s->log_prop + b * k;
         const double th = s->theta[b];
-        const int64_t vb = s->block_n[b], md = s->block_deg[b];
+        const int64_t vb = s->block_sizes[b], md = s->block_deg[b];
         double wb = 0.0;
         if (l_i)
-            wb = memo_lgamma(s, omega + (double)s->inits[b] + (double)l_i)
-                 - memo_lgamma(s, omega + (double)s->inits[b]);
+            wb = memo_lgamma(s, omega + (double)s->initiations[b] + (double)l_i)
+                 - memo_lgamma(s, omega + (double)s->initiations[b]);
         for (b2 = 0; b2 < k; b2++) {
             if (cnt_out[b2])
                 wb += (double)cnt_out[b2] * row[b2];
@@ -186,11 +192,12 @@ static void log_weights(const SweepState *s, int64_t i, int64_t *cnt_out,
 static void reattach(const SweepState *s, int64_t i, int64_t b,
                      const int64_t *cnt_out, const int64_t *cnt_in)
 {
-    const int64_t k = s->k, old = s->labels[i], sp = s->self_pairs[i];
+    const int64_t k = s->k, old = s->labels[i], sp = s->self_pairs[i], d = s->deg[i];
     int64_t b2;
-    s->block_n[b] += 1;
-    s->block_deg[b] += s->deg[i];
-    s->inits[b] += s->node_inits[i];
+    s->block_sizes[b] += 1;
+    s->block_deg[b] += d;
+    s->initiations[b] += s->node_inits[i];
+    s->deg_hist[b * s->hist_width + d] += 1;
     if (b == old)
         return;
     for (b2 = 0; b2 < k; b2++) {

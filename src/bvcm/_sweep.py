@@ -12,7 +12,8 @@ under a name keyed by the sha256 of the source, the bytes of
 ``libnpyrandom.a``, the numpy version, the flags and the platform, so a
 numpy upgrade builds a new kernel; it is written under a temporary name
 and renamed into place, so concurrent processes never load a partial
-file.  When that directory is unwritable the build goes to a per-process
+file, and a build removes the kernels cached there under other keys.
+When that directory is unwritable the build goes to a per-process
 temporary directory.  When no compiler, header or library works,
 ``load`` warns once and returns None, and the sampler runs its Python
 sweep and update.
@@ -21,6 +22,7 @@ sweep and update.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -52,13 +54,14 @@ class SweepState(ctypes.Structure):
     field)."""
 
     _fields_ = [
-        ("n", _i64), ("k", _i64), ("n_degrees", _i64), ("memo_bits", _i64),
-        ("block_conc", ctypes.c_double),
+        ("n", _i64), ("k", _i64), ("n_degrees", _i64), ("hist_width", _i64),
+        ("memo_bits", _i64), ("block_conc", ctypes.c_double),
         ("labels", _ptr), ("deg", _ptr), ("deg_rank", _ptr), ("node_inits", _ptr),
         ("self_pairs", _ptr), ("out_off", _ptr), ("out_idx", _ptr), ("in_off", _ptr),
-        ("in_idx", _ptr), ("block_n", _ptr), ("block_deg", _ptr), ("inits", _ptr),
-        ("pair", _ptr), ("log_prop", _ptr), ("la_deg", _ptr), ("alpha", _ptr),
-        ("theta", _ptr), ("uniforms", _ptr), ("memo_key", _ptr), ("memo_val", _ptr),
+        ("in_idx", _ptr), ("block_sizes", _ptr), ("block_deg", _ptr), ("initiations", _ptr),
+        ("pair", _ptr), ("deg_hist", _ptr), ("log_prop", _ptr), ("la_deg", _ptr),
+        ("alpha", _ptr), ("theta", _ptr), ("uniforms", _ptr), ("memo_key", _ptr),
+        ("memo_val", _ptr),
     ]
 
 
@@ -67,11 +70,12 @@ _ARRAYS = [name for name, kind in SweepState._fields_ if kind is _ptr and name n
 _FLOAT_ARRAYS = {"log_prop", "la_deg", "alpha", "theta", "uniforms"}
 
 
-def bind(arrays: dict, n: int, k: int, n_degrees: int, block_conc: float):
+def bind(arrays: dict, block_conc: float):
     """The kernel's state argument over ``arrays`` (one per pointer field
     but the memo's, written and read in place), after checking each
     one's dtype and layout, with an empty lgamma memo of its own.  The
-    state keeps the arrays alive."""
+    sizes are read off the arrays' shapes.  The state keeps the arrays
+    alive."""
     if sorted(arrays) != sorted(_ARRAYS):
         raise TypeError(f"sweep state needs exactly the arrays {_ARRAYS}")
     for name, arr in arrays.items():
@@ -80,8 +84,11 @@ def bind(arrays: dict, n: int, k: int, n_degrees: int, block_conc: float):
             raise TypeError(f"sweep state array {name} must be C-contiguous {want.__name__}")
     size = 1 << LGAMMA_MEMO_BITS
     arrays = dict(arrays, memo_key=np.zeros(size, np.uint64), memo_val=np.zeros(size))
+    k, n_degrees = arrays["la_deg"].shape
     state = SweepState(
-        n=n, k=k, n_degrees=n_degrees, memo_bits=LGAMMA_MEMO_BITS, block_conc=block_conc,
+        n=arrays["labels"].size, k=k, n_degrees=n_degrees,
+        hist_width=arrays["deg_hist"].shape[1], memo_bits=LGAMMA_MEMO_BITS,
+        block_conc=block_conc,
         **{name: arr.ctypes.data for name, arr in arrays.items()},
     )
     state.arrays = arrays
@@ -145,6 +152,12 @@ def _build() -> Path:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        # Kernels under other keys are stale; a process that has one
+        # loaded keeps its mapping.
+        for stale in cache.glob("_sweep-*.so"):
+            if stale != target:
+                with contextlib.suppress(OSError):
+                    stale.unlink()
         return target
     raise OSError("no writable directory for the compiled sweep")
 

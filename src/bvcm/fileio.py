@@ -88,8 +88,6 @@ def _jsonl_records(path: Path, lines, last_line: list):
             receivers = obj["receivers"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise DataError(f"{path}: line {ln}: malformed interaction: {exc}")
-        if not isinstance(receivers, list):
-            raise DataError(f"{path}: line {ln}: receivers must be a list")
         last_line[0] = ln
         yield sender, receivers
 

@@ -3,12 +3,12 @@
 One full iteration is: a sweep of collapsed single-node block updates
 (block frequencies integrated out, mixing matrix conditioned on), one
 auxiliary-variable conjugate update of (alpha_b, theta_b) per block,
-and a row-wise Dirichlet redraw of the mixing matrix.  The block counts
-come from ``compute_stats`` when labels are set and are then maintained
-incrementally by the sweep.  Each iteration builds one per-block degree
-histogram from a single bincount; the (alpha, theta) updates read its
-rows, and ``log_prob`` is ``log_prob_from_stats`` on it plus the
-incremental counts.
+and a row-wise Dirichlet redraw of the mixing matrix.  Every count is
+in one ``SufficientStats``, ``GibbsSampler.stats``: ``compute_stats``
+makes it when labels are set, and the sweep keeps each field current
+node by node, the per-block degree histogram included.  The (alpha,
+theta) updates read the histogram's rows, and ``log_prob`` is
+``log_prob_from_stats`` on ``stats`` itself.
 
 The sweep state is numpy arrays (int64 labels and counts, CSR
 neighbour lists, float64 log mixing matrix and a degree table over the
@@ -26,18 +26,11 @@ import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import _sweep
-from .core import (
-    BlockAssignment,
-    InteractionNetwork,
-    SufficientStats,
-    compute_stats,
-    counterparty_counts,
-)
+from .core import BlockAssignment, InteractionNetwork, compute_stats, counterparty_counts
 from .errors import UsageError
 from .likelihood import log_discount_factorial, log_prob_from_stats
 
@@ -51,6 +44,8 @@ __all__ = [
 ]
 
 _EPS = 1e-12
+# The SufficientStats fields the sweep updates in place.
+_COUNTS = ("block_sizes", "block_deg", "initiations", "pair", "deg_hist")
 
 
 @dataclass
@@ -205,10 +200,11 @@ class _ListSweep:
     """The Python single-site sweep, on a list copy of a sampler's state.
 
     Plain lists index far faster than numpy scalars, so the copy is made
-    once per sweep and ``store`` writes the labels and counts back.  This
-    is the reference the compiled kernel (``_sweep.c``) matches bit for
-    bit; the tests' single-node oracles (``tests/oracles.py``) run its
-    ``detach``, ``log_weights_detached`` and ``update`` on one node.
+    once per sweep and ``store`` writes the labels and counts back; the
+    counts keep their ``SufficientStats`` names.  This is the reference
+    the compiled kernel (``_sweep.c``) matches bit for bit; the tests'
+    single-node oracles (``tests/oracles.py``) run its ``detach``,
+    ``log_weights_detached`` and ``update`` on one node.
     """
 
     def __init__(self, sampler: "GibbsSampler"):
@@ -217,10 +213,8 @@ class _ListSweep:
         (self.deg, self.deg_rank, self.node_inits, self.self_pairs,
          self.out_nbrs, self.in_nbrs) = sampler._node_lists
         self.labels = sampler.labels.tolist()
-        self.block_n = sampler.block_n.tolist()
-        self.block_deg = sampler.block_deg.tolist()
-        self.inits = sampler.inits.tolist()
-        self.pair = sampler.pair.tolist()
+        for name in _COUNTS:
+            setattr(self, name, getattr(sampler.stats, name).tolist())
         self.logb = sampler._log_prop.tolist()
         self.la_deg = sampler._la_deg.tolist()
         self.alpha = sampler.alpha.tolist()
@@ -228,22 +222,24 @@ class _ListSweep:
 
     def store(self, sampler: "GibbsSampler") -> None:
         sampler.labels[...] = self.labels
-        sampler.block_n[...] = self.block_n
-        sampler.block_deg[...] = self.block_deg
-        sampler.inits[...] = self.inits
-        sampler.pair[...] = self.pair
+        for name in _COUNTS:
+            getattr(sampler.stats, name)[...] = getattr(self, name)
 
     def detach(self, i: int) -> None:
         b = self.labels[i]
-        self.block_n[b] -= 1
-        self.block_deg[b] -= self.deg[i]
-        self.inits[b] -= self.node_inits[i]
+        d = self.deg[i]
+        self.block_sizes[b] -= 1
+        self.block_deg[b] -= d
+        self.initiations[b] -= self.node_inits[i]
+        self.deg_hist[b][d] -= 1
 
     def reattach(self, i: int, b: int) -> None:
         old = self.labels[i]
-        self.block_n[b] += 1
-        self.block_deg[b] += self.deg[i]
-        self.inits[b] += self.node_inits[i]
+        d = self.deg[i]
+        self.block_sizes[b] += 1
+        self.block_deg[b] += d
+        self.initiations[b] += self.node_inits[i]
+        self.deg_hist[b][d] += 1
         if b != old:
             lab = self.labels
             pair = self.pair
@@ -281,8 +277,8 @@ class _ListSweep:
             cnt_in[lab[s]] += 1
 
         omega = self.omega
-        inits = self.inits
-        block_n = self.block_n
+        initiations = self.initiations
+        block_sizes = self.block_sizes
         block_deg = self.block_deg
         la_deg = self.la_deg
         alpha = self.alpha
@@ -291,7 +287,7 @@ class _ListSweep:
         for b in range(k):
             w = 0.0
             if l_i:
-                w = lgamma(omega + inits[b] + l_i) - lgamma(omega + inits[b])
+                w = lgamma(omega + initiations[b] + l_i) - lgamma(omega + initiations[b])
             row = logb[b]
             for b2 in range(k):
                 co = cnt_out[b2]
@@ -303,7 +299,7 @@ class _ListSweep:
             if sp:
                 w += sp * row[b]
             th = theta[b]
-            vb = block_n[b]
+            vb = block_sizes[b]
             if vb:
                 w += log(th + vb * alpha[b])
             w += la_deg[b][rank]
@@ -379,36 +375,30 @@ class GibbsSampler:
         self.out_off, self.out_idx = _csr(s_out, r_in, n)
         self.in_off, self.in_idx = _csr(r_in, s_out, n)
         self.self_pairs = np.bincount(s_pair[loop], minlength=n)
-        self.max_deg = int(self.deg.max())
         # Distinct degrees and each node's rank among them; bincount, not
         # np.unique, whose sort buffers add ≈4 MB to the peak at 90k nodes.
         present = np.bincount(self.deg) > 0
         self._degrees = np.flatnonzero(present).astype(float)
         self.deg_rank = (np.cumsum(present) - 1)[self.deg]
 
-        # The sweep state.  The compiled kernel holds pointers to these
-        # arrays, so every update writes into them in place.
-        self.labels = np.zeros(n, dtype=np.int64).view(_Labels)
-        self.block_n = np.zeros(k, dtype=np.int64)
-        self.block_deg = np.zeros(k, dtype=np.int64)
-        self.inits = np.zeros(k, dtype=np.int64)
-        self.pair = np.zeros((k, k), dtype=np.int64)
+        # The sweep state: labels, the counts in ``stats`` and the
+        # parameters.  The compiled kernel holds pointers to these arrays,
+        # so every update writes into them in place.
+        self.labels = np.array(self._initial_labels(), dtype=np.int64).view(_Labels)
+        self.stats = compute_stats(network, BlockAssignment(self.labels, k))
         self.alpha = np.empty(k)
         self.theta = np.empty(k)
         self._log_prop = np.empty((k, k))
         self._la_deg = np.empty((k, self._degrees.size))
         self._uniforms = np.empty(n)
-        self._hist: Optional[np.ndarray] = None
         self.nodes_moved = 0
 
-        labels = self._initial_labels()
         c, d = config.alpha_prior
         a, b = config.theta_prior
         for blk in range(k):
             self.alpha[blk] = self._clip_alpha(self.rng.beta(c, d))
             self.theta[blk] = max(self.rng.gamma(a, 1.0 / b), _EPS)
 
-        self.set_labels(labels)
         self._refresh_deg_table()
         self.prop = self.update_propensity()
 
@@ -420,12 +410,10 @@ class GibbsSampler:
                     labels=self.labels, deg=self.deg, deg_rank=self.deg_rank,
                     node_inits=self.node_inits, self_pairs=self.self_pairs,
                     out_off=self.out_off, out_idx=self.out_idx, in_off=self.in_off,
-                    in_idx=self.in_idx, block_n=self.block_n, block_deg=self.block_deg,
-                    inits=self.inits, pair=self.pair, log_prop=self._log_prop,
-                    la_deg=self._la_deg, alpha=self.alpha, theta=self.theta,
-                    uniforms=self._uniforms,
+                    in_idx=self.in_idx, log_prop=self._log_prop, la_deg=self._la_deg,
+                    alpha=self.alpha, theta=self.theta, uniforms=self._uniforms,
+                    **{name: getattr(self.stats, name) for name in _COUNTS},
                 ),
-                n=self.n, k=self.k, n_degrees=self._degrees.size,
                 block_conc=self.config.block_conc,
             )
 
@@ -448,14 +436,12 @@ class GibbsSampler:
         return labels
 
     def set_labels(self, labels) -> None:
-        """Set every node's block and rebuild the sweep's counts for them."""
+        """Set every node's block and recount ``stats`` for them, in place
+        (the compiled kernel holds pointers to its arrays)."""
         self.labels[...] = labels
-        self._hist = None
-        stats = compute_stats(self.network, BlockAssignment(self.labels, self.k))
-        self.block_n[...] = stats.block_sizes
-        self.block_deg[...] = stats.block_deg
-        self.inits[...] = stats.initiations
-        self.pair[...] = stats.pair
+        fresh = compute_stats(self.network, BlockAssignment(self.labels, self.k))
+        for name in _COUNTS:
+            getattr(self.stats, name)[...] = getattr(fresh, name)
 
     def _refresh_deg_table(self) -> None:
         """Per-block log (1 - alpha_b)_{d-1} at each distinct node degree
@@ -489,24 +475,12 @@ class GibbsSampler:
 
     # --------------------------------------------------- parameter updates
 
-    def _deg_hist(self) -> np.ndarray:
-        """int64[k, D+1]: entry [b, d] counts block-b nodes of degree d.
-
-        One bincount over (label, degree) cells, made once for the
-        current labels and reused until they change.
-        """
-        if self._hist is None:
-            width = self.max_deg + 1
-            cells = self.labels * width + self.deg
-            self._hist = np.bincount(cells, minlength=self.k * width).reshape(self.k, width)
-        return self._hist
-
-    def update_alpha_theta(self, b: int, hist_row: np.ndarray) -> tuple[float, float]:
-        """Auxiliary-variable conjugate redraw of (alpha_b, theta_b);
-        hist_row is block b's row of ``_deg_hist()``.  Runs in the kernel
-        when it is loaded, with the draws of ``aux_update_alpha_theta``."""
+    def update_alpha_theta(self, b: int) -> tuple[float, float]:
+        """Auxiliary-variable conjugate redraw of (alpha_b, theta_b) from
+        block b's row of ``stats.deg_hist``.  Runs in the kernel when it
+        is loaded, with the draws of ``aux_update_alpha_theta``."""
         cfg = self.config
-        args = (hist_row, self.alpha[b], self.theta[b], cfg.alpha_prior, cfg.theta_prior, self.rng)
+        args = (self.stats.deg_hist[b], self.alpha[b], self.theta[b], cfg.alpha_prior, cfg.theta_prior, self.rng)
         if self._kernel is not None:
             return _sweep.aux_update(self._kernel, *args)
         return aux_update_alpha_theta(*args)
@@ -519,7 +493,7 @@ class GibbsSampler:
         """Redraw the mixing matrix from its row-wise Dirichlet conditional."""
         k = self.k
         zeta = self.config.recv_conc
-        counts = np.array(self.pair, dtype=float)
+        counts = np.array(self.stats.pair, dtype=float)
         prop = np.empty((k, k))
         for b in range(k):
             prop[b] = self.rng.dirichlet(counts[b] + zeta)
@@ -539,37 +513,23 @@ class GibbsSampler:
             ref = _ListSweep(self)
             moved = ref.sweep(us.tolist())
             ref.store(self)
-        self._hist = None
         self.nodes_moved += moved
         return moved
 
     def iteration(self) -> None:
         self.sweep()
-        hist = self._deg_hist()
         for b in range(self.k):
-            self.alpha[b], self.theta[b] = self.update_alpha_theta(b, hist[b])
+            self.alpha[b], self.theta[b] = self.update_alpha_theta(b)
         self._refresh_deg_table()
         self.update_propensity()
 
     def log_prob(self) -> float:
         """Collapsed log-probability of (network, current labels, params):
-        log_prob_sequential at the current sample.
-
-        The statistics are the sweep's incremental counts plus the
-        iteration's degree histogram, so no count is rebuilt from the
-        network.
-        """
+        log_prob_sequential at the current sample, from the counts the
+        sweep keeps in ``stats``."""
         cfg = self.config
-        stats = SufficientStats(
-            m=self.network.m,
-            initiations=self.inits,
-            pair=self.pair,
-            deg_hist=self._deg_hist(),
-            block_sizes=self.block_n,
-            block_deg=self.block_deg,
-        )
         return log_prob_from_stats(
-            stats, self.k, cfg.block_conc, cfg.recv_conc, self.alpha, self.theta
+            self.stats, self.k, cfg.block_conc, cfg.recv_conc, self.alpha, self.theta
         ).value
 
     def run(self) -> Chain:

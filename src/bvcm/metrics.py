@@ -62,14 +62,6 @@ class PosteriorMembership:
         probs = chain.block_counts() / len(chain.post_assignments())
         return cls(list(chain.node_ids), probs)
 
-    @classmethod
-    def from_labels(
-        cls, node_ids: list[str], labels: np.ndarray, k: int
-    ) -> "PosteriorMembership":
-        probs = np.zeros((len(labels), k))
-        probs[np.arange(len(labels)), labels] = 1.0
-        return cls(list(node_ids), probs)
-
 
 def _membership(chain_or_membership) -> PosteriorMembership:
     if isinstance(chain_or_membership, PosteriorMembership):

@@ -9,8 +9,9 @@ summed in high precision (bound oracle).  The exceptions are
 Carlo, ``aux_update_alpha_theta_degrees``, the degree-list form of the
 sampler's (alpha, theta) update kept to pin its RNG stream, and
 ``full_conditional`` and ``update_block_assignment``, single-node
-entry points into the sampler's Python sweep (``gibbs._ListSweep``),
-which the enumeration oracle checks.
+entry points into the sampler's Python sweep (``gibbs._ListSweep``,
+which updates every count of the sampler's ``SufficientStats``, the
+degree histogram included), which the enumeration oracle checks.
 """
 
 from __future__ import annotations
@@ -189,13 +190,13 @@ def full_conditional(sampler, i: int) -> np.ndarray:
 def update_block_assignment(sampler, i: int, u=None) -> int:
     """Draw a new block for a sampler's node i with the Python sweep's
     update (inverting u, by default a draw from the sampler's generator)
-    and apply it; returns the label."""
+    and apply it, writing the labels and every count of the sampler's
+    ``stats`` back; returns the label."""
     if u is None:
         u = sampler.rng.random()
     ref = _ListSweep(sampler)
     b = ref.update(i, u)
     ref.store(sampler)
-    sampler._hist = None
     return b
 
 

@@ -296,6 +296,7 @@ class TestErrorsAndConfig:
             (good + '{"sender": "a", "receivers": [1.5]}\n', "line 2"),
             (good + '{"sender": ["a"], "receivers": ["b"]}\n', "line 2"),
             (good + '{"sender": "a", "receivers": []}\n', "line 2"),
+            (good + '{"sender": "a", "receivers": "b"}\n', "line 2"),
         ]
         for text, where in cases:
             bad = tmp_path / "bad.jsonl"

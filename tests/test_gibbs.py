@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -75,22 +76,14 @@ class TestBlockUpdate:
         rng = np.random.default_rng(12)
         net, _ = random_network(rng, 2, m=10, n_pool=6)
         sampler = GibbsSampler(net, GibbsConfig(k=2, iterations=1, burn_in=0, seed=3))
-        before = (
-            list(sampler.labels),
-            [list(r) for r in sampler.pair],
-            list(sampler.block_n),
-            list(sampler.block_deg),
-            list(sampler.inits),
-        )
+
+        def state():
+            stats = dataclasses.astuple(sampler.stats)
+            return [sampler.labels.tolist()] + [np.asarray(x).tolist() for x in stats]
+
+        before = state()
         full_conditional(sampler, 0)
-        after = (
-            list(sampler.labels),
-            [list(r) for r in sampler.pair],
-            list(sampler.block_n),
-            list(sampler.block_deg),
-            list(sampler.inits),
-        )
-        assert before == after
+        assert state() == before
 
     def test_k1_is_certain(self):
         net = InteractionNetwork.from_records([("a", ["b"]), ("b", ["a"])])
@@ -113,21 +106,34 @@ class TestBlockUpdate:
         assert probs[0] > probs[1]
 
     def test_incremental_counts_match_scratch(self):
-        rng = np.random.default_rng(13)
-        for trial in range(5):
-            net, _ = random_network(rng, 3, m=20, n_pool=8, max_arity=2)
-            sampler = GibbsSampler(net, GibbsConfig(k=3, iterations=1, burn_in=0, seed=trial))
-            for _ in range(3):
-                sampler.iteration()
-            fresh = compute_stats(net, BlockAssignment(np.array(sampler.labels), 3))
-            assert np.array_equal(np.array(sampler.pair), fresh.pair)
-            assert np.array_equal(np.array(sampler.inits), fresh.initiations)
-            assert np.array_equal(np.array(sampler.block_n), fresh.block_sizes)
-            assert np.array_equal(np.array(sampler.block_deg), fresh.block_deg)
+        """Every field of the sampler's stats, the degree histogram
+        included, equals compute_stats on its labels after whole
+        iterations and after single-node updates, on either backend."""
+
+        def assert_current(sampler):
+            labels = BlockAssignment(np.array(sampler.labels), sampler.k)
+            fresh = compute_stats(sampler.network, labels)
+            for field in dataclasses.fields(fresh):
+                name = field.name
+                assert np.array_equal(getattr(sampler.stats, name), getattr(fresh, name)), name
+
+        for backend in sweep_backends():
+            rng = np.random.default_rng(13)
+            for trial in range(5):
+                net, _ = random_network(rng, 3, m=20, n_pool=8, max_arity=2)
+                cfg = GibbsConfig(k=3, iterations=1, burn_in=0, seed=trial)
+                sampler = GibbsSampler(net, cfg)
+                assert sampler.sweep_backend == backend
+                for _ in range(3):
+                    sampler.iteration()
+                    assert_current(sampler)
+                for i in range(net.n_nodes):
+                    update_block_assignment(sampler, i)
+                assert_current(sampler)
 
     def test_log_prob_matches_recompute_every_iteration(self):
-        """log_prob reads the sweep's counts and the iteration's degree
-        histogram; it must equal log_prob_from_stats on a fresh
+        """log_prob reads the counts the sweep keeps in the sampler's
+        stats; it must equal log_prob_from_stats on a fresh
         compute_stats exactly, also after a single-node update."""
         rng = np.random.default_rng(21)
 
@@ -252,9 +258,8 @@ class TestParameterUpdates:
         res = simulate_sequential(GeneratorConfig(params=params, m=5000, seed=5))
         sampler = GibbsSampler(res.network, GibbsConfig(k=1, iterations=1, burn_in=0, seed=6))
         trace = []
-        hist_row = sampler._deg_hist()[0]
         for it in range(200):
-            sampler.alpha[0], sampler.theta[0] = sampler.update_alpha_theta(0, hist_row)
+            sampler.alpha[0], sampler.theta[0] = sampler.update_alpha_theta(0)
             if it >= 50:
                 trace.append(sampler.alpha[0])
         assert np.mean(trace) == pytest.approx(0.8, abs=0.04)
@@ -262,7 +267,7 @@ class TestParameterUpdates:
     def test_zero_counts_propensity_is_prior(self):
         net = InteractionNetwork.from_records([("a", ["b"])])
         sampler = GibbsSampler(net, GibbsConfig(k=3, iterations=1, burn_in=0, seed=7))
-        sampler.pair = [[0] * 3 for _ in range(3)]
+        sampler.stats.pair[...] = 0
         draws = np.stack([sampler.update_propensity() for _ in range(3000)])
         assert np.abs(draws.mean(axis=0) - 1.0 / 3.0).max() < 0.03
 

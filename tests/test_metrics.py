@@ -196,9 +196,8 @@ class TestHellinger:
         labels = np.arange(433) % 2
         moved = labels.copy()
         moved[[0, 2]] = 1
-        ids = [f"n{i}" for i in range(433)]
-        a = PosteriorMembership.from_labels(ids, labels, 2)
-        b = PosteriorMembership.from_labels(ids, 1 - moved, 2)
+        a = mem(np.eye(2)[labels])
+        b = mem(np.eye(2)[1 - moved])
         assert hellinger_distance(a, b) == pytest.approx(2 / 433)
 
     def test_half_vs_point(self):

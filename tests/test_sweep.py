@@ -5,7 +5,9 @@ is exact.  These tests need a C compiler; where one exists, the kernel
 must build.
 """
 
+import ctypes
 import math
+import re
 import shutil
 import warnings
 
@@ -70,11 +72,32 @@ def test_backends_give_identical_chains():
                 x.iteration()
         c, py = samplers
         assert np.array_equal(c.labels, py.labels)
-        for name in ("pair", "block_n", "block_deg", "inits", "alpha", "theta", "prop"):
+        for name in ("block_sizes", "block_deg", "initiations", "pair", "deg_hist"):
+            assert np.array_equal(getattr(c.stats, name), getattr(py.stats, name)), name
+        for name in ("alpha", "theta", "prop"):
             assert np.array_equal(getattr(c, name), getattr(py, name)), name
         assert c.nodes_moved == py.nodes_moved
         assert c.log_prob() == py.log_prob()
     assert loops and repeats  # self-pairs and repeated receivers were covered
+
+
+def test_state_mirror_matches_the_c_struct():
+    """SweepState in _sweep.py lists the C struct's fields in order, with
+    matching kinds; a drifted mirror would only show as wrong counts or
+    a crash."""
+    source = _sweep.SOURCE.read_text()
+    body = re.search(r"typedef struct \{(.*?)\} SweepState;", source, re.S).group(1)
+    body = re.sub(r"/\*.*?\*/", "", body, flags=re.S)
+    fields = []
+    for decl in filter(str.strip, body.split(";")):
+        # "const int64_t *out_off, *out_idx" declares two pointers.
+        base = re.match(r"\s*(?:const\s+)?(\w+)", decl).group(1)
+        for part in decl.split(","):
+            name = re.search(r"(\w+)\s*$", part).group(1)
+            fields.append((name, "pointer" if "*" in part else base))
+    kinds = {ctypes.c_void_p: "pointer", ctypes.c_int64: "int64_t", ctypes.c_double: "double"}
+    assert fields == [(name, kinds[kind]) for name, kind in _sweep.SweepState._fields_]
+    assert ("out_idx", "pointer") in fields
 
 
 def test_sweep_returns_moves():
@@ -186,6 +209,16 @@ def test_kernel_is_cached_by_content(monkeypatch, tmp_path, fresh_loader):
     stamp = first.stat().st_mtime_ns
     assert _sweep._build() == first and first.stat().st_mtime_ns == stamp
     assert [p.name for p in first.parent.iterdir()] == [first.name]  # no temp left
+
+
+def test_build_removes_stale_kernels(monkeypatch, tmp_path):
+    """A kernel built under a new key replaces the cached one."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    first = _sweep._build()
+    monkeypatch.setattr(_sweep, "FLAGS", _sweep.FLAGS + ("-DBVCM_OTHER_KEY",))
+    second = _sweep._build()
+    assert second != first
+    assert [p.name for p in (tmp_path / "bvcm").iterdir()] == [second.name]
 
 
 def test_unwritable_cache_builds_in_a_temporary_directory(monkeypatch, tmp_path, fresh_loader):
