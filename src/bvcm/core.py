@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -53,6 +54,10 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+# Interactions that records() converts to Python objects at a time.
+RECORD_CHUNK = 4096
+
+
 class InteractionNetwork:
     """Ordered sequence of interactions over a dense node index space.
 
@@ -60,7 +65,8 @@ class InteractionNetwork:
     sender ``senders[j]`` and receivers
     ``receivers[offsets[j]:offsets[j + 1]]`` (a multiset, in drawn
     order).  The arrays are read-only so the cached ``degrees()`` and
-    ``pairs()`` stay valid.
+    ``pairs()`` stay valid.  Builders collect the arrays in growable
+    ``array("q")`` buffers and hand them over through ``from_buffers``.
     """
 
     def __init__(self, senders, offsets, receivers, node_ids: list[str]):
@@ -71,6 +77,23 @@ class InteractionNetwork:
         self._index: Optional[dict[str, int]] = None
         self._degrees: Optional[np.ndarray] = None
         self._pairs: Optional[tuple[np.ndarray, np.ndarray]] = None
+
+    @classmethod
+    def from_buffers(
+        cls, senders: array, offsets: array, receivers: array, node_ids: list[str]
+    ) -> "InteractionNetwork":
+        """Network that takes over three ``array("q")`` buffers.
+
+        Each buffer is copied to an exact-size array and then emptied,
+        which frees it, before the next is copied: the buffers'
+        over-allocation does not stay in the network, and the hand-over
+        holds at most one buffer twice.
+        """
+        arrays = []
+        for buf in (senders, offsets, receivers):
+            arrays.append(np.array(buf, dtype=np.int64))
+            del buf[:]
+        return cls(*arrays, node_ids)
 
     @classmethod
     def from_records(
@@ -85,9 +108,9 @@ class InteractionNetwork:
         "interaction pos".
         """
         index: dict[str, int] = {}
-        senders: list[int] = []
-        offsets = [0]
-        receivers: list[int] = []
+        senders = array("q")
+        offsets = array("q", [0])
+        receivers = array("q")
         for pos, (sender, rs) in enumerate(records, start=1):
             # The quick test passes records of non-empty strings only:
             # join raises TypeError unless every receiver is a string.
@@ -102,9 +125,10 @@ class InteractionNetwork:
                 at = where(pos) if where else f"interaction {pos}"
                 raise DataError(f"{at}: {problem}")
             senders.append(index.setdefault(str(sender), len(index)))
-            receivers.extend(index.setdefault(str(r), len(index)) for r in rs)
+            for r in rs:
+                receivers.append(index.setdefault(str(r), len(index)))
             offsets.append(len(receivers))
-        return cls(senders, offsets, receivers, list(index))
+        return cls.from_buffers(senders, offsets, receivers, list(index))
 
     @property
     def m(self) -> int:
@@ -140,14 +164,23 @@ class InteractionNetwork:
         return self._pairs
 
     def records(self) -> Iterator[tuple[str, list[str]]]:
+        """(sender, receivers) by original name, in interaction order.
+
+        The arrays become Python objects RECORD_CHUNK interactions at a
+        time, so drawing the first m records costs O(m).
+        """
         ids = self.node_ids
-        offsets = self.offsets.tolist()
-        receivers = self.receivers.tolist()
-        for j, s in enumerate(self.senders.tolist()):
-            yield ids[s], [ids[r] for r in receivers[offsets[j] : offsets[j + 1]]]
+        for start in range(0, self.m, RECORD_CHUNK):
+            senders = self.senders[start : start + RECORD_CHUNK].tolist()
+            offsets = self.offsets[start : start + RECORD_CHUNK + 1]
+            receivers = self.receivers[offsets[0] : offsets[-1]].tolist()
+            offsets = (offsets - offsets[0]).tolist()
+            for s, a, b in zip(senders, offsets, offsets[1:]):
+                yield ids[s], [ids[r] for r in receivers[a:b]]
 
     def prefix(self, m: int) -> "InteractionNetwork":
-        """Network of the first m interactions, node table compacted."""
+        """Network of the first m interactions, node table compacted;
+        O(m), whatever the length of the network."""
         return InteractionNetwork.from_records(itertools.islice(self.records(), m))
 
     def __len__(self) -> int:
@@ -188,12 +221,6 @@ class BlockAssignment:
         except KeyError as exc:
             raise DataError(f"node {exc.args[0]!r} has no block assignment") from None
         return cls(labels - 1, k)
-
-    def to_mapping(self, network: InteractionNetwork) -> dict[str, int]:
-        """Node-id -> 1-based block mapping, using the original identifiers."""
-        return {
-            name: int(self.labels[i]) + 1 for i, name in enumerate(network.node_ids)
-        }
 
 
 @dataclass

@@ -99,8 +99,10 @@ def write_assignment_csv(
     with atomic_write(path) as fh:
         w = csv.writer(fh)
         w.writerow(["node", "block"])
-        for name, block in assignment.to_mapping(network).items():
-            w.writerow([name, block])
+        # Block labels are small ints, which Python caches: the list
+        # costs one pointer per node.
+        blocks = (assignment.labels + 1).tolist()
+        w.writerows(zip(network.node_ids, blocks, strict=True))
 
 
 def read_assignment_csv(
@@ -169,8 +171,8 @@ def write_chain(out_dir: Path, chain: Chain) -> None:
         out_dir / "membership.csv",
         ["node"] + [f"freq_{b + 1}" for b in range(k)],
         (
-            [name] + [f"{f:.10g}" for f in freqs]
-            for name, freqs in zip(membership.node_ids, membership.probs.tolist())
+            [name] + [f"{f:.10g}" for f in freqs.tolist()]
+            for name, freqs in zip(membership.node_ids, membership.probs)
         ),
     )
 

@@ -11,6 +11,8 @@ exact Pitman-Yor urn.
 
 from __future__ import annotations
 
+import itertools
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,25 +101,28 @@ class _BlockUrn:
 
     Existing nodes are drawn proportionally to degree - alpha via a
     uniform appearance token plus a rejection step; a new node arrives
-    with weight theta + alpha * (distinct node count).  The first draw
-    is always a new node, also when theta <= 0.
+    with weight theta + alpha * (distinct node count), made by
+    ``new_node()``.  The first draw is always a new node, also when
+    theta <= 0.  ``tokens`` stays a list: the draw reads it at random
+    positions, and an ``array`` would box a new int on every read.
     """
 
-    __slots__ = ("alpha", "theta", "tokens", "distinct")
+    __slots__ = ("alpha", "theta", "new_node", "tokens", "distinct")
 
-    def __init__(self, alpha: float, theta: float):
+    def __init__(self, alpha: float, theta: float, new_node):
         self.alpha = alpha
         self.theta = theta
+        self.new_node = new_node
         self.tokens: list[int] = []
         self.distinct = 0
 
-    def draw(self, rng, deg: list[int], new_node) -> int:
+    def draw(self, rng, deg: list[int]) -> int:
         total = len(self.tokens)
         denom = self.theta + total
         # The uniform is drawn even for the first node, so the stream for
         # theta > 0 (where the comparison alone picks the new node) is kept.
         if rng.random() * denom < self.theta + self.alpha * self.distinct or not total:
-            node = new_node()
+            node = self.new_node()
             self.distinct += 1
         else:
             while True:
@@ -130,7 +135,11 @@ class _BlockUrn:
 
 
 class _NodeSpace:
-    """Issues node indices in order of first appearance, tagged by block."""
+    """Issues node indices in order of first appearance, tagged by block.
+
+    ``deg`` stays a list, as ``_BlockUrn.tokens`` does: the urns read it
+    at random positions.
+    """
 
     def __init__(self):
         self.deg: list[int] = []
@@ -145,10 +154,19 @@ class _NodeSpace:
         return create
 
     def finish(self, senders, offsets, receivers, k, params) -> "SimulationResult":
+        """Result over the interactions collected in ``array("q")`` buffers."""
         node_ids = [f"n{i + 1}" for i in range(len(self.deg))]
-        network = InteractionNetwork(senders, offsets, receivers, node_ids)
+        network = InteractionNetwork.from_buffers(senders, offsets, receivers, node_ids)
         assignment = BlockAssignment(np.array(self.block, dtype=np.int64), k)
         return SimulationResult(network, assignment, params)
+
+
+def _urns(params: ModelParams, space: _NodeSpace) -> list[_BlockUrn]:
+    """One Pitman-Yor urn per block, each issuing its new nodes in space."""
+    return [
+        _BlockUrn(float(params.alpha[b]), float(params.theta[b]), space.creator(b))
+        for b in range(params.k)
+    ]
 
 
 def simulate_sequential(config: GeneratorConfig) -> SimulationResult:
@@ -166,8 +184,9 @@ def simulate_sequential(config: GeneratorConfig) -> SimulationResult:
     snd_count = [0] * k
     pair = [[0] * k for _ in range(k)]
     recv_tot = [0] * k
-    urns = [_BlockUrn(float(params.alpha[b]), float(params.theta[b])) for b in range(k)]
     space = _NodeSpace()
+    urns = _urns(params, space)
+    deg = space.deg
 
     def draw_block(counts: list[int], total: int, conc: float) -> int:
         r = rng.random() * (total + k * conc)
@@ -178,19 +197,17 @@ def simulate_sequential(config: GeneratorConfig) -> SimulationResult:
         return k - 1
 
     arities = config.arity.sample(rng, config.m) if config.m else np.empty(0, np.int64)
-    senders: list[int] = []
-    offsets = [0]
-    receivers: list[int] = []
+    senders, offsets, receivers = array("q"), array("q", [0]), array("q")
     for j in range(config.m):
         bs = draw_block(snd_count, j, omega)
         snd_count[bs] += 1
-        senders.append(urns[bs].draw(rng, space.deg, space.creator(bs)))
+        senders.append(urns[bs].draw(rng, deg))
         row = pair[bs]
         for _ in range(int(arities[j])):
             br = draw_block(row, recv_tot[bs], zeta)
             row[br] += 1
             recv_tot[bs] += 1
-            receivers.append(urns[br].draw(rng, space.deg, space.creator(br)))
+            receivers.append(urns[br].draw(rng, deg))
         offsets.append(len(receivers))
 
     return space.finish(senders, offsets, receivers, k, params)
@@ -220,10 +237,7 @@ def simulate_conditional_iid(config: GeneratorConfig) -> SimulationResult:
     m = config.m
     sender_blocks = rng.choice(k, size=m, p=pi) if m else np.empty(0, np.int64)
     arities = config.arity.sample(rng, m) if m else np.empty(0, np.int64)
-    offsets = np.concatenate([[0], np.cumsum(arities)]).astype(np.int64)
-    bounds = offsets.tolist()
-    total_recv = bounds[-1]
-    recv_blocks = np.empty(total_recv, dtype=np.int64)
+    recv_blocks = np.empty(int(arities.sum()), dtype=np.int64)
     for b in range(k):
         slot_mask = np.repeat(sender_blocks == b, arities)
         slots = int(slot_mask.sum())
@@ -240,15 +254,18 @@ def simulate_conditional_iid(config: GeneratorConfig) -> SimulationResult:
     )
 
     # Exact: iid draws from GEM weights, marginalized, are the urn.
-    urns = [_BlockUrn(float(params.alpha[b]), float(params.theta[b])) for b in range(k)]
     space = _NodeSpace()
-    senders = []
-    receivers = []
-    recv_list = recv_blocks.tolist()
-    for j, bs in enumerate(sender_blocks.tolist()):
-        senders.append(urns[bs].draw(rng, space.deg, space.creator(bs)))
-        for br in recv_list[bounds[j] : bounds[j + 1]]:
-            receivers.append(urns[br].draw(rng, space.deg, space.creator(br)))
+    urns = _urns(params, space)
+    deg = space.deg
+    senders, offsets, receivers = array("q"), array("q", [0]), array("q")
+    # Block labels and arities are small ints, which Python caches: these
+    # lists cost one pointer per entry, as their arrays do.
+    recv_iter = iter(recv_blocks.tolist())
+    for bs, arity in zip(sender_blocks.tolist(), arities.tolist()):
+        senders.append(urns[bs].draw(rng, deg))
+        for br in itertools.islice(recv_iter, arity):
+            receivers.append(urns[br].draw(rng, deg))
+        offsets.append(len(receivers))
     return space.finish(senders, offsets, receivers, k, realized)
 
 

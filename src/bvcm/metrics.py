@@ -103,7 +103,8 @@ def cross_entropy_loss(
         raise UsageError(f"truth has {truth.k} blocks, the membership {mem.k}")
     if mem.probs.shape[0] != len(truth.labels):
         raise UsageError("membership and truth cover different node sets")
-    logq = np.log(np.clip(mem.probs, _LOG_CLIP, None))
+    logq = np.clip(mem.probs, _LOG_CLIP, None)
+    np.log(logq, out=logq)
     # gain[t, b]: sum of log q[i, b] over the nodes whose true block is t
     gain = np.zeros((mem.k, mem.k))
     np.add.at(gain, truth.labels, logq)

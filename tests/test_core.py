@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from bvcm import (
     compute_stats,
     degree_distribution,
 )
-from bvcm.core import best_relabeling, counterparty_counts
+from bvcm import fileio
+from bvcm.core import RECORD_CHUNK, best_relabeling, counterparty_counts
 
 from oracles import best_permutation_gain, random_network, permuted
 
@@ -132,6 +135,28 @@ class TestColumnarNetwork:
         with pytest.raises(ValueError):
             demo_network.senders[0] = 1
 
+    @pytest.mark.parametrize("m", [0, RECORD_CHUNK - 1, RECORD_CHUNK, RECORD_CHUNK + 1])
+    def test_records_across_chunk_boundaries(self, m, tmp_path):
+        net, _ = random_network(np.random.default_rng(m), 1, m, 60, max_arity=3)
+        # Reference: the whole arrays converted at once.
+        ids = net.node_ids
+        offsets, receivers = net.offsets.tolist(), net.receivers.tolist()
+        whole = [
+            (ids[s], [ids[r] for r in receivers[offsets[j] : offsets[j + 1]]])
+            for j, s in enumerate(net.senders.tolist())
+        ]
+        assert list(net.records()) == whole
+        for cut in (0, RECORD_CHUNK - 1, RECORD_CHUNK, RECORD_CHUNK + 1):
+            pre, ref = net.prefix(cut), InteractionNetwork.from_records(whole[:cut])
+            assert pre.node_ids == ref.node_ids, cut
+            for name in ("senders", "offsets", "receivers"):
+                assert np.array_equal(getattr(pre, name), getattr(ref, name)), (cut, name)
+        path = tmp_path / "net.jsonl"
+        fileio.write_interactions_jsonl(path, net)
+        assert path.read_text(encoding="utf-8") == "".join(
+            json.dumps({"sender": s, "receivers": rs}) + "\n" for s, rs in whole
+        )
+
 
 def _nonzero(hist) -> dict[int, int]:
     """degree -> count over the nonzero entries of a dense histogram."""
@@ -184,7 +209,10 @@ class TestTypes:
         assert net.node_ids == ["1", "2"]
 
     def test_assignment_round_trip(self, demo_network, demo_truth):
-        mapping = demo_truth.to_mapping(demo_network)
+        mapping = {
+            name: int(label) + 1
+            for name, label in zip(demo_network.node_ids, demo_truth.labels)
+        }
         back = BlockAssignment.from_mapping(demo_network, mapping, 2)
         assert np.array_equal(back.labels, demo_truth.labels)
 
