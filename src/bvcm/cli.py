@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import datetime
+import itertools
 import math
 import os
 import sys
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__, fileio
 from .consistency import misclassification_bound, restricted_misclassification
-from .core import ModelParams
+from .core import BlockAssignment, ModelParams
 from .errors import BvcmError, DataError, NumericalError, UsageError
 from .generator import ArityLaw, GeneratorConfig, simulate
 from .gibbs import GibbsConfig, run_gibbs
@@ -62,7 +63,10 @@ def _pair(text: str) -> tuple[float, float]:
 def worker_count() -> int:
     env = os.environ.get("BVCM_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise UsageError(f"BVCM_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -317,6 +321,23 @@ def cmd_select_k(args) -> int:
     return 0
 
 
+def _check_chain_nodes(chain, network, args) -> None:
+    """Chain column j must be network node j; the chain then shares the
+    network's name list instead of keeping its own copy."""
+    if chain.node_ids != network.node_ids:
+        pairs = enumerate(itertools.zip_longest(chain.node_ids, network.node_ids))
+        j, (column, node) = next((j, p) for j, p in pairs if p[0] != p[1])
+        if column is None or node is None:
+            what = f"{len(chain.node_ids)} node columns, but {args.input} has {network.n_nodes} nodes"
+        else:
+            what = f"column {j + 2} is node {column!r}, but node {j + 1} of {args.input} is {node!r}"
+        raise DataError(
+            f"{Path(args.chain) / 'assignments.csv'}: {what}; --input must be "
+            "the network the chain was fitted on"
+        )
+    chain.node_ids = network.node_ids
+
+
 def cmd_eval(args) -> int:
     network = fileio.read_interactions_jsonl(args.input)
     chain = fileio.read_chain(args.chain)
@@ -329,19 +350,20 @@ def cmd_eval(args) -> int:
     if set(wanted) - known:
         raise UsageError(f"unknown metrics {sorted(set(wanted) - known)}")
 
+    _check_chain_nodes(chain, network, args)
     truth = None
     if args.truth is not None:
         truth = fileio.read_assignment_csv(args.truth, network, k=chain.k)
+    # Every metric reads these: block frequencies and their majority (ties -> lowest).
+    membership = PosteriorMembership.from_chain(chain)
+    labeling = BlockAssignment(membership.probs.argmax(axis=1), chain.k)
     out = Path(args.out)
     for metric in wanted:
         if metric == "hellinger":
             if args.chain_b is None:
                 raise UsageError("hellinger needs --chain-b")
             other = fileio.read_chain(args.chain_b)
-            value = hellinger_distance(
-                PosteriorMembership.from_chain(chain),
-                PosteriorMembership.from_chain(other),
-            )
+            value = hellinger_distance(membership, PosteriorMembership.from_chain(other))
             fileio.write_csv(out / "hellinger.csv", ["hellinger"], [[f"{value:.10g}"]])
             continue
         if truth is None:
@@ -351,10 +373,10 @@ def cmd_eval(args) -> int:
                 if args.metrics is None:
                     continue  # default list on k > 2: quietly skip
                 raise UsageError("l2 is defined for k = 2; use cross-entropy")
-            value = standardized_l2(chain, truth)
+            value = standardized_l2(membership, truth)
             fileio.write_csv(out / "l2.csv", ["l2"], [[f"{value:.10g}"]])
         elif metric == "cross-entropy":
-            total, per_node = cross_entropy_loss(chain, truth)
+            total, per_node = cross_entropy_loss(membership, truth)
             fileio.write_csv(
                 out / "cross_entropy.csv",
                 ["total", "per_node"],
@@ -362,7 +384,7 @@ def cmd_eval(args) -> int:
             )
         elif metric == "misclass":
             cutoffs = args.cutoffs or [1.0, math.log(max(network.m, 2))]
-            curve = restricted_misclassification(network, chain, truth, cutoffs)
+            curve = restricted_misclassification(network, labeling, truth, cutoffs)
             fileio.write_csv(
                 out / "misclassification.csv",
                 ["cutoff", "n_nodes", "rate"],

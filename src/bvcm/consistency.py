@@ -112,13 +112,6 @@ class CutoffPoint(NamedTuple):
     rate: Optional[float]
 
 
-def _hard_labels(chain_or_labeling) -> tuple[np.ndarray, int]:
-    if hasattr(chain_or_labeling, "majority_labels"):
-        return chain_or_labeling.majority_labels(), chain_or_labeling.k
-    labeling: BlockAssignment = chain_or_labeling
-    return labeling.labels, labeling.k
-
-
 def min_permutation_error(
     hard: np.ndarray, truth: np.ndarray, k: int, sel: Optional[np.ndarray] = None
 ) -> float:
@@ -139,19 +132,19 @@ def min_permutation_error(
 
 def restricted_misclassification(
     network: InteractionNetwork,
-    chain_or_labeling,
+    labeling: BlockAssignment,
     truth: BlockAssignment,
     degree_cutoffs: Sequence[float],
 ) -> list[CutoffPoint]:
     """Misclassification of degree >= D nodes for each cutoff D.
 
-    The hard label is the post-burn-in majority vote when a chain is
-    given.  Cutoffs with no qualifying node yield rate None.
+    A chain's labeling is ``chain.block_counts().argmax(axis=1)``.
+    Cutoffs with no qualifying node yield rate None.
     """
     cutoffs = list(degree_cutoffs)
     if any(b < a for a, b in zip(cutoffs, cutoffs[1:])):
         raise UsageError("degree cutoffs must be ascending")
-    hard, k = _hard_labels(chain_or_labeling)
+    hard, k = labeling.labels, max(labeling.k, truth.k)
     if len(hard) != network.n_nodes or len(truth.labels) != network.n_nodes:
         raise UsageError("labels do not cover the network")
     deg = network.degrees()
@@ -162,6 +155,6 @@ def restricted_misclassification(
         if n_sel == 0:
             out.append(CutoffPoint(float(cut), 0, None))
             continue
-        rate = min_permutation_error(hard, truth.labels, max(k, truth.k), sel)
+        rate = min_permutation_error(hard, truth.labels, k, sel)
         out.append(CutoffPoint(float(cut), n_sel, rate))
     return out

@@ -22,6 +22,7 @@ kernel matches bit for bit, and the fallback.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import time
@@ -46,6 +47,8 @@ __all__ = [
 _EPS = 1e-12
 # The SufficientStats fields the sweep updates in place.
 _COUNTS = ("block_sizes", "block_deg", "initiations", "pair", "deg_hist")
+# warm_start_labels' probe: prefix interactions, iterations, burn-in before votes.
+_WARM_PREFIX_M, _WARM_ITERATIONS, _WARM_BURN_IN = 2500, 120, 60
 
 
 @dataclass
@@ -120,10 +123,6 @@ class Chain:
         n = self.n_nodes
         cells = np.arange(n) * self.k + post
         return np.bincount(cells.ravel(), minlength=n * self.k).reshape(n, self.k)
-
-    def majority_labels(self) -> np.ndarray:
-        """Per-node most frequent post-burn-in label (ties -> lowest label)."""
-        return self.block_counts().argmax(axis=1)
 
 
 def aux_update_alpha_theta(
@@ -571,43 +570,33 @@ def run_gibbs(network: InteractionNetwork, config: GibbsConfig) -> Chain:
     return GibbsSampler(network, config).run()
 
 
-def warm_start_labels(
-    network: InteractionNetwork,
-    config: GibbsConfig,
-    prefix_m: int = 2500,
-    probe_iterations: int = 120,
-    probe_burn_in: int = 60,
-) -> np.ndarray:
+def warm_start_labels(network: InteractionNetwork, config: GibbsConfig) -> np.ndarray:
     """Initial labels from a short probe chain on a network prefix.
 
     From a uniform random start the single-site sweep can spend many
     hundreds of iterations near the symmetric configuration on large
-    balanced networks; a probe fit on a prefix escapes quickly, and its
-    majority labels (extended to unseen nodes by neighbor majority) put
-    the full chain straight into the structured mode.  Deterministic
-    given config.seed.
+    balanced networks.  A probe on the first 2 500 interactions escapes
+    quickly; each of its nodes takes the label it held most often after
+    burn-in (ties -> lowest label), and the other nodes take their
+    counterparties' majority.  Deterministic given config.seed.
     """
-    prefix = network.prefix(min(prefix_m, network.m))
-    probe_cfg = GibbsConfig(
-        k=config.k,
-        iterations=probe_iterations,
-        burn_in=probe_burn_in,
-        seed=config.seed,
-        block_conc=config.block_conc,
-        recv_conc=config.recv_conc,
-        alpha_prior=config.alpha_prior,
-        theta_prior=config.theta_prior,
-        init="random",
+    prefix = network.prefix(min(_WARM_PREFIX_M, network.m))
+    probe_cfg = dataclasses.replace(
+        config, iterations=_WARM_ITERATIONS, burn_in=_WARM_BURN_IN, init="random"
     )
-    probe = run_gibbs(prefix, probe_cfg)
-    prefix_hard = probe.majority_labels()
+    probe = GibbsSampler(prefix, probe_cfg)
+    votes = np.zeros((prefix.n_nodes, config.k), dtype=np.int64)
+    for t in range(_WARM_ITERATIONS):
+        probe.iteration()
+        if t >= _WARM_BURN_IN:
+            votes[np.arange(prefix.n_nodes), probe.labels] += 1
 
     labels = np.empty(network.n_nodes, dtype=np.int64)
     seen = np.zeros(network.n_nodes, dtype=bool)
     full = np.fromiter(
         map(network.node_index, prefix.node_ids), dtype=np.int64, count=prefix.n_nodes
     )
-    labels[full] = prefix_hard
+    labels[full] = votes.argmax(axis=1)
     seen[full] = True
 
     # Spread outward by counterparty majority; leftovers get random labels.

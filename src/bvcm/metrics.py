@@ -63,13 +63,7 @@ class PosteriorMembership:
         return cls(list(chain.node_ids), probs)
 
 
-def _membership(chain_or_membership) -> PosteriorMembership:
-    if isinstance(chain_or_membership, PosteriorMembership):
-        return chain_or_membership
-    return PosteriorMembership.from_chain(chain_or_membership)
-
-
-def standardized_l2(chain_or_membership, truth: BlockAssignment) -> float:
+def standardized_l2(membership: PosteriorMembership, truth: BlockAssignment) -> float:
     """Root-mean-square distance between truth and mean membership (two blocks).
 
     The norm is evaluated against the labeling and its conjugate and
@@ -77,12 +71,11 @@ def standardized_l2(chain_or_membership, truth: BlockAssignment) -> float:
     labeling score identically: 0 for a point-mass-correct posterior up
     to the flip, 0.5 when every membership sits at 1/2.
     """
-    mem = _membership(chain_or_membership)
-    if mem.k != 2 or truth.k != 2:
+    if membership.k != 2 or truth.k != 2:
         raise UsageError("standardized_l2 is defined for k = 2; use cross_entropy_loss")
-    if mem.probs.shape[0] != len(truth.labels):
+    if membership.probs.shape[0] != len(truth.labels):
         raise UsageError("membership and truth cover different node sets")
-    p = mem.probs[:, 1]
+    p = membership.probs[:, 1]
     t = (truth.labels == 1).astype(float)
     v = len(t)
     direct = np.linalg.norm(t - p)
@@ -91,22 +84,21 @@ def standardized_l2(chain_or_membership, truth: BlockAssignment) -> float:
 
 
 def cross_entropy_loss(
-    chain_or_membership, truth: BlockAssignment
+    membership: PosteriorMembership, truth: BlockAssignment
 ) -> tuple[float, float]:
     """(total, per-node) cross entropy of mean membership against the truth.
 
     Membership frequencies are clipped below at 1e-12 before the log.
     Exact minimum over block-label permutations at every k.
     """
-    mem = _membership(chain_or_membership)
-    if truth.k > mem.k:
-        raise UsageError(f"truth has {truth.k} blocks, the membership {mem.k}")
-    if mem.probs.shape[0] != len(truth.labels):
+    if truth.k > membership.k:
+        raise UsageError(f"truth has {truth.k} blocks, the membership {membership.k}")
+    if membership.probs.shape[0] != len(truth.labels):
         raise UsageError("membership and truth cover different node sets")
-    logq = np.clip(mem.probs, _LOG_CLIP, None)
+    logq = np.clip(membership.probs, _LOG_CLIP, None)
     np.log(logq, out=logq)
     # gain[t, b]: sum of log q[i, b] over the nodes whose true block is t
-    gain = np.zeros((mem.k, mem.k))
+    gain = np.zeros((membership.k, membership.k))
     np.add.at(gain, truth.labels, logq)
     perm = best_relabeling(gain)
     n = len(truth.labels)
@@ -268,35 +260,37 @@ def sparsity_growth(
         raise UsageError("checkpoints must span at least two decades")
 
     n = network.n_nodes
-    positions = np.arange(1, network.m + 1)
-    arity = np.diff(network.offsets)
-    first_seen = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(first_seen, network.senders, positions)
-    np.minimum.at(first_seen, network.receivers, np.repeat(positions, arity))
-
-    groups: list[tuple[Optional[int], np.ndarray]] = [(None, np.arange(n))]
+    groups: list[tuple[Optional[int], np.ndarray]] = [(None, np.ones(n, dtype=bool))]
     if assignment is not None:
-        groups += [
-            (b, np.nonzero(assignment.labels == b)[0]) for b in range(assignment.k)
-        ]
+        groups += [(b, assignment.labels == b) for b in range(assignment.k)]
+
+    # v_counts[g][j]: group g's nodes among the first cps[j] interactions,
+    # marking each checkpoint's new interactions in one boolean array.
+    offsets = network.offsets
+    seen = np.zeros(n, dtype=bool)
+    v_counts: list[list[int]] = [[] for _ in groups]
+    prev = 0
+    for c in cps:
+        seen[network.senders[prev:c]] = True
+        seen[network.receivers[offsets[prev] : offsets[c]]] = True
+        prev = c
+        for counts, (_, member) in zip(v_counts, groups):
+            counts.append(int(np.count_nonzero(seen & member)))
 
     # Mean arity restricted to each group, over the final checkpoint prefix.
     m_pre = cps[-1]
     senders = network.senders[:m_pre]
-    starts = network.offsets[:m_pre]
-    receivers = network.receivers[: network.offsets[m_pre]]
+    starts = offsets[:m_pre]
+    receivers = network.receivers[: offsets[m_pre]]
     out = []
-    for block, idx in groups:
-        member = np.zeros(n, dtype=np.int64)
-        member[idx] = 1
-        per_interaction = member[senders] + np.add.reduceat(member[receivers], starts)
-        containing = int(np.count_nonzero(per_interaction))
-        elements = int(per_interaction.sum())
+    for (block, member), counts in zip(groups, v_counts):
+        sent = member[senders]
+        received = member[receivers]
+        containing = int(np.count_nonzero(sent | np.logical_or.reduceat(received, starts)))
+        elements = int(np.count_nonzero(sent)) + int(np.count_nonzero(received))
         mu_hat = elements / containing if containing else 0.0
 
-        fs = np.sort(first_seen[idx])
-        v_counts = tuple(int(np.searchsorted(fs, c, side="right")) for c in cps)
-        pts = [(m, v) for m, v in zip(cps, v_counts) if v > 0]
+        pts = [(m, v) for m, v in zip(cps, counts) if v > 0]
         if len(pts) >= 2:
             slope = float(
                 np.polyfit(np.log([m for m, _ in pts]), np.log([v for _, v in pts]), 1)[0]
@@ -304,5 +298,5 @@ def sparsity_growth(
             sparse = slope * mu_hat > 1.0
         else:
             slope, sparse = None, False
-        out.append(SparsitySlope(block, slope, mu_hat, sparse, tuple(cps), v_counts))
+        out.append(SparsitySlope(block, slope, mu_hat, sparse, tuple(cps), tuple(counts)))
     return out

@@ -11,7 +11,9 @@ sampler's (alpha, theta) update kept to pin its RNG stream, and
 ``full_conditional`` and ``update_block_assignment``, single-node
 entry points into the sampler's Python sweep (``gibbs._ListSweep``,
 which updates every count of the sampler's ``SufficientStats``, the
-degree histogram included), which the enumeration oracle checks.
+degree histogram included), which the enumeration oracle checks, and
+``warm_start_labels_chain``, the warm start as it ran on a whole
+recorded probe chain.
 """
 
 from __future__ import annotations
@@ -26,9 +28,14 @@ import numpy as np
 import pytest
 
 from bvcm import _sweep
-from bvcm.core import BlockAssignment, InteractionNetwork, compute_stats
+from bvcm.core import (
+    BlockAssignment,
+    InteractionNetwork,
+    compute_stats,
+    counterparty_counts,
+)
 from bvcm.errors import UsageError
-from bvcm.gibbs import _ListSweep
+from bvcm.gibbs import GibbsConfig, _ListSweep, run_gibbs
 from bvcm.likelihood import block_eppf
 
 
@@ -409,3 +416,42 @@ def log_prob_conditional(
     if zero_blocks or zero_pairs:
         return ConditionalLogProb(float("-inf"), tuple(zero_blocks), tuple(zero_pairs))
     return ConditionalLogProb(float(value))
+
+
+def warm_start_labels_chain(network: InteractionNetwork, config: GibbsConfig):
+    """(labels, probe block counts): the warm start computed from a whole
+    recorded probe chain.  The probe is a full ``run_gibbs`` chain of
+    120 iterations (60 burn-in) on the first 2 500 interactions, with
+    ``init="random"`` and every other setting from config; its prefix
+    labels are ``block_counts().argmax(axis=1)`` (ties -> lowest label),
+    spread to the other nodes by counterparty majority."""
+    prefix = network.prefix(min(2500, network.m))
+    probe_cfg = GibbsConfig(
+        k=config.k,
+        iterations=120,
+        burn_in=60,
+        seed=config.seed,
+        block_conc=config.block_conc,
+        recv_conc=config.recv_conc,
+        alpha_prior=config.alpha_prior,
+        theta_prior=config.theta_prior,
+        init="random",
+    )
+    counts = run_gibbs(prefix, probe_cfg).block_counts()
+
+    labels = np.empty(network.n_nodes, dtype=np.int64)
+    seen = np.zeros(network.n_nodes, dtype=bool)
+    full = np.array([network.node_index(name) for name in prefix.node_ids], dtype=np.int64)
+    labels[full] = counts.argmax(axis=1)
+    seen[full] = True
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
+    for _ in range(3):
+        known = np.where(seen, labels, config.k)
+        nbr = counterparty_counts(network, known, config.k + 1)[:, : config.k]
+        fresh = ~seen & (nbr.sum(axis=1) > 0)
+        labels[fresh] = nbr[fresh].argmax(axis=1)
+        seen |= fresh
+        if seen.all():
+            break
+    labels[~seen] = rng.integers(config.k, size=int((~seen).sum()))
+    return labels, counts

@@ -13,6 +13,7 @@ from bvcm.cli import main
 from bvcm.core import BlockAssignment, InteractionNetwork
 from bvcm.gibbs import Chain
 from bvcm.errors import DataError
+from bvcm.metrics import PosteriorMembership, standardized_l2
 
 
 def run_cli(*args):
@@ -180,6 +181,16 @@ class TestSelectK:
         ) == 0
 
 
+    def test_non_integer_thread_cap_is_usage_error(self, sim_files, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("BVCM_THREADS", "two")
+        out, _ = sim_files
+        assert run_cli(
+            "select-k", "--input", out, "--kmin", 2, "--kmax", 3,
+            "--iters", 4, "--burnin", 1, "--out", tmp_path / "t",
+        ) == 2
+        assert "BVCM_THREADS must be an integer, got 'two'" in capsys.readouterr().err
+
+
 class TestEval:
     def test_metric_files(self, sim_files, tmp_path):
         out, truth = sim_files
@@ -219,6 +230,50 @@ class TestEval:
         assert code == 0
         val = float((tmp_path / "h" / "hellinger.csv").read_text().splitlines()[1])
         assert val == pytest.approx(0.0)
+
+    def test_network_must_be_the_one_the_chain_was_fitted_on(
+        self, sim_files, tmp_path, capsys
+    ):
+        """Chain column j is scored as network node j, so a network with
+        the same nodes in another order is a data error, and a copy of the
+        fitted network gives the metric bytes of the original."""
+        out, truth = sim_files
+        chain_dir = tmp_path / "c_n"
+        run_cli(
+            "fit", "--input", out, "--k", 2, "--iters", 30, "--burnin", 10,
+            "--seed", 5, "--out", chain_dir,
+        )
+        lines = out.read_text().splitlines(keepends=True)
+        copy = tmp_path / "copy.jsonl"
+        copy.write_text("".join(lines))
+        shuffled = tmp_path / "shuffled.jsonl"
+        shuffled.write_text("".join(lines[::-1]))
+
+        outputs = {}
+        for net in (out, copy):
+            ev = tmp_path / f"m_{net.stem}"
+            assert run_cli(
+                "eval", "--input", net, "--chain", chain_dir, "--truth", truth,
+                "--out", ev,
+            ) == 0
+            outputs[net] = {f.name: f.read_bytes() for f in ev.glob("*.csv")}
+        assert set(outputs[out]) == {"l2.csv", "cross_entropy.csv", "misclassification.csv"}
+        assert outputs[copy] == outputs[out]
+        network = fileio.read_interactions_jsonl(out)
+        l2 = standardized_l2(
+            PosteriorMembership.from_chain(fileio.read_chain(chain_dir)),
+            fileio.read_assignment_csv(truth, network),
+        )
+        assert outputs[out]["l2.csv"] == f"l2\r\n{l2:.10g}\r\n".encode()
+
+        capsys.readouterr()
+        assert run_cli(
+            "eval", "--input", shuffled, "--chain", chain_dir, "--truth", truth,
+            "--out", tmp_path / "m_shuffled",
+        ) == 3
+        err = capsys.readouterr().err
+        assert "assignments.csv: column " in err
+        assert "must be the network the chain was fitted on" in err
 
     def test_unknown_metric(self, sim_files, tmp_path):
         out, truth = sim_files

@@ -127,10 +127,11 @@ class TestBound:
             misclassification_bound(0.5, 0.9, 0.4, 0.9)
 
 
-def _chain_from_labels(net, labels_list, k=2, burn_in=0):
+def _majority_labeling(net, labels_list, k=2, burn_in=0):
+    """The per-node majority of a chain with these samples (ties -> lowest)."""
     arr = np.array(labels_list)
     iters = arr.shape[0]
-    return Chain(
+    chain = Chain(
         k=k,
         burn_in=burn_in,
         seed=0,
@@ -143,21 +144,22 @@ def _chain_from_labels(net, labels_list, k=2, burn_in=0):
         block_conc=1.0,
         recv_conc=1.0,
     )
+    return BlockAssignment(chain.block_counts().argmax(axis=1), k)
 
 
 class TestRestrictedMisclassification:
     def test_perfect_chain(self):
         net = line_network()
         truth = BlockAssignment(np.array([0, 0, 1, 1]), 2)
-        chain = _chain_from_labels(net, [truth.labels] * 4)
-        curve = restricted_misclassification(net, chain, truth, [0.0])
+        majority = _majority_labeling(net, [truth.labels] * 4)
+        curve = restricted_misclassification(net, majority, truth, [0.0])
         assert curve[0].rate == 0.0
 
     def test_flipped_chain(self):
         net = line_network()
         truth = BlockAssignment(np.array([0, 0, 1, 1]), 2)
-        chain = _chain_from_labels(net, [1 - truth.labels] * 4)
-        curve = restricted_misclassification(net, chain, truth, [0.0])
+        majority = _majority_labeling(net, [1 - truth.labels] * 4)
+        curve = restricted_misclassification(net, majority, truth, [0.0])
         assert curve[0].rate == 0.0
 
     def test_accepts_plain_labeling(self):
@@ -185,8 +187,8 @@ class TestRestrictedMisclassification:
         truth = BlockAssignment(np.array([0, 0, 1, 1]), 2)
         # node b wrong in 1 of 3 samples: majority still right
         samples = [np.array([0, 0, 1, 1]), np.array([0, 1, 1, 1]), np.array([0, 0, 1, 1])]
-        chain = _chain_from_labels(net, samples)
-        curve = restricted_misclassification(net, chain, truth, [1.0])
+        majority = _majority_labeling(net, samples)
+        curve = restricted_misclassification(net, majority, truth, [1.0])
         assert curve[0].rate == 0.0
 
 

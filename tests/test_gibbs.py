@@ -30,6 +30,7 @@ from oracles import (
     random_network,
     sweep_backends,
     update_block_assignment,
+    warm_start_labels_chain,
 )
 
 
@@ -327,11 +328,38 @@ class TestRunGibbs:
     def test_warm_start_labels(self):
         res = diag_block_data(m=800, seed=6)
         cfg = GibbsConfig(k=2, iterations=50, burn_in=10, seed=7)
-        labels = warm_start_labels(res.network, cfg, prefix_m=400)
+        labels = warm_start_labels(res.network, cfg)
         assert labels.shape == (res.network.n_nodes,)
         assert set(np.unique(labels)) <= {0, 1}
-        again = warm_start_labels(res.network, cfg, prefix_m=400)
+        again = warm_start_labels(res.network, cfg)
         assert np.array_equal(labels, again)
+
+    def test_warm_start_votes_match_the_probe_chain(self):
+        """The probe's vote loop gives the labels of the recorded probe
+        chain's majority, ties included, for k = 1..4 and the fit's
+        concentrations and priors; every eighth network has nodes beyond
+        the probe's prefix, so the neighbor extension runs too."""
+        rng = np.random.default_rng(41)
+        ties = 0
+        for case in range(24):
+            k = case % 4 + 1
+            if case % 8 == 7:
+                net, _ = random_network(rng, k, m=2600, n_pool=3000)
+                assert net.prefix(2500).n_nodes < net.n_nodes
+            else:
+                m, pool = int(rng.integers(5, 60)), int(rng.integers(3, 40))
+                net, _ = random_network(rng, k, m=m, n_pool=pool, max_arity=3)
+            block_conc, recv_conc, c, shape = rng.uniform(0.5, 3.0, size=4)
+            cfg = GibbsConfig(
+                k=k, iterations=10, burn_in=2, seed=case, block_conc=block_conc,
+                recv_conc=recv_conc, alpha_prior=(c, 1.0), theta_prior=(shape, 0.5),
+                init="warm",
+            )
+            expected, counts = warm_start_labels_chain(net, cfg)
+            assert np.array_equal(warm_start_labels(net, cfg), expected), case
+            top = counts.max(axis=1, keepdims=True)
+            ties += int(np.any((counts == top).sum(axis=1) > 1))
+        assert ties > 0
 
 
 @pytest.mark.slow

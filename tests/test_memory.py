@@ -13,8 +13,9 @@ import tracemalloc
 import numpy as np
 
 from bvcm import fileio
-from bvcm.core import InteractionNetwork
+from bvcm.core import BlockAssignment, InteractionNetwork
 from bvcm.gibbs import Chain
+from bvcm.metrics import sparsity_growth
 
 
 def traced_peak(fn) -> int:
@@ -77,3 +78,24 @@ def test_prefix_does_not_convert_the_whole_network():
     # One int64 per interaction of the source network: any pass that
     # converts one of its arrays whole reaches it.
     assert peak < 8 * m
+
+
+def test_sparsity_growth_holds_no_int64_per_receiver_slot():
+    m, arity, pool = 200_000, 2, 2_000
+    rng = np.random.default_rng(3)
+    network = InteractionNetwork(
+        rng.integers(pool, size=m),
+        np.arange(0, arity * m + 1, arity),
+        rng.integers(pool, size=arity * m),
+        [f"v{i}" for i in range(pool)],
+    )
+    truth = BlockAssignment(rng.integers(3, size=pool), 3)
+    slopes = []
+    peak = traced_peak(
+        lambda: slopes.append(sparsity_growth(network, [100, 1_000, 10_000, m], truth))
+    )
+    assert len(slopes[0]) == 4
+    # One int64 per interaction and per receiver slot (m + arity * m):
+    # a pass that builds an int64 position for every slot, or an int64
+    # membership count per slot, reaches it.
+    assert peak < 8 * (m + arity * m)

@@ -22,7 +22,7 @@ from bvcm import (
     standardized_l2,
 )
 
-from oracles import size_rank_trap
+from oracles import random_network, size_rank_trap
 
 
 def mem(probs, ids=None):
@@ -60,9 +60,11 @@ class TestMembership:
         # node 0: one sample in each block (tie); node 1: blocks 2, 2, 1
         chain = chain_from([[0, 2], [1, 2], [2, 1]], k=3)
         assert chain.block_counts().tolist() == [[1, 1, 1], [0, 1, 2]]
-        assert chain.majority_labels().tolist() == [0, 2]
+        assert chain.block_counts().argmax(axis=1).tolist() == [0, 2]
         m = PosteriorMembership.from_chain(chain)
         assert np.array_equal(m.probs, chain.block_counts() / 3)
+        # eval takes its hard labels from the frequencies: the same argmax.
+        assert m.probs.argmax(axis=1).tolist() == [0, 2]
 
     def test_row_sums_validated(self):
         with pytest.raises(DataError):
@@ -94,7 +96,7 @@ class TestStandardizedL2:
         n, iters = 400, 600
         chain = chain_from(rng.integers(2, size=(iters, n)))
         truth = BlockAssignment(rng.integers(2, size=n), 2)
-        val = standardized_l2(chain, truth)
+        val = standardized_l2(PosteriorMembership.from_chain(chain), truth)
         assert val == pytest.approx(0.5, abs=0.03)
 
     @given(
@@ -317,6 +319,27 @@ class TestSparsityGrowth:
             sparsity_growth(res.network, [100, 200, 400, 800])
         with pytest.raises(UsageError, match="exceeds"):
             sparsity_growth(res.network, [10, 100, 1000, 10_000])
+
+    def test_counts_match_a_record_loop(self):
+        """Node counts at each checkpoint and mean arity per group, against
+        a loop over the named records."""
+        rng = np.random.default_rng(12)
+        cps = [2, 20, 200, 300]
+        for _ in range(5):
+            net, truth = random_network(rng, 3, m=400, n_pool=150, max_arity=3)
+            label = dict(zip(net.node_ids, truth.labels.tolist()))
+            records = list(net.records())
+            for group, got in zip([None, 0, 1, 2], sparsity_growth(net, cps, truth)):
+                def inside(node):
+                    return group is None or label[node] == group
+
+                seen = [
+                    {v for s, rs in records[:c] for v in [s, *rs] if inside(v)} for c in cps
+                ]
+                slots = [sum(map(inside, [s, *rs])) for s, rs in records[: cps[-1]]]
+                assert got.v_counts == tuple(map(len, seen))
+                containing = sum(n > 0 for n in slots)
+                assert got.mu_hat == (sum(slots) / containing if containing else 0.0)
 
     def test_per_block_variant(self, demo_network, demo_truth):
         params = ModelParams(
