@@ -29,13 +29,11 @@
 typedef struct {
     int64_t n;             /* nodes */
     int64_t k;             /* blocks */
-    int64_t n_degrees;     /* distinct node degrees: row length of la_deg */
-    int64_t hist_width;    /* maximum degree + 1: row length of deg_hist */
+    int64_t hist_width;    /* maximum degree + 1: row length of deg_hist and la_deg */
     int64_t memo_bits;     /* log2 of the lgamma memo's size */
     double block_conc;     /* omega */
     int64_t *labels;       /* [n] */
     const int64_t *deg;    /* [n] appearances */
-    const int64_t *deg_rank;    /* [n] index of deg[i] among the distinct degrees */
     const int64_t *node_inits;  /* [n] interactions initiated */
     const int64_t *self_pairs;  /* [n] self-addressed receptions */
     const int64_t *out_off, *out_idx;  /* CSR out-neighbours, loops excluded */
@@ -46,7 +44,7 @@ typedef struct {
     int64_t *pair;         /* [k*k] sender-block x receiver-block counts */
     int64_t *deg_hist;     /* [k*hist_width] block-b nodes of degree d at [b, d] */
     const double *log_prop;  /* [k*k] log mixing matrix */
-    const double *la_deg;    /* [k*n_degrees] log (1 - alpha_b)_{d-1} by degree rank */
+    const double *la_deg;    /* [k*hist_width] log (1 - alpha_b)_{d-1} at [b, d] */
     const double *alpha;     /* [k] */
     const double *theta;     /* [k] */
     const double *uniforms;  /* [n] one per node, in node order */
@@ -179,7 +177,7 @@ static void log_weights(const SweepState *s, int64_t i, int64_t *cnt_out,
             wb += (double)sp * row[b];
         if (vb)
             wb += log(th + (double)vb * s->alpha[b]);
-        wb += s->la_deg[b * s->n_degrees + s->deg_rank[i]];
+        wb += s->la_deg[b * s->hist_width + d_i];
         if (md)
             wb += memo_lgamma(s, th + (double)md) - memo_lgamma(s, th + (double)md + (double)d_i);
         else

@@ -51,12 +51,12 @@ _ptr = ctypes.c_void_p
 class SweepState(ctypes.Structure):
     """Mirror of the C ``SweepState``: sizes, then pointers to the
     sampler's arrays and the lgamma memo (see ``_sweep.c`` for each
-    field)."""
+    field; ``la_deg`` is laid out like ``deg_hist``)."""
 
     _fields_ = [
-        ("n", _i64), ("k", _i64), ("n_degrees", _i64), ("hist_width", _i64),
-        ("memo_bits", _i64), ("block_conc", ctypes.c_double),
-        ("labels", _ptr), ("deg", _ptr), ("deg_rank", _ptr), ("node_inits", _ptr),
+        ("n", _i64), ("k", _i64), ("hist_width", _i64), ("memo_bits", _i64),
+        ("block_conc", ctypes.c_double),
+        ("labels", _ptr), ("deg", _ptr), ("node_inits", _ptr),
         ("self_pairs", _ptr), ("out_off", _ptr), ("out_idx", _ptr), ("in_off", _ptr),
         ("in_idx", _ptr), ("block_sizes", _ptr), ("block_deg", _ptr), ("initiations", _ptr),
         ("pair", _ptr), ("deg_hist", _ptr), ("log_prop", _ptr), ("la_deg", _ptr),
@@ -73,21 +73,22 @@ _FLOAT_ARRAYS = {"log_prop", "la_deg", "alpha", "theta", "uniforms"}
 def bind(arrays: dict, block_conc: float):
     """The kernel's state argument over ``arrays`` (one per pointer field
     but the memo's, written and read in place), after checking each
-    one's dtype and layout, with an empty lgamma memo of its own.  The
-    sizes are read off the arrays' shapes.  The state keeps the arrays
-    alive."""
+    one's dtype and layout (``la_deg`` in the shape of ``deg_hist``),
+    with an empty lgamma memo of its own.  The sizes are read off the
+    arrays' shapes.  The state keeps the arrays alive."""
     if sorted(arrays) != sorted(_ARRAYS):
         raise TypeError(f"sweep state needs exactly the arrays {_ARRAYS}")
     for name, arr in arrays.items():
         want = np.float64 if name in _FLOAT_ARRAYS else np.int64
         if arr.dtype != want or not arr.flags.c_contiguous:
             raise TypeError(f"sweep state array {name} must be C-contiguous {want.__name__}")
+    if arrays["la_deg"].shape != arrays["deg_hist"].shape:
+        raise TypeError("sweep state arrays la_deg and deg_hist must have one shape")
     size = 1 << LGAMMA_MEMO_BITS
     arrays = dict(arrays, memo_key=np.zeros(size, np.uint64), memo_val=np.zeros(size))
-    k, n_degrees = arrays["la_deg"].shape
+    k, hist_width = arrays["deg_hist"].shape
     state = SweepState(
-        n=arrays["labels"].size, k=k, n_degrees=n_degrees,
-        hist_width=arrays["deg_hist"].shape[1], memo_bits=LGAMMA_MEMO_BITS,
+        n=arrays["labels"].size, k=k, hist_width=hist_width, memo_bits=LGAMMA_MEMO_BITS,
         block_conc=block_conc,
         **{name: arr.ctypes.data for name, arr in arrays.items()},
     )

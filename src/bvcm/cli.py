@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, fileio
 from .consistency import misclassification_bound, restricted_misclassification
-from .core import BlockAssignment, ModelParams
+from .core import BlockAssignment, ModelParams, degree_distribution
 from .errors import BvcmError, DataError, NumericalError, UsageError
 from .generator import ArityLaw, GeneratorConfig, simulate
 from .gibbs import GibbsConfig, run_gibbs
@@ -195,10 +195,7 @@ def _build_propensity(args, k: int):
         np.fill_diagonal(prop, args.prop_diag if k > 1 else 1.0)
         return prop
     if args.prop_file is not None:
-        prop = np.loadtxt(args.prop_file, delimiter=",", ndmin=2)
-        if prop.shape != (k, k):
-            raise DataError(f"{args.prop_file}: expected a {k}x{k} matrix")
-        return prop
+        return fileio.read_matrix_csv(args.prop_file, k)
     return None
 
 
@@ -419,8 +416,6 @@ def cmd_stats(args) -> int:
         truth = fileio.read_assignment_csv(args.truth, network)
     out = Path(args.out)
 
-    from .core import degree_distribution
-
     hist = degree_distribution(network)
     degrees = np.flatnonzero(hist)
     fileio.write_csv(
@@ -499,7 +494,12 @@ def _apply_config(parser, subs, argv) -> argparse.Namespace:
         if dest not in converters:
             raise UsageError(f"config key {key!r} is not a {args.command} option")
         conv = converters[dest]
-        defaults[dest] = conv(raw) if conv is not None else raw
+        try:
+            defaults[dest] = conv(raw) if conv is not None else raw
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            raise UsageError(
+                f"config [{args.command}] {key} = {raw!r} is not a valid value"
+            ) from None
     sub.set_defaults(**defaults)
     # Re-parse: explicit flags still win over config-provided defaults.
     return parser.parse_args(argv)

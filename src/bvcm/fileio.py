@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -28,6 +29,7 @@ __all__ = [
     "read_interactions_jsonl",
     "write_assignment_csv",
     "read_assignment_csv",
+    "read_matrix_csv",
     "write_chain",
     "read_chain",
     "write_csv",
@@ -54,6 +56,50 @@ def atomic_write(path: Path):
         raise
 
 
+@contextmanager
+def _open_text(path: Path):
+    """`path` opened as UTF-8 text.  A byte that is not UTF-8 is a
+    DataError naming its line, found by a binary re-read only then, so
+    the read itself stays a text read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as raw:
+            for ln, line in enumerate(raw, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise DataError(f"{path}: line {ln}: not UTF-8 text") from None
+        raise
+
+
+def _numeric_rows(fh, skip: int, dtype, width: int) -> np.ndarray:
+    """The lines of text file `fh` after its first `skip` (already
+    read, e.g. a header) as rows of `width` numbers: one np.loadtxt,
+    blank lines skipped.  Only when that fails are the lines parsed
+    again one by one, to name the first bad one in the DataError."""
+    with warnings.catch_warnings():
+        # An empty body is the caller's to report, not warned about.
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            body = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=2)
+            if body.size == 0 or body.shape[1] == width:
+                return body.reshape(-1, width)
+        except ValueError:
+            pass
+        want = f"expected {width} {np.dtype(dtype).name} values"
+        fh.seek(0)
+        for ln, line in itertools.islice(enumerate(fh, start=1), skip, None):
+            try:
+                row = np.loadtxt([line], delimiter=",", dtype=dtype, ndmin=2)
+            except ValueError:
+                row = None
+            if row is None or row.size and row.shape[1] != width:
+                raise DataError(f"{fh.name}: line {ln}: {want}")
+    raise DataError(f"{fh.name}: {want} per row")
+
+
 def write_interactions_jsonl(path: Path, network: InteractionNetwork) -> None:
     """One interaction per line: {"sender": id, "receivers": [ids...]};
     line order is the interaction label."""
@@ -68,7 +114,7 @@ def read_interactions_jsonl(path: Path) -> InteractionNetwork:
     last_line = [0]
     # from_records checks each record as it draws it, so a rejected
     # record is the one on the line read last.
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         return InteractionNetwork.from_records(
             _jsonl_records(path, fh, last_line),
             where=lambda pos: f"{path}: line {last_line[0]}",
@@ -109,7 +155,7 @@ def read_assignment_csv(
     path: Path, network: InteractionNetwork, k: Optional[int] = None
 ) -> BlockAssignment:
     mapping: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if {"node", "block"} - set(header):
@@ -128,6 +174,15 @@ def read_assignment_csv(
         raise DataError(f"{path}: no assignments found")
     k = k or max(mapping.values())
     return BlockAssignment.from_mapping(network, mapping, k)
+
+
+def read_matrix_csv(path: Path, k: int) -> np.ndarray:
+    """A k x k matrix from a headerless CSV of numbers."""
+    with _open_text(path) as fh:
+        matrix = _numeric_rows(fh, 0, np.float64, k)
+    if len(matrix) != k:
+        raise DataError(f"{path}: expected a {k}x{k} matrix")
+    return matrix
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
@@ -194,86 +249,55 @@ def write_chain(out_dir: Path, chain: Chain) -> None:
 
 def read_chain(out_dir: Path) -> Chain:
     """Inverse of write_chain.  Assignments come back as int32 0-based
-    labels, (iterations, nodes); the body of assignments.csv is parsed
-    by one numpy call.  A malformed cell or row is a DataError naming
-    the file and its line."""
+    labels, (iterations, nodes).  The body of each CSV is parsed by one
+    numpy call; a malformed cell or row is a DataError naming the file
+    and its line, and so is a manifest that is not JSON or lacks a
+    field."""
     out_dir = Path(out_dir)
-    meta = read_manifest(out_dir / "chain_manifest.json")
-    k = int(meta["k"])
+    path = out_dir / "chain_manifest.json"
+    meta = read_manifest(path)
+    try:
+        k = int(meta["k"])
+        fields = dict(
+            k=k, burn_in=int(meta["burn_in"]), seed=int(meta["seed"]),
+            block_conc=float(meta["block_conc"]), recv_conc=float(meta["recv_conc"]),
+            elapsed_s=float(meta.get("elapsed_s", 0.0)),
+            sweep_backend=str(meta.get("sweep_backend", "python")),
+            nodes_moved=int(meta.get("nodes_moved", 0)),
+        )
+    except KeyError as exc:
+        raise DataError(f"{path}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad field: {exc}") from None
 
     path = out_dir / "assignments.csv"
-    with open(path, encoding="utf-8") as fh:
-        node_ids = next(csv.reader(fh), [])[1:]
-        try:
-            with warnings.catch_warnings():
-                # An empty body is reported below, not warned about.
-                warnings.simplefilter("ignore", UserWarning)
-                body = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
-        except ValueError:
-            body = None
-    if body is None or body.shape[1] != len(node_ids) + 1 or len(body) == 0:
-        raise DataError(f"{path}: {_bad_label_row(path, len(node_ids) + 1)}")
+    with _open_text(path) as fh:
+        reader = csv.reader(fh)
+        node_ids = next(reader, [])[1:]
+        body = _numeric_rows(fh, reader.line_num, np.int64, len(node_ids) + 1)
+    if len(body) == 0:
+        raise DataError(f"{path}: no samples")
     labels = body[:, 1:]
     if labels.size and (labels.min() < 1 or labels.max() > k):
         raise DataError(f"{path}: block labels outside 1..{k}")
     assignments = (labels - 1).astype(np.int32)
 
-    iters = assignments.shape[0]
-    alphas = np.empty((iters, k))
-    thetas = np.empty((iters, k))
-    props = np.empty((iters, k, k))
-    log_probs = np.empty(iters)
     path = out_dir / "chain.csv"
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        rows = 0
-        for t, row in enumerate(reader):
-            try:
-                vals = [float(x) for x in row[1:]]
-                log_probs[t] = vals[0]
-                alphas[t] = vals[1 : 1 + k]
-                thetas[t] = vals[1 + k : 1 + 2 * k]
-                props[t] = np.array(vals[1 + 2 * k :]).reshape(k, k)
-            except (ValueError, IndexError):
-                raise DataError(f"{path}: line {reader.line_num}: malformed row") from None
-            rows += 1
-    if rows != iters:
-        raise DataError(f"{path}: {rows} rows, but assignments.csv has {iters}")
+    with _open_text(path) as fh:
+        next(fh, None)  # the header
+        params = _numeric_rows(fh, 1, np.float64, 2 + 2 * k + k * k)
+    if len(params) != len(assignments):
+        raise DataError(f"{path}: {len(params)} rows, but assignments.csv has {len(assignments)}")
 
     return Chain(
-        k=k,
-        burn_in=int(meta["burn_in"]),
-        seed=int(meta["seed"]),
         node_ids=node_ids,
         assignments=assignments,
-        alphas=alphas,
-        thetas=thetas,
-        props=props,
-        log_probs=log_probs,
-        block_conc=float(meta["block_conc"]),
-        recv_conc=float(meta["recv_conc"]),
-        elapsed_s=float(meta.get("elapsed_s", 0.0)),
-        sweep_backend=str(meta.get("sweep_backend", "python")),
-        nodes_moved=int(meta.get("nodes_moved", 0)),
+        log_probs=params[:, 1],
+        alphas=params[:, 2 : 2 + k],
+        thetas=params[:, 2 + k : 2 + 2 * k],
+        props=params[:, 2 + 2 * k :].reshape(-1, k, k),
+        **fields,
     )
-
-
-def _bad_label_row(path: Path, width: int) -> str:
-    """Where the body of an assignments.csv stops being rows of `width`
-    integers (only called once the fast parse has failed)."""
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for row in filter(None, reader):
-            try:
-                if len(row) == width:
-                    [int(x) for x in row]
-                    continue
-            except ValueError:
-                pass
-            return f"line {reader.line_num}: expected {width} integers"
-    return "no samples"
 
 
 def write_manifest(path: Path, payload: dict) -> None:
@@ -283,5 +307,8 @@ def write_manifest(path: Path, payload: dict) -> None:
 
 
 def read_manifest(path: Path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    with _open_text(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: line {exc.lineno}: malformed JSON: {exc.msg}") from None

@@ -59,9 +59,6 @@ class ArityLaw:
     def is_fixed(self) -> bool:
         return sum(1 for w in self.weights if w > 0) == 1
 
-    def mean(self) -> float:
-        return sum((c + 1) * w for c, w in enumerate(self.weights))
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.is_fixed:
             return np.full(size, len(self.weights), dtype=np.int64)

@@ -11,8 +11,8 @@ theta) updates read the histogram's rows, and ``log_prob`` is
 ``log_prob_from_stats`` on ``stats`` itself.
 
 The sweep state is numpy arrays (int64 labels and counts, CSR
-neighbour lists, float64 log mixing matrix and a degree table over the
-network's distinct degrees), updated in place.  ``sweep()`` runs them
+neighbour lists, float64 log mixing matrix and a degree table laid out
+like the degree histogram), updated in place.  ``sweep()`` runs them
 through the compiled kernel in ``_sweep.c`` when it builds, and
 ``update_alpha_theta`` runs the kernel's (alpha, theta) update on the
 sampler's own generator; the Python sweep (``_ListSweep``, over a list
@@ -209,7 +209,7 @@ class _ListSweep:
     def __init__(self, sampler: "GibbsSampler"):
         self.k = sampler.k
         self.omega = sampler.config.block_conc
-        (self.deg, self.deg_rank, self.node_inits, self.self_pairs,
+        (self.deg, self.node_inits, self.self_pairs,
          self.out_nbrs, self.in_nbrs) = sampler._node_lists
         self.labels = sampler.labels.tolist()
         for name in _COUNTS:
@@ -263,7 +263,6 @@ class _ListSweep:
         lgamma = math.lgamma
         log = math.log
         d_i = self.deg[i]
-        rank = self.deg_rank[i]
         l_i = self.node_inits[i]
         sp = self.self_pairs[i]
         logb = self.logb
@@ -301,7 +300,7 @@ class _ListSweep:
             vb = block_sizes[b]
             if vb:
                 w += log(th + vb * alpha[b])
-            w += la_deg[b][rank]
+            w += la_deg[b][d_i]
             md = block_deg[b]
             if md:
                 w += lgamma(th + md) - lgamma(th + md + d_i)
@@ -374,11 +373,8 @@ class GibbsSampler:
         self.out_off, self.out_idx = _csr(s_out, r_in, n)
         self.in_off, self.in_idx = _csr(r_in, s_out, n)
         self.self_pairs = np.bincount(s_pair[loop], minlength=n)
-        # Distinct degrees and each node's rank among them; bincount, not
-        # np.unique, whose sort buffers add ≈4 MB to the peak at 90k nodes.
-        present = np.bincount(self.deg) > 0
-        self._degrees = np.flatnonzero(present).astype(float)
-        self.deg_rank = (np.cumsum(present) - 1)[self.deg]
+        # The degrees that occur: the degree table's only live columns.
+        self._degrees = np.flatnonzero(np.bincount(self.deg))
 
         # The sweep state: labels, the counts in ``stats`` and the
         # parameters.  The compiled kernel holds pointers to these arrays,
@@ -388,7 +384,7 @@ class GibbsSampler:
         self.alpha = np.empty(k)
         self.theta = np.empty(k)
         self._log_prop = np.empty((k, k))
-        self._la_deg = np.empty((k, self._degrees.size))
+        self._la_deg = np.zeros(self.stats.deg_hist.shape)
         self._uniforms = np.empty(n)
         self.nodes_moved = 0
 
@@ -406,8 +402,8 @@ class GibbsSampler:
         if self._kernel is not None:
             self._state = _sweep.bind(
                 dict(
-                    labels=self.labels, deg=self.deg, deg_rank=self.deg_rank,
-                    node_inits=self.node_inits, self_pairs=self.self_pairs,
+                    labels=self.labels, deg=self.deg, node_inits=self.node_inits,
+                    self_pairs=self.self_pairs,
                     out_off=self.out_off, out_idx=self.out_idx, in_off=self.in_off,
                     in_idx=self.in_idx, log_prop=self._log_prop, la_deg=self._la_deg,
                     alpha=self.alpha, theta=self.theta, uniforms=self._uniforms,
@@ -443,9 +439,9 @@ class GibbsSampler:
             getattr(self.stats, name)[...] = getattr(fresh, name)
 
     def _refresh_deg_table(self) -> None:
-        """Per-block log (1 - alpha_b)_{d-1} at each distinct node degree
-        d; node i reads column ``deg_rank[i]``."""
-        self._la_deg[...] = log_discount_factorial(self._degrees, self.alpha[:, None])
+        """Per-block log (1 - alpha_b)_{d-1} in column d, the layout of
+        ``stats.deg_hist``, for each degree d some node has."""
+        self._la_deg[:, self._degrees] = log_discount_factorial(self._degrees, self.alpha[:, None])
 
     # ------------------------------------------------------- block updates
     #
@@ -455,9 +451,8 @@ class GibbsSampler:
 
     @functools.cached_property
     def _node_lists(self) -> tuple[list, ...]:
-        """Per node, as lists for _ListSweep: degree, degree rank,
-        initiations, self-pairs, out-neighbours and in-neighbours (loops
-        excluded)."""
+        """Per node, as lists for _ListSweep: degree, initiations,
+        self-pairs, out-neighbours and in-neighbours (loops excluded)."""
 
         def grouped(off, idx):
             off, idx = off.tolist(), idx.tolist()
@@ -465,7 +460,6 @@ class GibbsSampler:
 
         return (
             self.deg.tolist(),
-            self.deg_rank.tolist(),
             self.node_inits.tolist(),
             self.self_pairs.tolist(),
             grouped(self.out_off, self.out_idx),

@@ -94,6 +94,23 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_prop_file_fixes_the_mixing_matrix(self, tmp_path, capsys):
+        prop = tmp_path / "prop.csv"
+        prop.write_text("0.7,0.3\n0.2,0.8\n")
+        out = tmp_path / "p.jsonl"
+        args = ("simulate", "--k", 2, "--alpha", "0.5,0.5", "--theta", "5,5",
+                "--m", 50, "--seed", 2)
+        assert run_cli(*args, "--prop-file", prop, "--out", out) == 0
+        manifest = json.loads(out.with_name("p_manifest.json").read_text())
+        assert manifest["mode"] == "conditional_iid"
+        assert manifest["realized_propensity"] == [[0.7, 0.3], [0.2, 0.8]]
+        for text, where in [("0.7,0.3\n", "2x2 matrix"), ("0.7,0.3,0\n0.2,0.8,0\n", "line 1"),
+                            ("0.7,0.3\n0.2,x\n", "line 2")]:
+            prop.write_text(text)
+            assert run_cli(*args, "--prop-file", prop, "--out", out) == 3, text
+            err = capsys.readouterr().err
+            assert str(prop) in err and where in err, text
+
     def test_no_temp_files_left(self, sim_files):
         out, _ = sim_files
         leftovers = [p for p in out.parent.iterdir() if p.suffix == ".tmp"]
@@ -413,6 +430,52 @@ class TestErrorsAndConfig:
         assert code == 3
         assert "chain.csv: line 4" in capsys.readouterr().err
 
+    def test_non_utf8_inputs_are_data_errors(self, sim_files, tmp_path, capsys):
+        out, truth = sim_files
+        chain_dir = tmp_path / "c_u"
+        assert run_cli("fit", "--input", out, "--k", 2, "--iters", 3, "--burnin", 1,
+                       "--out", chain_dir) == 0
+        bad_jsonl = tmp_path / "bad.jsonl"
+        lines = out.read_bytes().splitlines(keepends=True)
+        lines[4] = lines[4].replace(b'"', b'"\xff', 1)
+        bad_jsonl.write_bytes(b"".join(lines))
+        bad_truth = tmp_path / "bad_truth.csv"
+        rows = truth.read_bytes().splitlines(keepends=True)
+        rows[3] = b"\xe9" + rows[3]
+        bad_truth.write_bytes(b"".join(rows))
+        runs = [
+            ("stats", "--input", bad_jsonl, "--out", tmp_path / "s"),
+            ("fit", "--input", bad_jsonl, "--k", 2, "--iters", 2, "--burnin", 0,
+             "--out", tmp_path / "f"),
+            ("eval", "--input", bad_jsonl, "--chain", chain_dir, "--truth", truth,
+             "--out", tmp_path / "e"),
+        ]
+        for cmd in runs:
+            assert run_cli(*cmd) == 3, cmd[0]
+            assert f"{bad_jsonl}: line 5: not UTF-8" in capsys.readouterr().err, cmd[0]
+        code = run_cli("stats", "--input", out, "--truth", bad_truth, "--out", tmp_path / "s")
+        assert code == 3
+        assert f"{bad_truth}: line 4: not UTF-8" in capsys.readouterr().err
+
+    def test_broken_chain_manifest_is_data_error(self, sim_files, tmp_path, capsys):
+        out, truth = sim_files
+        chain_dir = tmp_path / "c_m"
+        assert run_cli("fit", "--input", out, "--k", 2, "--iters", 3, "--burnin", 1,
+                       "--out", chain_dir) == 0
+        path = chain_dir / "chain_manifest.json"
+        meta = json.loads(path.read_text())
+        cases = [
+            # Cut after three lines: the JSON ends where line 4 begins.
+            ("".join(path.read_text().splitlines(keepends=True)[:3]), "line 4: malformed JSON"),
+            (json.dumps({k: v for k, v in meta.items() if k != "burn_in"}), "missing field 'burn_in'"),
+        ]
+        for text, where in cases:
+            path.write_text(text)
+            code = run_cli("eval", "--input", out, "--chain", chain_dir, "--truth", truth,
+                           "--out", tmp_path / "m")
+            assert code == 3, where
+            assert f"{path}: {where}" in capsys.readouterr().err
+
     def test_missing_path_exits_2_and_names_it(self, sim_files, tmp_path, capsys):
         out, truth = sim_files
         code = run_cli("stats", "--input", tmp_path / "nope.jsonl", "--out", tmp_path / "s")
@@ -446,6 +509,20 @@ class TestErrorsAndConfig:
             "simulate", "--config", cfg, "--k", 1, "--alpha", "0.5",
             "--theta", "2", "--m", 5, "--out", tmp_path / "x.jsonl",
         ) == 2
+
+    def test_config_value_its_converter_rejects(self, sim_files, tmp_path, capsys):
+        out, _ = sim_files
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[simulate]\nm = ten\n[fit]\nalpha-prior = x\n")
+        assert run_cli(
+            "simulate", "--config", cfg, "--k", 1, "--alpha", "0.5",
+            "--theta", "2", "--m", 5, "--out", tmp_path / "x.jsonl",
+        ) == 2
+        assert "config [simulate] m = 'ten'" in capsys.readouterr().err
+        assert run_cli(
+            "fit", "--config", cfg, "--input", out, "--k", 2, "--out", tmp_path / "c",
+        ) == 2
+        assert "config [fit] alpha-prior = 'x'" in capsys.readouterr().err
 
 
 class TestFileio:

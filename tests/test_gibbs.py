@@ -19,6 +19,7 @@ from bvcm import (
     simulate_conditional_iid,
     simulate_sequential,
 )
+from bvcm.consistency import degree_majority_update
 from bvcm.gibbs import aux_update_alpha_theta, warm_start_labels
 from bvcm.likelihood import log_prob_from_stats
 
@@ -324,6 +325,21 @@ class TestRunGibbs:
         net, _ = random_network(rng, 3, m=10, n_pool=5)
         with pytest.raises(UsageError):
             run_gibbs(net, GibbsConfig(k=3, iterations=2, init="degree_majority"))
+
+    def test_degree_majority_init_is_two_majority_passes(self):
+        """At k = 2 the sampler starts from two degree-majority passes
+        over the random labels its seed draws first."""
+        res = diag_block_data(m=300, seed=8)
+        net = res.network
+        sampler = GibbsSampler(net, GibbsConfig(k=2, iterations=1, seed=5, init="degree_majority"))
+        start = np.random.default_rng(np.random.SeedSequence(5)).integers(2, size=net.n_nodes)
+        assignment = BlockAssignment(start, 2)
+        for _ in range(2):
+            assignment = degree_majority_update(net, assignment)
+        assert np.array_equal(sampler.labels, assignment.labels)
+        assert not np.array_equal(sampler.labels, start)
+        fresh = compute_stats(net, assignment)
+        assert np.array_equal(sampler.stats.deg_hist, fresh.deg_hist)
 
     def test_warm_start_labels(self):
         res = diag_block_data(m=800, seed=6)

@@ -100,6 +100,21 @@ def test_state_mirror_matches_the_c_struct():
     assert ("out_idx", "pointer") in fields
 
 
+def test_bind_needs_la_deg_in_the_deg_hist_layout():
+    """The kernel indexes the degree table and the degree histogram
+    with one row length, so bind refuses tables of two shapes."""
+    rng = np.random.default_rng(13)
+    net, _ = random_network(rng, 2, m=20, n_pool=8)
+    sampler = GibbsSampler(net, GibbsConfig(k=2, iterations=1, seed=3))
+    arrays = dict(sampler._state._obj.arrays)
+    del arrays["memo_key"], arrays["memo_val"]
+    assert arrays["la_deg"].shape == sampler.stats.deg_hist.shape
+    _sweep.bind(arrays, block_conc=1.0)
+    arrays["la_deg"] = np.zeros((2, arrays["deg_hist"].shape[1] - 1))
+    with pytest.raises(TypeError, match="la_deg and deg_hist"):
+        _sweep.bind(arrays, block_conc=1.0)
+
+
 def test_sweep_returns_moves():
     rng = np.random.default_rng(9)
     net, _ = random_network(rng, 3, m=30, n_pool=12, max_arity=2)
