@@ -1,5 +1,5 @@
-"""Build, cache and load the compiled sweep and (alpha, theta) update
-(``_sweep.c``).
+"""Build, cache and load the compiled sweep, (alpha, theta) update and
+``gammaln`` (``_sweep.c``).
 
 The kernel is compiled on first use with the system C compiler (``cc -O2
 -fPIC -shared -ffp-contract=off``: no fused multiply-adds, no fast-math,
@@ -12,7 +12,9 @@ under a name keyed by the sha256 of the source, the bytes of
 ``libnpyrandom.a``, the numpy version, the flags and the platform, so a
 numpy upgrade builds a new kernel; it is written under a temporary name
 and renamed into place, so concurrent processes never load a partial
-file, and a build removes the kernels cached there under other keys.
+file.  The directory keeps the ``KEEP_KERNELS`` most recently used
+kernels (by mtime; a cache hit touches its kernel), so checkouts of two
+versions run in turn do not rebuild each other's.
 When that directory is unwritable the build goes to a per-process
 temporary directory.  When no compiler, header or library works,
 ``load`` warns once and returns None, and the sampler runs its Python
@@ -43,6 +45,8 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 NPYRANDOM = Path(np.random.__file__).parent / "lib" / "libnpyrandom.a"
 # The sweep's lgamma memo has 2**LGAMMA_MEMO_BITS entries.
 LGAMMA_MEMO_BITS = 12
+# Kernels kept in the cache directory, the most recently used first.
+KEEP_KERNELS = 4
 
 _i64 = ctypes.c_int64
 _ptr = ctypes.c_void_p
@@ -134,6 +138,8 @@ def _build() -> Path:
     for cache in _cache_dirs():
         target = cache / name
         if target.exists():
+            with contextlib.suppress(OSError):
+                os.utime(target)
             return target
         try:
             cache.mkdir(parents=True, exist_ok=True)
@@ -153,20 +159,28 @@ def _build() -> Path:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        # Kernels under other keys are stale; a process that has one
-        # loaded keeps its mapping.
-        for stale in cache.glob("_sweep-*.so"):
-            if stale != target:
-                with contextlib.suppress(OSError):
-                    stale.unlink()
+        # Evict all but the most recently used kernels, best effort (another
+        # process may be evicting too); a process that has one loaded keeps
+        # its mapping.
+        with contextlib.suppress(OSError):
+            kernels = sorted(cache.glob("_sweep-*.so"), key=lambda p: p.stat().st_mtime_ns)
+            for stale in kernels[:-KEEP_KERNELS]:
+                stale.unlink()
         return target
     raise OSError("no writable directory for the compiled sweep")
+
+
+# What the last ``load()`` returned: ``likelihood.gammaln`` uses the
+# kernel only if this process has it already, so it never builds one.
+loaded: Optional[ctypes.CDLL] = None
 
 
 @functools.lru_cache(maxsize=None)
 def load() -> Optional[ctypes.CDLL]:
     """The kernel library, or None (with one warning per process) when it
     cannot be built or loaded."""
+    global loaded
+    loaded = None
     try:
         lib = ctypes.CDLL(str(_build()))
     except (OSError, subprocess.SubprocessError) as exc:
@@ -183,4 +197,7 @@ def load() -> Optional[ctypes.CDLL]:
     doubles = ctypes.POINTER(ctypes.c_double)
     lib.bvcm_aux.argtypes = [_ptr, _ptr, _i64, ctypes.c_double, ctypes.c_double, doubles, doubles]
     lib.bvcm_aux.restype = None
+    lib.bvcm_gammaln.argtypes = [_ptr, _i64]
+    lib.bvcm_gammaln.restype = _i64
+    loaded = lib
     return lib

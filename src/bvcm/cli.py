@@ -15,7 +15,6 @@ import itertools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +294,8 @@ def cmd_select_k(args) -> int:
     ]
     workers = min(worker_count(), len(jobs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_select_worker, jobs))
     else:
@@ -485,15 +486,19 @@ def _apply_config(parser, subs, argv) -> argparse.Namespace:
     if not ini.has_section(args.command):
         return args
     sub = subs[args.command]
-    converters = {
-        a.dest: a.type for a in sub._actions if a.dest != "help"
-    }
+    actions = {a.dest: a for a in sub._actions if a.dest != "help"}
     defaults = {}
     for key, raw in ini.items(args.command):
         dest = key.replace("-", "_")
-        if dest not in converters:
+        if dest not in actions:
             raise UsageError(f"config key {key!r} is not a {args.command} option")
-        conv = converters[dest]
+        if actions[dest].required:
+            # argparse demands the flag before the file is read.
+            raise UsageError(
+                f"config key {key!r} sets the required {args.command} flag "
+                f"{actions[dest].option_strings[0]}; give it on the command line"
+            )
+        conv = actions[dest].type
         try:
             defaults[dest] = conv(raw) if conv is not None else raw
         except (argparse.ArgumentTypeError, TypeError, ValueError):

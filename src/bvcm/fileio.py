@@ -154,7 +154,20 @@ def write_assignment_csv(
 def read_assignment_csv(
     path: Path, network: InteractionNetwork, k: Optional[int] = None
 ) -> BlockAssignment:
-    mapping: dict[str, int] = {}
+    """The network's assignment from node,block rows (1-based blocks).
+
+    A later row for a node replaces an earlier one; rows naming nodes
+    outside the network are ignored, but their blocks count towards the
+    default k, the largest block given.  Blocks go straight into an
+    int64 array, so no name -> block table of the whole file is built:
+    row j is node j when it names that node, as in the files
+    ``write_assignment_csv`` writes, and any other row is looked up in
+    the network's node index.
+    """
+    ids = network.node_ids
+    blocks = np.zeros(len(ids), dtype=np.int64)
+    assigned = np.zeros(len(ids), dtype=bool)
+    unknown: dict[str, int] = {}
     with _open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -162,18 +175,32 @@ def read_assignment_csv(
             raise DataError(f"{path}: expected header node,block")
         node, block = header.index("node"), header.index("block")
         # Blank rows are skipped; errors name the file line of the row.
-        for row in filter(None, reader):
+        for j, row in enumerate(filter(None, reader)):
             try:
-                mapping[row[node]] = int(row[block])
+                name, value = row[node], int(row[block])
             except (IndexError, ValueError):
                 value = row[block] if block < len(row) else None
                 raise DataError(
                     f"{path}: line {reader.line_num}: bad block value {value!r}"
                 )
-    if not mapping:
+            if j < len(ids) and ids[j] == name:
+                i = j
+            else:
+                try:
+                    i = network.node_index(name)
+                except DataError:
+                    unknown[name] = value
+                    continue
+            blocks[i] = value
+            assigned[i] = True
+    if not (unknown or assigned.any()):
         raise DataError(f"{path}: no assignments found")
-    k = k or max(mapping.values())
-    return BlockAssignment.from_mapping(network, mapping, k)
+    if not assigned.all():
+        missing = ids[int(np.argmin(assigned))]
+        raise DataError(f"node {missing!r} has no block assignment")
+    given = [*unknown.values(), *([int(blocks.max())] if blocks.size else [])]
+    k = k or max(given)
+    return BlockAssignment(blocks - 1, k)
 
 
 def read_matrix_csv(path: Path, k: int) -> np.ndarray:

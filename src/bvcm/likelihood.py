@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
+from . import _sweep
 from .core import (
     BlockAssignment,
     InteractionNetwork,
@@ -44,6 +44,25 @@ class LogProb:
     term_block: float
     term_nodes: float
     term_prop: float
+
+
+def gammaln(x):
+    """log Gamma(x) elementwise, as ``scipy.special.gammaln``.
+
+    Computed by the compiled kernel's port of the same algorithm, which
+    gives the same bits, when this process has loaded the kernel and
+    every x > 0 (all the model's arguments are); otherwise by scipy,
+    imported on first use, so that commands without a sampler never
+    load scipy or build the kernel.
+    """
+    lib = _sweep.loaded
+    if lib is not None:
+        out = np.array(x, dtype=np.float64, order="C")  # a copy, computed in place
+        if not lib.bvcm_gammaln(out.ctypes.data, out.size):
+            return out[()]
+    from scipy.special import gammaln
+
+    return gammaln(x)
 
 
 def _log_rising(x, n):

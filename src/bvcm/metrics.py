@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.special import chdtrc, gammaln
 
 from .core import (
     BlockAssignment,
@@ -24,7 +23,7 @@ from .core import (
     degree_distribution,
 )
 from .errors import DataError, UsageError
-from .likelihood import log_discount_factorial
+from .likelihood import gammaln, log_discount_factorial
 
 __all__ = [
     "PosteriorMembership",
@@ -192,6 +191,8 @@ def _fit_one(hist: np.ndarray, block: Optional[int], min_nodes: int) -> Powerlaw
     exp = np.append(exp, max(v - exp.sum(), _LOG_CLIP))
     chi2 = float(((obs - exp) ** 2 / exp).sum())
     dof = max(len(obs) - 2, 1)
+    from scipy.special import chdtrc
+
     p_bulk = float(chdtrc(dof, chi2))
     tail_mass = max(float(1.0 - pmf[: max_d - 1].sum()), _LOG_CLIP)
     p_max = float(1.0 - (1.0 - min(tail_mass, 1.0)) ** v)

@@ -490,17 +490,19 @@ class TestErrorsAndConfig:
 
     def test_config_file_defaults_and_override(self, tmp_path):
         cfg = tmp_path / "bvcm.ini"
-        cfg.write_text("[simulate]\nm = 25\nseed = 9\n")
+        cfg.write_text("[simulate]\narity = 3\nseed = 9\n")
         out = tmp_path / "cfg.jsonl"
         code = run_cli(
             "simulate", "--config", cfg, "--k", 1, "--alpha", "0.5",
-            "--theta", "2", "--m", 30, "--out", out,
+            "--theta", "2", "--m", 30, "--arity", 1, "--out", out,
         )
         assert code == 0
-        # explicit --m wins over the config value; seed comes from config
-        assert len(out.read_text().strip().splitlines()) == 30
+        # explicit --arity wins over the config value; seed comes from config
+        lines = out.read_text().strip().splitlines()
+        assert [len(json.loads(line)["receivers"]) for line in lines] == [1] * 30
         manifest = json.loads(out.with_name("cfg_manifest.json").read_text())
         assert manifest["seed"] == 9
+        assert manifest["arity"] == "1"
 
     def test_config_unknown_key(self, tmp_path):
         cfg = tmp_path / "bad.ini"
@@ -510,15 +512,29 @@ class TestErrorsAndConfig:
             "--theta", "2", "--m", 5, "--out", tmp_path / "x.jsonl",
         ) == 2
 
-    def test_config_value_its_converter_rejects(self, sim_files, tmp_path, capsys):
-        out, _ = sim_files
-        cfg = tmp_path / "bad.ini"
-        cfg.write_text("[simulate]\nm = ten\n[fit]\nalpha-prior = x\n")
+    def test_config_key_for_a_required_flag(self, tmp_path, capsys):
+        # argparse demands a required flag before the file is read, so
+        # such a key could never be used.
+        cfg = tmp_path / "req.ini"
+        cfg.write_text("[simulate]\nk = 1\n")
         assert run_cli(
             "simulate", "--config", cfg, "--k", 1, "--alpha", "0.5",
             "--theta", "2", "--m", 5, "--out", tmp_path / "x.jsonl",
         ) == 2
-        assert "config [simulate] m = 'ten'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config key 'k' sets the required simulate flag --k" in err
+        assert "give it on the command line" in err
+        assert not (tmp_path / "x.jsonl").exists()
+
+    def test_config_value_its_converter_rejects(self, sim_files, tmp_path, capsys):
+        out, _ = sim_files
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[simulate]\nseed = ten\n[fit]\nalpha-prior = x\n")
+        assert run_cli(
+            "simulate", "--config", cfg, "--k", 1, "--alpha", "0.5",
+            "--theta", "2", "--m", 5, "--out", tmp_path / "x.jsonl",
+        ) == 2
+        assert "config [simulate] seed = 'ten'" in capsys.readouterr().err
         assert run_cli(
             "fit", "--config", cfg, "--input", out, "--k", 2, "--out", tmp_path / "c",
         ) == 2
@@ -569,6 +585,11 @@ class TestFileio:
         fileio.write_assignment_csv(path, net, assign)
         back = fileio.read_assignment_csv(path, net, k=2)
         assert np.array_equal(back.labels, assign.labels)
+        # Rows in another order, a node outside the network, and a
+        # repeated node whose later row wins.
+        path.write_text("node,block\nc,1\nzz,3\na,2\nb,2\na,1\n")
+        back = fileio.read_assignment_csv(path, net)
+        assert np.array_equal(back.labels, assign.labels) and back.k == 3
 
     def test_assignment_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -637,6 +658,43 @@ def test_cli_import_leaves_out_scipy_optimize(sim_files, tmp_path):
     )
     assert _fresh_python(code).splitlines()[-1] == "False"
     assert (tmp_path / "m" / "misclassification.csv").exists()
+
+
+def _scipy_and_kernel_loads_after(argv) -> tuple[list, int]:
+    """The scipy modules a fresh interpreter has loaded after running the
+    CLI on argv, and how many times it asked for the compiled kernel."""
+    code = (
+        "import json, sys, bvcm._sweep as s, bvcm.cli as c\n"
+        f"assert c.main({[str(a) for a in argv]!r}) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        "print(s.load.cache_info().misses)"
+    )
+    scipy, loads = _fresh_python(code).splitlines()[-2:]
+    return json.loads(scipy), int(loads)
+
+
+def test_only_stats_and_a_python_fit_load_scipy(sim_files, tmp_path):
+    # scipy.special is half of a command's start-up. stats needs it; fit
+    # takes gammaln from the compiled kernel, and needs it only without.
+    assert _fresh_python("import sys, bvcm.cli; print('scipy' in sys.modules)") == "False"
+    out, truth = sim_files
+    chain = tmp_path / "chain"
+    bound = ["bound", "--alpha", "0.5", "--a", "0.9", "--gamma1", "0.9", "--gamma2", "0.9"]
+    simulate = [
+        "simulate", "--k", 2, "--alpha", "0.5,0.5", "--theta", "5,5", "--m", 50,
+        "--out", tmp_path / "sim.jsonl",
+    ]
+    fit = ["fit", "--input", out, "--k", 2, "--iters", 4, "--burnin", 1, "--out", chain]
+    evaluate = ["eval", "--input", out, "--chain", chain, "--truth", truth, "--out", tmp_path / "m"]
+    stats = ["stats", "--input", out, "--truth", truth, "--out", tmp_path / "s"]
+    for argv in (bound, simulate):
+        assert _scipy_and_kernel_loads_after(argv) == ([], 0), argv[0]
+    scipy, _ = _scipy_and_kernel_loads_after(fit)
+    if json.loads((chain / "chain_manifest.json").read_text())["sweep_backend"] == "c":
+        assert scipy == []
+    assert _scipy_and_kernel_loads_after(evaluate) == ([], 0)
+    # stats imports scipy.special lazily, but builds no kernel for it.
+    assert _scipy_and_kernel_loads_after(stats)[1] == 0
 
 
 def test_bound_neither_builds_nor_loads_the_sweep():

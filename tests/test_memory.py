@@ -99,3 +99,23 @@ def test_sparsity_growth_holds_no_int64_per_receiver_slot():
     # a pass that builds an int64 position for every slot, or an int64
     # membership count per slot, reaches it.
     assert peak < 8 * (m + arity * m)
+
+
+def test_read_assignment_csv_holds_no_name_table(tmp_path):
+    n, k = 50_000, 5
+    rng = np.random.default_rng(4)
+    names = [f"node-{i:07d}" for i in range(n)]
+    network = InteractionNetwork(
+        np.arange(n), np.arange(n + 1), rng.permutation(n), names,
+    )
+    truth = BlockAssignment(rng.integers(k, size=n), k)
+    path = tmp_path / "truth.csv"
+    fileio.write_assignment_csv(path, network, truth)
+    read = []
+    peak = traced_peak(lambda: read.append(fileio.read_assignment_csv(path, network)))
+    assert np.array_equal(read[0].labels, truth.labels) and read[0].k == k
+    # The blocks as read (int64), the assigned mask (bool) and the
+    # 0-based labels (int64), twice over: a table with one name string
+    # per row, as a name -> block dict holds, exceeds it.
+    bound = 2 * n * (8 + 1 + 8)
+    assert peak < bound

@@ -7,6 +7,7 @@ must build.
 
 import ctypes
 import math
+import os
 import re
 import shutil
 import warnings
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from bvcm import GibbsConfig, GibbsSampler, run_gibbs
-from bvcm import _sweep
+from bvcm import _sweep, likelihood
 from bvcm.gibbs import aux_update_alpha_theta
 
 from oracles import aux_update_cases, random_network, sweep_backends
@@ -221,19 +222,78 @@ def test_kernel_is_cached_by_content(monkeypatch, tmp_path, fresh_loader):
     first = _sweep._build()
     assert first.parent == tmp_path / "bvcm"
     assert first.name.startswith("_sweep-") and first.suffix == ".so"
-    stamp = first.stat().st_mtime_ns
-    assert _sweep._build() == first and first.stat().st_mtime_ns == stamp
+    inode = first.stat().st_ino
+    # Not rebuilt: a build renames a new file into place.
+    assert _sweep._build() == first and first.stat().st_ino == inode
     assert [p.name for p in first.parent.iterdir()] == [first.name]  # no temp left
 
 
-def test_build_removes_stale_kernels(monkeypatch, tmp_path):
-    """A kernel built under a new key replaces the cached one."""
+def test_build_keeps_the_recent_kernels(monkeypatch, tmp_path):
+    """Kernels under other keys stay cached, up to KEEP_KERNELS of them;
+    a build evicts the least recently used, and a cache hit counts as a
+    use."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    first = _sweep._build()
-    monkeypatch.setattr(_sweep, "FLAGS", _sweep.FLAGS + ("-DBVCM_OTHER_KEY",))
-    second = _sweep._build()
-    assert second != first
-    assert [p.name for p in (tmp_path / "bvcm").iterdir()] == [second.name]
+    cache = tmp_path / "bvcm"
+
+    def build(key):
+        monkeypatch.setattr(_sweep, "_cache_key", lambda: key * 64)
+        return _sweep._build().name
+
+    first, second = build("a"), build("b")
+    assert sorted(p.name for p in cache.iterdir()) == [first, second]
+    assert _sweep.KEEP_KERNELS == 4
+    third, fourth = build("c"), build("d")
+    os.utime(cache / first, ns=(1, 1))
+    os.utime(cache / second, ns=(2, 2))
+    assert build("a") == first  # a hit makes the first kernel the newest
+    fifth = build("e")
+    assert sorted(p.name for p in cache.iterdir()) == sorted([first, third, fourth, fifth])
+
+
+def test_gammaln_matches_scipy_bit_for_bit():
+    """The kernel's gammaln against scipy.special.gammaln, the oracle:
+    equal bits on 10**6 arguments from each domain the model passes it,
+    and exactly 0 at 1 and 2."""
+    from scipy.special import gammaln as scipy_gammaln
+
+    lib = _sweep.load()
+    rng = np.random.default_rng(17)
+    size = 10**6
+    domains = {
+        "uniform on (1e-6, 20)": rng.uniform(1e-6, 20.0, size),
+        "log-uniform on (1e-8, 1e9)": np.exp(rng.uniform(np.log(1e-8), np.log(1e9), size)),
+        "d - alpha": rng.integers(1, 200_001, size) - rng.uniform(0.0, 1.0, size),
+        "theta + n": rng.uniform(1e-3, 50.0, size) + rng.integers(0, 100_000, size),
+        "1 - alpha": 1.0 - rng.uniform(0.0, 1.0, size),
+        "integers": np.arange(1.0, size + 1.0),
+        "branch edges": np.array([
+            np.nextafter(13.0, 0.0), 13.0, np.nextafter(1000.0, 0.0), 1000.0,
+            1e8, np.nextafter(1e8, np.inf), 1e300, 3e305, np.inf, 5e-324,
+        ]),
+    }
+    for name, x in domains.items():
+        out = x.copy()
+        assert lib.bvcm_gammaln(out.ctypes.data, out.size) == 0, name
+        bad = np.flatnonzero(out.view(np.uint64) != scipy_gammaln(x).view(np.uint64))
+        assert bad.size == 0, (name, x[bad[:5]])
+    ones = np.array([1.0, 2.0])
+    assert lib.bvcm_gammaln(ones.ctypes.data, 2) == 0
+    assert ones.tolist() == [0.0, 0.0]
+
+
+def test_gammaln_leaves_other_arguments_to_scipy():
+    """likelihood.gammaln runs the kernel only on arguments > 0, and
+    keeps scipy's result types."""
+    from scipy.special import gammaln as scipy_gammaln
+
+    assert _sweep.load() is not None and _sweep.loaded is not None
+    x = np.array([[0.5, 3.0], [7.25, 1e6]])
+    assert np.array_equal(likelihood.gammaln(x), scipy_gammaln(x))
+    assert np.array_equal(likelihood.gammaln(x.T), scipy_gammaln(x.T))  # not contiguous
+    assert type(likelihood.gammaln(4.5)) is np.float64
+    assert likelihood.gammaln(4.5) == scipy_gammaln(4.5)
+    for y in ([0.5, 0.0], [-0.5, 2.0], [np.nan, 1.0], [-np.inf]):
+        assert np.array_equal(likelihood.gammaln(y), scipy_gammaln(y), equal_nan=True), y
 
 
 def test_unwritable_cache_builds_in_a_temporary_directory(monkeypatch, tmp_path, fresh_loader):
