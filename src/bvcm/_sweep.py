@@ -45,7 +45,7 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 NPYRANDOM = Path(np.random.__file__).parent / "lib" / "libnpyrandom.a"
 # The sweep's lgamma memo has 2**LGAMMA_MEMO_BITS entries.
 LGAMMA_MEMO_BITS = 12
-# Kernels kept in the cache directory, the most recently used first.
+# Compiled kernels the cache directory keeps, the most recently used.
 KEEP_KERNELS = 4
 
 _i64 = ctypes.c_int64
