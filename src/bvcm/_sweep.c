@@ -1,5 +1,5 @@
-/* Compiled single-site sweep of the B-VCM Gibbs sampler, the
- * auxiliary-variable (alpha, theta) update, and the likelihood's gammaln.
+/* Compiled single-site sweep of the B-VCM Gibbs sampler and the
+ * auxiliary-variable (alpha, theta) update.
  *
  * The arithmetic is that of the Python sweep (gibbs._ListSweep.update
  * over log_weights_detached), in the same order, so both give
@@ -18,9 +18,6 @@
  * order, through numpy's random C API (numpy/random/distributions.h,
  * linked from libnpyrandom.a) on the Generator's own bit generator, so
  * it returns the same values and leaves the Generator in the same state.
- *
- * bvcm_gammaln is scipy.special.gammaln (Cephes lgam) over an array, so
- * a fit can score its samples without importing scipy.
  */
 
 #include <math.h>
@@ -111,93 +108,6 @@ double bvcm_lgamma(double x)
     r = log(lanczos_sum(x)) - lanczos_g;
     r += (x - 0.5) * (log(x + lanczos_g - 0.5) - 1);
     return r;
-}
-
-/* ---- gammaln: port of lgam from the Cephes Mathematical Library
- * (Stephen L. Moshier; as shipped in scipy.special), for positive
- * arguments, which is all likelihood.gammaln passes it.  Built with the
- * kernel's flags it gives scipy.special.gammaln's bits. */
-
-static const double lgam_A[] = {
-    8.11614167470508450300E-4, -5.95061904284301438324E-4, 7.93650340457716943945E-4,
-    -2.77777777730099687205E-3, 8.33333333333331927722E-2};
-static const double lgam_B[] = {
-    -1.37825152569120859100E3, -3.88016315134637840924E4, -3.31612992738871184744E5,
-    -1.16237097492762307383E6, -1.72173700820839662146E6, -8.53555664245765465627E5};
-static const double lgam_C[] = {  /* after a leading 1 */
-    -3.51815701436523470549E2, -1.70642106651881159223E4, -2.20528590553854454839E5,
-    -1.13933444367982507207E6, -2.53252307177582951285E6, -2.01889141433532773231E6};
-#define LGAM_LS2PI 0.91893853320467274178  /* log(sqrt(2 pi)) */
-#define LGAM_MAX 2.556348e305
-
-/* coef[0] x^n + ... + coef[n], by Horner's rule */
-static double polevl(double x, const double *coef, int n)
-{
-    double ans = coef[0];
-    int i;
-    for (i = 1; i <= n; i++)
-        ans = ans * x + coef[i];
-    return ans;
-}
-
-/* x^n + coef[0] x^(n-1) + ... + coef[n-1] */
-static double p1evl(double x, const double *coef, int n)
-{
-    double ans = x + coef[0];
-    int i;
-    for (i = 1; i < n; i++)
-        ans = ans * x + coef[i];
-    return ans;
-}
-
-static double lgam(double x)
-{
-    double p, q, u, z;
-    if (x < 13.0) {
-        /* Recur into [2, 3), keeping the product of the steps in z. */
-        z = 1.0;
-        p = 0.0;
-        u = x;
-        while (u >= 3.0) {
-            p -= 1.0;
-            u = x + p;
-            z *= u;
-        }
-        while (u < 2.0) {
-            z /= u;
-            p += 1.0;
-            u = x + p;
-        }
-        if (u == 2.0)
-            return log(z);
-        x += p - 2.0;
-        return log(z) + x * polevl(x, lgam_B, 5) / p1evl(x, lgam_C, 6);
-    }
-    if (x > LGAM_MAX)
-        return INFINITY;
-    q = (x - 0.5) * log(x) - x + LGAM_LS2PI;
-    if (x > 1.0e8)
-        return q;
-    p = 1.0 / (x * x);
-    if (x >= 1000.0)
-        q += ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-              + 0.0833333333333333333333) / x;
-    else
-        q += polevl(p, lgam_A, 4) / x;
-    return q;
-}
-
-/* x[i] = lgam(x[i]) in place; returns 1, with x partly overwritten, at
- * the first argument that is not > 0 (NaN included), else 0. */
-int64_t bvcm_gammaln(double *x, int64_t n)
-{
-    int64_t i;
-    for (i = 0; i < n; i++) {
-        if (!(x[i] > 0.0))
-            return 1;
-        x[i] = lgam(x[i]);
-    }
-    return 0;
 }
 
 /* lgamma through a direct-mapped memo keyed by the argument's bits

@@ -1,5 +1,5 @@
-"""Build, cache and load the compiled sweep, (alpha, theta) update and
-``gammaln`` (``_sweep.c``).
+"""Build, cache and load the compiled sweep and (alpha, theta) update
+(``_sweep.c``).
 
 The kernel is compiled on first use with the system C compiler (``cc -O2
 -fPIC -shared -ffp-contract=off``: no fused multiply-adds, no fast-math,
@@ -170,17 +170,10 @@ def _build() -> Path:
     raise OSError("no writable directory for the compiled sweep")
 
 
-# What the last ``load()`` returned: ``likelihood.gammaln`` uses the
-# kernel only if this process has it already, so it never builds one.
-loaded: Optional[ctypes.CDLL] = None
-
-
 @functools.lru_cache(maxsize=None)
 def load() -> Optional[ctypes.CDLL]:
     """The kernel library, or None (with one warning per process) when it
     cannot be built or loaded."""
-    global loaded
-    loaded = None
     try:
         lib = ctypes.CDLL(str(_build()))
     except (OSError, subprocess.SubprocessError) as exc:
@@ -197,7 +190,4 @@ def load() -> Optional[ctypes.CDLL]:
     doubles = ctypes.POINTER(ctypes.c_double)
     lib.bvcm_aux.argtypes = [_ptr, _ptr, _i64, ctypes.c_double, ctypes.c_double, doubles, doubles]
     lib.bvcm_aux.restype = None
-    lib.bvcm_gammaln.argtypes = [_ptr, _i64]
-    lib.bvcm_gammaln.restype = _i64
-    loaded = lib
     return lib

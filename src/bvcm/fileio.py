@@ -178,6 +178,8 @@ def read_assignment_csv(
         for j, row in enumerate(filter(None, reader)):
             try:
                 name, value = row[node], int(row[block])
+                if value.bit_length() > 63:  # outside int64
+                    raise ValueError
             except (IndexError, ValueError):
                 value = row[block] if block < len(row) else None
                 raise DataError(

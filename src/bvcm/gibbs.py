@@ -394,7 +394,6 @@ class GibbsSampler:
             self.alpha[blk] = self._clip_alpha(self.rng.beta(c, d))
             self.theta[blk] = max(self.rng.gamma(a, 1.0 / b), _EPS)
 
-        # Loaded before the first gammaln, which then runs in the kernel.
         self._kernel = _sweep.load()
         self.sweep_backend = "python" if self._kernel is None else "c"
         self._refresh_deg_table()

@@ -9,12 +9,12 @@ invariant to interaction order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from . import _sweep
 from .core import (
     BlockAssignment,
     InteractionNetwork,
@@ -47,22 +47,12 @@ class LogProb:
 
 
 def gammaln(x):
-    """log Gamma(x) elementwise, as ``scipy.special.gammaln``.
-
-    Computed by the compiled kernel's port of the same algorithm, which
-    gives the same bits, when this process has loaded the kernel and
-    every x > 0 (all the model's arguments are); otherwise by scipy,
-    imported on first use, so that commands without a sampler never
-    load scipy or build the kernel.
-    """
-    lib = _sweep.loaded
-    if lib is not None:
-        out = np.array(x, dtype=np.float64, order="C")  # a copy, computed in place
-        if not lib.bvcm_gammaln(out.ctypes.data, out.size):
-            return out[()]
-    from scipy.special import gammaln
-
-    return gammaln(x)
+    """log Gamma(x) elementwise, by ``math.lgamma`` (the function the
+    compiled sweep ports), over float64; a scalar for a scalar.  Every
+    argument the model passes is > 0, away from lgamma's poles."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.fromiter(map(math.lgamma, x.ravel().tolist()), np.float64, x.size)
+    return out.reshape(x.shape)[()]
 
 
 def _log_rising(x, n):

@@ -23,7 +23,6 @@ from .core import (
     degree_distribution,
 )
 from .errors import DataError, UsageError
-from .likelihood import gammaln, log_discount_factorial
 
 __all__ = [
     "PosteriorMembership",
@@ -151,15 +150,16 @@ class PowerlawFit(NamedTuple):
     note: str
 
 
-def degree_law_pmf(ks: np.ndarray, alpha: float) -> np.ndarray:
-    """Limiting degree fractions of a block's urn:
-    p(k) = alpha * Gamma(k - alpha) / (Gamma(1 - alpha) * k!), k >= 1.
+def degree_law_pmf(max_d: int, alpha: float) -> np.ndarray:
+    """Limiting degree fractions of a block's urn at degrees 1..max_d:
+    p(k) = alpha * Gamma(k - alpha) / (Gamma(1 - alpha) * k!), computed
+    by its ratio recurrence p(1) = alpha, p(k + 1) = p(k) (k - alpha) / (k + 1).
 
     Power-law tail with exponent 1 + alpha; the degree-one fraction is
     alpha itself, which is what the moment estimator below inverts.
     """
-    ks = np.asarray(ks, dtype=float)
-    return alpha * np.exp(log_discount_factorial(ks, alpha) - gammaln(ks + 1.0))
+    ks = np.arange(1.0, max_d)
+    return np.cumprod(np.r_[alpha, (ks - alpha) / (ks + 1.0)])
 
 
 def _fit_one(hist: np.ndarray, block: Optional[int], min_nodes: int) -> PowerlawFit:
@@ -179,8 +179,7 @@ def _fit_one(hist: np.ndarray, block: Optional[int], min_nodes: int) -> Powerlaw
     # the largest observed degree; the chi-square alone cannot see one
     # monstrous hub hiding in its final bin.
     max_d = int(np.flatnonzero(hist)[-1])
-    ks = np.arange(1, max_d + 1)
-    pmf = degree_law_pmf(ks, alpha_fit)
+    pmf = degree_law_pmf(max_d, alpha_fit)
     # At least two bins ({1} and {>=2}) so the test never degenerates.
     cut = 2
     while cut < max_d and v * pmf[cut] >= 5.0:

@@ -394,6 +394,27 @@ class TestErrorsAndConfig:
             "--out", tmp_path / "m",
         ) == 3
 
+    @pytest.mark.parametrize("node", ["n1", "not-a-node"])
+    def test_truth_block_outside_int64_is_data_error(self, sim_files, tmp_path, capsys, node):
+        # A row of a known node and a row of an unknown one alike.
+        out, truth = sim_files
+        bad_truth = tmp_path / "bad_truth.csv"
+        bad_truth.write_text(truth.read_text() + f"{node},99999999999999999999\n")
+        line = len(truth.read_text().splitlines()) + 1
+        chain_dir = tmp_path / "c"
+        run_cli(
+            "fit", "--input", out, "--k", 2, "--iters", 3, "--burnin", 1,
+            "--out", chain_dir,
+        )
+        for argv in (
+            ["stats", "--input", out, "--truth", bad_truth, "--out", tmp_path / "s"],
+            ["eval", "--input", out, "--chain", chain_dir, "--truth", bad_truth,
+             "--out", tmp_path / "m"],
+        ):
+            assert run_cli(*argv) == 3, argv[0]
+            err = capsys.readouterr().err
+            assert f"bad_truth.csv: line {line}: bad block value '99999999999999999999'" in err
+
     def test_malformed_assignments_csv_is_data_error(self, sim_files, tmp_path, capsys):
         out, truth = sim_files
         chain_dir = tmp_path / "c_a"
@@ -660,11 +681,13 @@ def test_cli_import_leaves_out_scipy_optimize(sim_files, tmp_path):
     assert (tmp_path / "m" / "misclassification.csv").exists()
 
 
-def _scipy_and_kernel_loads_after(argv) -> tuple[list, int]:
-    """The scipy modules a fresh interpreter has loaded after running the
-    CLI on argv, and how many times it asked for the compiled kernel."""
+def _scipy_and_kernel_loads_after(argv, prelude: str = "") -> tuple[list, int]:
+    """The scipy modules a fresh interpreter has loaded after running
+    ``prelude`` and then the CLI on argv, and how many times it asked for
+    the compiled kernel."""
     code = (
         "import json, sys, bvcm._sweep as s, bvcm.cli as c\n"
+        f"{prelude}"
         f"assert c.main({[str(a) for a in argv]!r}) == 0\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
         "print(s.load.cache_info().misses)"
@@ -673,9 +696,9 @@ def _scipy_and_kernel_loads_after(argv) -> tuple[list, int]:
     return json.loads(scipy), int(loads)
 
 
-def test_only_stats_and_a_python_fit_load_scipy(sim_files, tmp_path):
-    # scipy.special is half of a command's start-up. stats needs it; fit
-    # takes gammaln from the compiled kernel, and needs it only without.
+def test_only_stats_loads_scipy(sim_files, tmp_path):
+    # scipy.special is half of a command's start-up, and only stats
+    # needs it (for chdtrc); every log-gamma is math.lgamma.
     assert _fresh_python("import sys, bvcm.cli; print('scipy' in sys.modules)") == "False"
     out, truth = sim_files
     chain = tmp_path / "chain"
@@ -689,9 +712,14 @@ def test_only_stats_and_a_python_fit_load_scipy(sim_files, tmp_path):
     stats = ["stats", "--input", out, "--truth", truth, "--out", tmp_path / "s"]
     for argv in (bound, simulate):
         assert _scipy_and_kernel_loads_after(argv) == ([], 0), argv[0]
-    scipy, _ = _scipy_and_kernel_loads_after(fit)
-    if json.loads((chain / "chain_manifest.json").read_text())["sweep_backend"] == "c":
-        assert scipy == []
+    assert _scipy_and_kernel_loads_after(fit) == ([], 1)
+    # A fit on the Python sweep, the kernel's library being missing.
+    python_fit = [*fit[:-1], tmp_path / "python_chain"]
+    missing = tmp_path / "libnpyrandom.a"
+    prelude = f"import pathlib; s.NPYRANDOM = pathlib.Path({str(missing)!r})\n"
+    assert _scipy_and_kernel_loads_after(python_fit, prelude) == ([], 1)
+    manifest = json.loads((tmp_path / "python_chain" / "chain_manifest.json").read_text())
+    assert manifest["sweep_backend"] == "python"
     assert _scipy_and_kernel_loads_after(evaluate) == ([], 0)
     # stats imports scipy.special lazily, but builds no kernel for it.
     assert _scipy_and_kernel_loads_after(stats)[1] == 0

@@ -21,9 +21,23 @@ from bvcm import (
     ModelParams,
 )
 
-from bvcm.likelihood import block_eppf, log_prob_from_stats
+from bvcm.likelihood import block_eppf, gammaln, log_prob_from_stats
 
 from oracles import log_prob_conditional, permuted, random_network, replay_log_prob
+
+
+def test_gammaln_is_math_lgamma_bit_for_bit():
+    x = np.random.default_rng(5).uniform(1e-3, 1e6, 1000)
+    grid = x.reshape(10, 100)
+    cases = [x, np.array(7.25), x[:4].reshape(2, 2), grid[:, ::3], grid.T]
+    for arg in cases:
+        out = gammaln(arg)
+        assert out.shape == arg.shape and out.dtype == np.float64
+        want = [math.lgamma(v) for v in arg.ravel().tolist()]
+        assert out.ravel().view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+    assert not grid[:, ::3].flags.c_contiguous
+    assert type(gammaln(4.5)) is np.float64 and gammaln(4.5) == math.lgamma(4.5)
+    assert gammaln([1.0, 2.0]).tolist() == [0.0, 0.0]
 
 
 def test_single_interaction_node_term():

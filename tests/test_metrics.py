@@ -22,6 +22,8 @@ from bvcm import (
     standardized_l2,
 )
 
+from bvcm.metrics import degree_law_pmf
+
 from oracles import random_network, size_rank_trap
 
 
@@ -239,6 +241,21 @@ class TestHellinger:
 
 
 class TestPowerlaw:
+    def test_degree_law_matches_mpmath_gamma_ratio(self):
+        # alpha Gamma(k - alpha) / (Gamma(1 - alpha) k!) at 30 digits, at
+        # every k <= 200 and 200 log-spaced k up to 10**5.
+        import mpmath as mp
+
+        ks = np.unique(np.r_[np.arange(1, 201), np.geomspace(200, 10**5, 200).round()])
+        for alpha in (1e-6, 0.3, 0.5, 0.8, 0.99, 1 - 1e-6):
+            pmf = degree_law_pmf(10**5, alpha)
+            assert pmf.shape == (10**5,) and pmf[0] == alpha
+            with mp.workdps(30):
+                a = mp.mpf(alpha)
+                for k in ks.astype(int).tolist():
+                    ref = a * mp.exp(mp.loggamma(k - a) - mp.loggamma(1 - a) - mp.loggamma(k + 1))
+                    assert abs(pmf[k - 1] - ref) <= 1e-11 * ref, (alpha, k)
+
     def test_recovers_discount(self):
         params = ModelParams(
             alpha=np.array([0.5]), theta=np.array([5.0]), block_conc=1.0, recv_conc=1.0

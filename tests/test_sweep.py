@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from bvcm import GibbsConfig, GibbsSampler, run_gibbs
-from bvcm import _sweep, likelihood
+from bvcm import _sweep
 from bvcm.gibbs import aux_update_alpha_theta
 
 from oracles import aux_update_cases, random_network, sweep_backends
@@ -248,52 +248,6 @@ def test_build_keeps_the_recent_kernels(monkeypatch, tmp_path):
     assert build("a") == first  # a hit makes the first kernel the newest
     fifth = build("e")
     assert sorted(p.name for p in cache.iterdir()) == sorted([first, third, fourth, fifth])
-
-
-def test_gammaln_matches_scipy_bit_for_bit():
-    """The kernel's gammaln against scipy.special.gammaln, the oracle:
-    equal bits on 10**6 arguments from each domain the model passes it,
-    and exactly 0 at 1 and 2."""
-    from scipy.special import gammaln as scipy_gammaln
-
-    lib = _sweep.load()
-    rng = np.random.default_rng(17)
-    size = 10**6
-    domains = {
-        "uniform on (1e-6, 20)": rng.uniform(1e-6, 20.0, size),
-        "log-uniform on (1e-8, 1e9)": np.exp(rng.uniform(np.log(1e-8), np.log(1e9), size)),
-        "d - alpha": rng.integers(1, 200_001, size) - rng.uniform(0.0, 1.0, size),
-        "theta + n": rng.uniform(1e-3, 50.0, size) + rng.integers(0, 100_000, size),
-        "1 - alpha": 1.0 - rng.uniform(0.0, 1.0, size),
-        "integers": np.arange(1.0, size + 1.0),
-        "branch edges": np.array([
-            np.nextafter(13.0, 0.0), 13.0, np.nextafter(1000.0, 0.0), 1000.0,
-            1e8, np.nextafter(1e8, np.inf), 1e300, 3e305, np.inf, 5e-324,
-        ]),
-    }
-    for name, x in domains.items():
-        out = x.copy()
-        assert lib.bvcm_gammaln(out.ctypes.data, out.size) == 0, name
-        bad = np.flatnonzero(out.view(np.uint64) != scipy_gammaln(x).view(np.uint64))
-        assert bad.size == 0, (name, x[bad[:5]])
-    ones = np.array([1.0, 2.0])
-    assert lib.bvcm_gammaln(ones.ctypes.data, 2) == 0
-    assert ones.tolist() == [0.0, 0.0]
-
-
-def test_gammaln_leaves_other_arguments_to_scipy():
-    """likelihood.gammaln runs the kernel only on arguments > 0, and
-    keeps scipy's result types."""
-    from scipy.special import gammaln as scipy_gammaln
-
-    assert _sweep.load() is not None and _sweep.loaded is not None
-    x = np.array([[0.5, 3.0], [7.25, 1e6]])
-    assert np.array_equal(likelihood.gammaln(x), scipy_gammaln(x))
-    assert np.array_equal(likelihood.gammaln(x.T), scipy_gammaln(x.T))  # not contiguous
-    assert type(likelihood.gammaln(4.5)) is np.float64
-    assert likelihood.gammaln(4.5) == scipy_gammaln(4.5)
-    for y in ([0.5, 0.0], [-0.5, 2.0], [np.nan, 1.0], [-np.inf]):
-        assert np.array_equal(likelihood.gammaln(y), scipy_gammaln(y), equal_nan=True), y
 
 
 def test_unwritable_cache_builds_in_a_temporary_directory(monkeypatch, tmp_path, fresh_loader):
