@@ -242,8 +242,6 @@ class ModelParams:
     block_probs: Optional[np.ndarray] = None
     propensity: Optional[np.ndarray] = None
 
-    _SIMPLEX_TOL = 1e-12
-
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=float)
         self.theta = np.asarray(self.theta, dtype=float)

@@ -158,11 +158,13 @@ def read_assignment_csv(
 
     A later row for a node replaces an earlier one; rows naming nodes
     outside the network are ignored, but their blocks count towards the
-    default k, the largest block given.  Blocks go straight into an
-    int64 array, so no name -> block table of the whole file is built:
-    row j is node j when it names that node, as in the files
-    ``write_assignment_csv`` writes, and any other row is looked up in
-    the network's node index.
+    default k, the largest block given.  When k is defaulted, a block
+    above the network's node count is a data error: no more blocks than
+    nodes can be occupied, and the default k sizes per-block tables.
+    Blocks go straight into an int64 array, so no name -> block table of
+    the whole file is built: row j is node j when it names that node, as
+    in the files ``write_assignment_csv`` writes, and any other row is
+    looked up in the network's node index.
     """
     ids = network.node_ids
     blocks = np.zeros(len(ids), dtype=np.int64)
@@ -184,6 +186,11 @@ def read_assignment_csv(
                 value = row[block] if block < len(row) else None
                 raise DataError(
                     f"{path}: line {reader.line_num}: bad block value {value!r}"
+                )
+            if k is None and value > len(ids):
+                raise DataError(
+                    f"{path}: line {reader.line_num}: block {value} exceeds the "
+                    f"network's {len(ids)} nodes"
                 )
             if j < len(ids) and ids[j] == name:
                 i = j

@@ -11,7 +11,6 @@ exact Pitman-Yor urn.
 
 from __future__ import annotations
 
-import itertools
 from array import array
 from dataclasses import dataclass, field
 
@@ -55,13 +54,10 @@ class ArityLaw:
     def categorical(cls, weights) -> "ArityLaw":
         return cls(tuple(float(w) for w in weights))
 
-    @property
-    def is_fixed(self) -> bool:
-        return sum(1 for w in self.weights if w > 0) == 1
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.is_fixed:
-            return np.full(size, len(self.weights), dtype=np.int64)
+        support = [c for c, w in enumerate(self.weights, 1) if w > 0]
+        if len(support) == 1:
+            return np.full(size, support[0], dtype=np.int64)
         return rng.choice(len(self.weights), size=size, p=np.asarray(self.weights)) + 1
 
 
@@ -89,8 +85,26 @@ class SimulationResult:
     params: ModelParams
 
 
-def _make_rng(seed: int, *spawn: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(spawn)))
+class _PolyaUrn:
+    """Polya urn over k blocks: block b has weight (its draws so far) + conc."""
+
+    __slots__ = ("conc", "counts")
+
+    def __init__(self, k: int, conc: float):
+        self.conc = conc
+        self.counts = [0] * k
+
+    def draw(self, rng) -> int:
+        counts, conc = self.counts, self.conc
+        r = rng.random() * (sum(counts) + len(counts) * conc)
+        for b in range(len(counts) - 1):
+            r -= counts[b] + conc
+            if r < 0.0:
+                break
+        else:
+            b = len(counts) - 1
+        counts[b] += 1
+        return b
 
 
 class _BlockUrn:
@@ -98,28 +112,31 @@ class _BlockUrn:
 
     Existing nodes are drawn proportionally to degree - alpha via a
     uniform appearance token plus a rejection step; a new node arrives
-    with weight theta + alpha * (distinct node count), made by
-    ``new_node()``.  The first draw is always a new node, also when
+    with weight theta + alpha * (distinct node count) and takes the next
+    node index.  The first draw is always a new node, also when
     theta <= 0.  ``tokens`` stays a list: the draw reads it at random
     positions, and an ``array`` would box a new int on every read.
     """
 
-    __slots__ = ("alpha", "theta", "new_node", "tokens", "distinct")
+    __slots__ = ("block", "alpha", "theta", "tokens", "distinct")
 
-    def __init__(self, alpha: float, theta: float, new_node):
+    def __init__(self, block: int, alpha: float, theta: float):
+        self.block = block
         self.alpha = alpha
         self.theta = theta
-        self.new_node = new_node
         self.tokens: list[int] = []
         self.distinct = 0
 
-    def draw(self, rng, deg: list[int]) -> int:
+    def draw(self, rng, deg: list[int], blocks: list[int]) -> int:
+        """A node of this block; a new one is appended to deg and blocks."""
         total = len(self.tokens)
         denom = self.theta + total
         # The uniform is drawn even for the first node, so the stream for
         # theta > 0 (where the comparison alone picks the new node) is kept.
         if rng.random() * denom < self.theta + self.alpha * self.distinct or not total:
-            node = self.new_node()
+            node = len(deg)
+            deg.append(0)
+            blocks.append(self.block)
             self.distinct += 1
         else:
             while True:
@@ -131,83 +148,58 @@ class _BlockUrn:
         return node
 
 
-class _NodeSpace:
-    """Issues node indices in order of first appearance, tagged by block.
+def _draw_nodes(
+    rng, params: ModelParams, arities: np.ndarray, sender_block, receiver_block, realized
+) -> SimulationResult:
+    """The interactions, given how their blocks are drawn.
 
-    ``deg`` stays a list, as ``_BlockUrn.tokens`` does: the urns read it
-    at random positions.
+    Interaction j has a sender from block ``sender_block()`` and
+    ``arities[j]`` receivers, each from block ``receiver_block(bs)`` for
+    the sender's block bs; every node comes from its block's Pitman-Yor
+    urn.  Node indices follow order of first appearance, and each node
+    is tagged with the block that issued it.
     """
-
-    def __init__(self):
-        self.deg: list[int] = []
-        self.block: list[int] = []
-
-    def creator(self, block: int):
-        def create() -> int:
-            self.deg.append(0)
-            self.block.append(block)
-            return len(self.deg) - 1
-
-        return create
-
-    def finish(self, senders, offsets, receivers, k, params) -> "SimulationResult":
-        """Result over the interactions collected in ``array("q")`` buffers."""
-        node_ids = [f"n{i + 1}" for i in range(len(self.deg))]
-        network = InteractionNetwork.from_buffers(senders, offsets, receivers, node_ids)
-        assignment = BlockAssignment(np.array(self.block, dtype=np.int64), k)
-        return SimulationResult(network, assignment, params)
-
-
-def _urns(params: ModelParams, space: _NodeSpace) -> list[_BlockUrn]:
-    """One Pitman-Yor urn per block, each issuing its new nodes in space."""
-    return [
-        _BlockUrn(float(params.alpha[b]), float(params.theta[b]), space.creator(b))
-        for b in range(params.k)
+    urns = [
+        _BlockUrn(b, float(params.alpha[b]), float(params.theta[b])) for b in range(params.k)
     ]
+    # deg stays a list, as _BlockUrn.tokens does: the urns read it at
+    # random positions.
+    deg: list[int] = []
+    blocks: list[int] = []
+    senders, offsets, receivers = array("q"), array("q", [0]), array("q")
+    # Arities are small ints, which Python caches: the list costs one
+    # pointer per entry, as the array does.
+    for arity in arities.tolist():
+        bs = sender_block()
+        senders.append(urns[bs].draw(rng, deg, blocks))
+        for _ in range(arity):
+            receivers.append(urns[receiver_block(bs)].draw(rng, deg, blocks))
+        offsets.append(len(receivers))
+    node_ids = [f"n{i + 1}" for i in range(len(deg))]
+    network = InteractionNetwork.from_buffers(senders, offsets, receivers, node_ids)
+    assignment = BlockAssignment(np.array(blocks, dtype=np.int64), params.k)
+    return SimulationResult(network, assignment, realized)
 
 
 def simulate_sequential(config: GeneratorConfig) -> SimulationResult:
     """Run the urn scheme for config.m interactions.
 
-    Block labels keep their identity (block b always carries alpha[b],
-    theta[b]); node identifiers are issued in order of first appearance.
+    Sender blocks come from one Polya urn, receiver blocks from one per
+    sender block.  Block labels keep their identity (block b always
+    carries alpha[b], theta[b]); node identifiers are issued in order of
+    first appearance.
     """
     params = config.params
-    k = params.k
-    omega = params.block_conc
-    zeta = params.recv_conc
-    rng = _make_rng(config.seed)
-
-    snd_count = [0] * k
-    pair = [[0] * k for _ in range(k)]
-    recv_tot = [0] * k
-    space = _NodeSpace()
-    urns = _urns(params, space)
-    deg = space.deg
-
-    def draw_block(counts: list[int], total: int, conc: float) -> int:
-        r = rng.random() * (total + k * conc)
-        for b in range(k - 1):
-            r -= counts[b] + conc
-            if r < 0.0:
-                return b
-        return k - 1
-
-    arities = config.arity.sample(rng, config.m) if config.m else np.empty(0, np.int64)
-    senders, offsets, receivers = array("q"), array("q", [0]), array("q")
-    for j in range(config.m):
-        bs = draw_block(snd_count, j, omega)
-        snd_count[bs] += 1
-        senders.append(urns[bs].draw(rng, deg))
-        row = pair[bs]
-        for _ in range(int(arities[j])):
-            br = draw_block(row, recv_tot[bs], zeta)
-            row[br] += 1
-            recv_tot[bs] += 1
-            receivers.append(urns[br].draw(rng, deg))
-        offsets.append(len(receivers))
-
-    return space.finish(senders, offsets, receivers, k, params)
+    rng = np.random.default_rng(config.seed)
+    arities = config.arity.sample(rng, config.m)
+    sender_urn = _PolyaUrn(params.k, params.block_conc)
+    receiver_urns = [_PolyaUrn(params.k, params.recv_conc) for _ in range(params.k)]
+    return _draw_nodes(
+        rng, params, arities,
+        lambda: sender_urn.draw(rng),
+        lambda bs: receiver_urns[bs].draw(rng),
+        params,
+    )
 
 
 def simulate_conditional_iid(config: GeneratorConfig) -> SimulationResult:
@@ -220,7 +212,7 @@ def simulate_conditional_iid(config: GeneratorConfig) -> SimulationResult:
     """
     params = config.params
     k = params.k
-    rng = _make_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
 
     if params.block_probs is not None:
         pi = params.block_probs.copy()
@@ -231,9 +223,8 @@ def simulate_conditional_iid(config: GeneratorConfig) -> SimulationResult:
     else:
         prop = np.stack([rng.dirichlet([params.recv_conc] * k) for _ in range(k)])
 
-    m = config.m
-    sender_blocks = rng.choice(k, size=m, p=pi) if m else np.empty(0, np.int64)
-    arities = config.arity.sample(rng, m) if m else np.empty(0, np.int64)
+    sender_blocks = rng.choice(k, size=config.m, p=pi)
+    arities = config.arity.sample(rng, config.m)
     recv_blocks = np.empty(int(arities.sum()), dtype=np.int64)
     for b in range(k):
         slot_mask = np.repeat(sender_blocks == b, arities)
@@ -250,20 +241,14 @@ def simulate_conditional_iid(config: GeneratorConfig) -> SimulationResult:
         propensity=prop,
     )
 
-    # Exact: iid draws from GEM weights, marginalized, are the urn.
-    space = _NodeSpace()
-    urns = _urns(params, space)
-    deg = space.deg
-    senders, offsets, receivers = array("q"), array("q", [0]), array("q")
-    # Block labels and arities are small ints, which Python caches: these
-    # lists cost one pointer per entry, as their arrays do.
-    recv_iter = iter(recv_blocks.tolist())
-    for bs, arity in zip(sender_blocks.tolist(), arities.tolist()):
-        senders.append(urns[bs].draw(rng, deg))
-        for br in itertools.islice(recv_iter, arity):
-            receivers.append(urns[br].draw(rng, deg))
-        offsets.append(len(receivers))
-    return space.finish(senders, offsets, receivers, k, realized)
+    # Exact: iid draws from GEM weights, marginalized, are the urn.  Block
+    # labels are small ints, which Python caches: these lists cost one
+    # pointer per entry, as their arrays do.
+    next_sender = iter(sender_blocks.tolist()).__next__
+    next_receiver = iter(recv_blocks.tolist()).__next__
+    return _draw_nodes(
+        rng, params, arities, next_sender, lambda bs: next_receiver(), realized
+    )
 
 
 def simulate(config: GeneratorConfig) -> SimulationResult:

@@ -394,26 +394,41 @@ class TestErrorsAndConfig:
             "--out", tmp_path / "m",
         ) == 3
 
-    @pytest.mark.parametrize("node", ["n1", "not-a-node"])
-    def test_truth_block_outside_int64_is_data_error(self, sim_files, tmp_path, capsys, node):
-        # A row of a known node and a row of an unknown one alike.
+    @pytest.mark.parametrize("node, value", [
+        # The overflow cases keep their original ids: [n1], [not-a-node].
+        pytest.param(node, value, id=node if len(value) == 20 else f"{node}-{value}")
+        for value in ("99999999999999999999", "9999999999", "2000")
+        for node in ("n1", "not-a-node")
+    ])
+    def test_truth_block_outside_int64_is_data_error(
+        self, sim_files, tmp_path, capsys, node, value
+    ):
+        # A row of a known node and a row of an unknown one alike.  A block
+        # inside int64 but above the node count would set stats' defaulted
+        # k; eval passes the chain's k, so only the overflow concerns it.
         out, truth = sim_files
         bad_truth = tmp_path / "bad_truth.csv"
-        bad_truth.write_text(truth.read_text() + f"{node},99999999999999999999\n")
+        bad_truth.write_text(truth.read_text() + f"{node},{value}\n")
         line = len(truth.read_text().splitlines()) + 1
-        chain_dir = tmp_path / "c"
-        run_cli(
-            "fit", "--input", out, "--k", 2, "--iters", 3, "--burnin", 1,
-            "--out", chain_dir,
-        )
-        for argv in (
-            ["stats", "--input", out, "--truth", bad_truth, "--out", tmp_path / "s"],
-            ["eval", "--input", out, "--chain", chain_dir, "--truth", bad_truth,
-             "--out", tmp_path / "m"],
-        ):
+        argvs = [["stats", "--input", out, "--truth", bad_truth, "--out", tmp_path / "s"]]
+        if int(value).bit_length() > 63:
+            expected = f"bad_truth.csv: line {line}: bad block value '{value}'"
+            chain_dir = tmp_path / "c"
+            run_cli(
+                "fit", "--input", out, "--k", 2, "--iters", 3, "--burnin", 1,
+                "--out", chain_dir,
+            )
+            argvs.append(
+                ["eval", "--input", out, "--chain", chain_dir, "--truth", bad_truth,
+                 "--out", tmp_path / "m"]
+            )
+        else:
+            expected = f"bad_truth.csv: line {line}: block {value} exceeds the network's"
+        for argv in argvs:
             assert run_cli(*argv) == 3, argv[0]
             err = capsys.readouterr().err
-            assert f"bad_truth.csv: line {line}: bad block value '99999999999999999999'" in err
+            assert expected in err
+        assert not (tmp_path / "s").exists()
 
     def test_malformed_assignments_csv_is_data_error(self, sim_files, tmp_path, capsys):
         out, truth = sim_files

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats as sp_stats
@@ -38,6 +40,11 @@ class TestArityLaw:
         draws = law.sample(rng, 4000)
         assert set(draws) <= {1, 2, 3}
         assert draws.mean() == pytest.approx(2.0, abs=0.05)
+
+    def test_single_outcome_before_last(self):
+        # Only one receiver count has weight, but it is not the largest.
+        law = ArityLaw.categorical([0.0, 1.0, 0.0])
+        assert set(law.sample(np.random.default_rng(0), 10)) == {2}
 
     def test_validation(self):
         with pytest.raises(UsageError):
@@ -208,3 +215,92 @@ def test_marginal_agreement_between_generators():
         _, pv, _, _ = sp_stats.chi2_contingency(np.stack([ca[keep], cb[keep]]))
         pvals.append(pv)
     assert min(pvals) > 0.01, pvals
+
+
+def _pinned_params(alpha, theta, conc=1.0, prop_diag=None):
+    """Params as ``bvcm simulate`` builds them: a --prop-diag matrix comes
+    with uniform block frequencies."""
+    k = len(alpha)
+    prop = pi = None
+    if prop_diag is not None:
+        prop = np.full((k, k), (1.0 - prop_diag) / (k - 1))
+        np.fill_diagonal(prop, prop_diag)
+        pi = np.full(k, 1.0 / k)
+    return ModelParams(
+        alpha=np.asarray(alpha), theta=np.asarray(theta), block_conc=conc,
+        recv_conc=conc, block_probs=pi, propensity=prop,
+    )
+
+
+# sha256 of senders, offsets, receivers, the truth labels and, for
+# conditional-iid, the realized block frequencies and mixing matrix, taken
+# before the generator was refactored.  A change that reorders one RNG call
+# changes them.  Like the benchmark's sha256 output checks, they assume
+# numpy's Generator streams (PCG64 and its distribution methods) do not change.
+_PINNED = {
+    # the benchmark's paper, scale and degree simulate commands
+    "paper": (
+        GeneratorConfig(
+            params=_pinned_params((0.5, 0.5), (5.0, 5.0), prop_diag=0.9), m=2500,
+            seed=7, mode="conditional_iid",
+        ),
+        "f1a52e3f452e547188506d876337881beae852747a26262b9ae1fc7220106e85",
+    ),
+    "scale": (
+        GeneratorConfig(
+            params=_pinned_params((0.6,) * 5, (1000.0,) * 5, prop_diag=0.8), m=100_000,
+            arity=ArityLaw.fixed(2), seed=7, mode="conditional_iid",
+        ),
+        "a758cad42c78d89bfd545efdf2a6429d94b302813b84c29bd4484b6c1ad57414",
+    ),
+    "degree": (
+        GeneratorConfig(
+            params=_pinned_params((0.6, 0.8), (2.0, 30.0), conc=50.0), m=300_000,
+            arity=ArityLaw.categorical([0.5, 0.3, 0.2]), seed=7,
+        ),
+        "6c9d3b6ba9bf29c2486390776bb5814832533b92f7cc88f4b05042187db8b72c",
+    ),
+    "k3-theta-nonpositive": (
+        GeneratorConfig(
+            params=_pinned_params((0.3, 0.5, 0.7), (-0.2, 0.0, 4.0), conc=0.7), m=3000,
+            arity=ArityLaw.categorical([0.2, 0.5, 0.3]), seed=11,
+        ),
+        "85b746de22598be4806c42c9ff409c0e3945e4f793839d8d5912f4ed6325b12c",
+    ),
+    "k1": (
+        GeneratorConfig(params=_pinned_params((0.4,), (3.0,)), m=2000, seed=11),
+        "8649a1e6b06d8952c873a3449febb38f3497972367ea80bcede3e6c7203e64f7",
+    ),
+    "free-mixing": (
+        GeneratorConfig(
+            params=_pinned_params((0.3, 0.5, 0.7), (1.0, 2.0, 8.0), conc=0.6), m=3000,
+            arity=ArityLaw.categorical([0.6, 0.4]), seed=11, mode="conditional_iid",
+        ),
+        "050731c650f34b0d0ef918c39f4a6b0b0a70c0ba0d9f598f230271c2c73e4bc7",
+    ),
+    "m0-sequential": (
+        GeneratorConfig(params=two_block_params(), m=0, seed=7),
+        "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+    ),
+    "m0-conditional-iid": (
+        GeneratorConfig(params=two_block_params(), m=0, seed=7, mode="conditional_iid"),
+        "05532275891fbcfd81e78404e1caef1adde7365f44578eceea20d7439aa900a5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED))
+def test_stream_is_pinned(name):
+    config, digest = _PINNED[name]
+    res = simulate(config)
+    parts = [
+        res.network.senders, res.network.offsets, res.network.receivers,
+        res.assignment.labels,
+    ]
+    if config.mode == "conditional_iid":
+        parts += [res.params.block_probs, res.params.propensity]
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(np.ascontiguousarray(part).tobytes())
+    assert res.network.node_ids == [f"n{i + 1}" for i in range(res.network.n_nodes)]
+    assert h.hexdigest() == digest
