@@ -205,6 +205,8 @@ def _parse_arity(text: str) -> ArityLaw:
 
 
 def cmd_simulate(args) -> int:
+    if args.k < 1:
+        raise UsageError(f"--k must be >= 1, got {args.k}")
     if len(args.alpha) != args.k or len(args.theta) != args.k:
         raise UsageError(
             f"--alpha/--theta need {args.k} entries, got "

@@ -207,21 +207,6 @@ class BlockAssignment:
                 f"label {self.labels[bad]} at node index {bad} outside [0, {self.k})"
             )
 
-    @classmethod
-    def from_mapping(
-        cls, network: InteractionNetwork, mapping: dict[str, int], k: int
-    ) -> "BlockAssignment":
-        """Build from a node-id -> 1-based block mapping."""
-        try:
-            labels = np.fromiter(
-                map(mapping.__getitem__, network.node_ids),
-                dtype=np.int64,
-                count=network.n_nodes,
-            )
-        except KeyError as exc:
-            raise DataError(f"node {exc.args[0]!r} has no block assignment") from None
-        return cls(labels - 1, k)
-
 
 @dataclass
 class ModelParams:
@@ -245,8 +230,8 @@ class ModelParams:
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=float)
         self.theta = np.asarray(self.theta, dtype=float)
-        if self.alpha.shape != self.theta.shape or self.alpha.ndim != 1:
-            raise DataError("alpha and theta must be 1-d arrays of equal length")
+        if self.alpha.shape != self.theta.shape or self.alpha.ndim != 1 or not self.alpha.size:
+            raise DataError("alpha and theta must be non-empty 1-d arrays of equal length")
         if np.any(self.alpha <= 0) or np.any(self.alpha >= 1):
             raise DataError(f"alpha entries must lie in (0,1), got {self.alpha}")
         if np.any(self.theta <= -self.alpha):

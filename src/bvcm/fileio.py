@@ -158,9 +158,10 @@ def read_assignment_csv(
 
     A later row for a node replaces an earlier one; rows naming nodes
     outside the network are ignored, but their blocks count towards the
-    default k, the largest block given.  When k is defaulted, a block
-    above the network's node count is a data error: no more blocks than
-    nodes can be occupied, and the default k sizes per-block tables.
+    default k, the largest block given.  A block outside 1..k is a data
+    error on every row; when k is defaulted, the node count stands in for
+    k, since no more blocks than nodes can be occupied and the default k
+    sizes per-block tables.
     Blocks go straight into an int64 array, so no name -> block table of
     the whole file is built: row j is node j when it names that node, as
     in the files ``write_assignment_csv`` writes, and any other row is
@@ -170,6 +171,7 @@ def read_assignment_csv(
     blocks = np.zeros(len(ids), dtype=np.int64)
     assigned = np.zeros(len(ids), dtype=bool)
     unknown: dict[str, int] = {}
+    top = len(ids) if k is None else k
     with _open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -187,10 +189,10 @@ def read_assignment_csv(
                 raise DataError(
                     f"{path}: line {reader.line_num}: bad block value {value!r}"
                 )
-            if k is None and value > len(ids):
+            if not 1 <= value <= top:
                 raise DataError(
-                    f"{path}: line {reader.line_num}: block {value} exceeds the "
-                    f"network's {len(ids)} nodes"
+                    f"{path}: line {reader.line_num}: block {value} outside 1..{top}"
+                    + (", the network's node count" if k is None else "")
                 )
             if j < len(ids) and ids[j] == name:
                 i = j

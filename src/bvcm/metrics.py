@@ -162,6 +162,27 @@ def degree_law_pmf(max_d: int, alpha: float) -> np.ndarray:
     return np.cumprod(np.r_[alpha, (ks - alpha) / (ks + 1.0)])
 
 
+def _chi2_sf(dof: int, x: float) -> float:
+    """Upper tail Q(dof/2, x/2) of the chi-square law with integer dof,
+    as its finite series (Abramowitz & Stegun 1964, section 26.4):
+    e^(-x/2) sum_{j < dof/2} (x/2)^j / j! for even dof, and
+    erfc(sqrt(x/2)) + e^(-x/2) sum_{j < (dof-1)/2} (x/2)^(j+1/2) / Gamma(j+3/2)
+    for odd dof.
+
+    Each term is exponentiated from its logarithm, so the power and
+    e^(-x/2) never under- or overflow on their own; math.fsum adds the
+    terms with one rounding.
+    """
+    h = x / 2.0
+    if h <= 0:  # x <= 0, or so small that x / 2 underflows
+        return 1.0
+    s = dof % 2 / 2  # the half-integer offset of odd dof
+    log_h = math.log(h)
+    terms = [math.erfc(math.sqrt(h))] if s else []
+    terms += [math.exp((j + s) * log_h - h - math.lgamma(j + s + 1)) for j in range(dof // 2)]
+    return math.fsum(terms)
+
+
 def _fit_one(hist: np.ndarray, block: Optional[int], min_nodes: int) -> PowerlawFit:
     """Fit of one degree histogram; hist[d] counts the nodes of degree d."""
     v = int(hist.sum())
@@ -190,9 +211,7 @@ def _fit_one(hist: np.ndarray, block: Optional[int], min_nodes: int) -> Powerlaw
     exp = np.append(exp, max(v - exp.sum(), _LOG_CLIP))
     chi2 = float(((obs - exp) ** 2 / exp).sum())
     dof = max(len(obs) - 2, 1)
-    from scipy.special import chdtrc
-
-    p_bulk = float(chdtrc(dof, chi2))
+    p_bulk = _chi2_sf(dof, chi2)
     tail_mass = max(float(1.0 - pmf[: max_d - 1].sum()), _LOG_CLIP)
     p_max = float(1.0 - (1.0 - min(tail_mass, 1.0)) ** v)
     pvalue = min(1.0, 2.0 * min(p_bulk, p_max))

@@ -28,8 +28,9 @@ def demo_network():
 
 @pytest.fixture
 def demo_truth(demo_network):
-    mapping = {"a": 1, "b": 1, "c": 1, "d": 1, "e": 1, "f": 2, "g": 2, "h": 2}
-    return BlockAssignment.from_mapping(demo_network, mapping, 2)
+    """a..e in the first block, f..h in the second."""
+    assert demo_network.node_ids == list("abcdefgh")
+    return BlockAssignment(np.array([0, 0, 0, 0, 0, 1, 1, 1]), 2)
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -79,12 +80,19 @@ class TestSimulate:
         assert out.read_text() == ""
         assert out.with_name("empty_manifest.json").exists()
 
-    def test_vector_length_mismatch_is_usage_error(self, tmp_path):
+    @pytest.mark.parametrize("k, alpha, theta, message", [
+        pytest.param(2, "0.5", "5,5", "--alpha/--theta need 2 entries", id="mismatch"),
+        pytest.param(0, "", "", "--k must be >= 1", id="k0"),
+    ])
+    def test_vector_length_mismatch_is_usage_error(
+        self, tmp_path, capsys, k, alpha, theta, message
+    ):
         code = run_cli(
-            "simulate", "--k", 2, "--alpha", "0.5", "--theta", "5,5",
+            "simulate", "--k", k, "--alpha", alpha, "--theta", theta,
             "--m", 10, "--out", tmp_path / "x.jsonl",
         )
         assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_fixed_propensity_needs_conditional_mode(self, tmp_path):
         code = run_cli(
@@ -397,33 +405,34 @@ class TestErrorsAndConfig:
     @pytest.mark.parametrize("node, value", [
         # The overflow cases keep their original ids: [n1], [not-a-node].
         pytest.param(node, value, id=node if len(value) == 20 else f"{node}-{value}")
-        for value in ("99999999999999999999", "9999999999", "2000")
+        for value in ("99999999999999999999", "9999999999", "2000", "0", "3")
         for node in ("n1", "not-a-node")
     ])
     def test_truth_block_outside_int64_is_data_error(
         self, sim_files, tmp_path, capsys, node, value
     ):
-        # A row of a known node and a row of an unknown one alike.  A block
-        # inside int64 but above the node count would set stats' defaulted
-        # k; eval passes the chain's k, so only the overflow concerns it.
+        # A row of a known node and a row of an unknown one alike.  Blocks
+        # run 1..k: eval passes the chain's k = 2, and stats defaults k to
+        # the largest block, which may not exceed the node count.
         out, truth = sim_files
         bad_truth = tmp_path / "bad_truth.csv"
         bad_truth.write_text(truth.read_text() + f"{node},{value}\n")
         line = len(truth.read_text().splitlines()) + 1
-        argvs = [["stats", "--input", out, "--truth", bad_truth, "--out", tmp_path / "s"]]
+        chain_dir = tmp_path / "c"
+        run_cli(
+            "fit", "--input", out, "--k", 2, "--iters", 3, "--burnin", 1,
+            "--out", chain_dir,
+        )
+        argvs = [["eval", "--input", out, "--chain", chain_dir, "--truth", bad_truth,
+                  "--out", tmp_path / "m"]]
+        if value != "3":  # a valid defaulted k for stats
+            argvs.append(["stats", "--input", out, "--truth", bad_truth, "--out", tmp_path / "s"])
         if int(value).bit_length() > 63:
             expected = f"bad_truth.csv: line {line}: bad block value '{value}'"
-            chain_dir = tmp_path / "c"
-            run_cli(
-                "fit", "--input", out, "--k", 2, "--iters", 3, "--burnin", 1,
-                "--out", chain_dir,
-            )
-            argvs.append(
-                ["eval", "--input", out, "--chain", chain_dir, "--truth", bad_truth,
-                 "--out", tmp_path / "m"]
-            )
+        elif value == "3":
+            expected = f"bad_truth.csv: line {line}: block 3 outside 1..2\n"
         else:
-            expected = f"bad_truth.csv: line {line}: block {value} exceeds the network's"
+            expected = f"bad_truth.csv: line {line}: block {value} outside 1.."
         for argv in argvs:
             assert run_cli(*argv) == 3, argv[0]
             err = capsys.readouterr().err
@@ -651,19 +660,6 @@ class TestFileio:
         assert list(tmp_path.iterdir()) == []
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats is slow to import and no CLI command needs it, so
-    # every command's start-up would pay for nothing.
-    src = str(Path(bvcm.__file__).resolve().parents[1])
-    code = "import sys, bvcm.cli; print('scipy.stats' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True, timeout=120,
-    )
-    assert out.stdout.strip() == "False"
-
-
 def _fresh_python(code: str) -> str:
     src = str(Path(bvcm.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -672,28 +668,6 @@ def _fresh_python(code: str) -> str:
         check=True, timeout=120,
     )
     return out.stdout.strip()
-
-
-def test_cli_import_leaves_out_scipy_optimize(sim_files, tmp_path):
-    # scipy.optimize takes most of the import time of the CLI; label
-    # alignment is in-package, so not even eval loads it.
-    code = "import sys, bvcm.cli; print('scipy.optimize' in sys.modules)"
-    assert _fresh_python(code) == "False"
-    out, truth = sim_files
-    chain_dir = tmp_path / "chain"
-    run_cli(
-        "fit", "--input", out, "--k", 2, "--iters", 4, "--burnin", 1,
-        "--out", chain_dir,
-    )
-    argv = ["eval", "--input", str(out), "--chain", str(chain_dir), "--truth", str(truth),
-            "--out", str(tmp_path / "m")]
-    code = (
-        "import sys, bvcm.cli\n"
-        f"assert bvcm.cli.main({argv!r}) == 0\n"
-        "print('scipy.optimize' in sys.modules)"
-    )
-    assert _fresh_python(code).splitlines()[-1] == "False"
-    assert (tmp_path / "m" / "misclassification.csv").exists()
 
 
 def _scipy_and_kernel_loads_after(argv, prelude: str = "") -> tuple[list, int]:
@@ -711,10 +685,9 @@ def _scipy_and_kernel_loads_after(argv, prelude: str = "") -> tuple[list, int]:
     return json.loads(scipy), int(loads)
 
 
-def test_only_stats_loads_scipy(sim_files, tmp_path):
-    # scipy.special is half of a command's start-up, and only stats
-    # needs it (for chdtrc); every log-gamma is math.lgamma.
-    assert _fresh_python("import sys, bvcm.cli; print('scipy' in sys.modules)") == "False"
+def test_no_command_loads_scipy(sim_files, tmp_path):
+    # numpy is the only runtime dependency, so no command loads scipy on
+    # either sweep backend; only a fit asks for the compiled kernel.
     out, truth = sim_files
     chain = tmp_path / "chain"
     bound = ["bound", "--alpha", "0.5", "--a", "0.9", "--gamma1", "0.9", "--gamma2", "0.9"]
@@ -735,9 +708,26 @@ def test_only_stats_loads_scipy(sim_files, tmp_path):
     assert _scipy_and_kernel_loads_after(python_fit, prelude) == ([], 1)
     manifest = json.loads((tmp_path / "python_chain" / "chain_manifest.json").read_text())
     assert manifest["sweep_backend"] == "python"
-    assert _scipy_and_kernel_loads_after(evaluate) == ([], 0)
-    # stats imports scipy.special lazily, but builds no kernel for it.
-    assert _scipy_and_kernel_loads_after(stats)[1] == 0
+    for argv in (evaluate, stats):
+        assert _scipy_and_kernel_loads_after(argv) == ([], 0), argv[0]
+    assert (tmp_path / "m" / "misclassification.csv").exists()
+    assert (tmp_path / "s" / "powerlaw.csv").exists()
+
+
+def test_runtime_imports_are_stdlib_numpy_or_bvcm():
+    # Imports inside functions count too: a lazy import escapes every
+    # start-up check, as scipy's once did.
+    allowed = sys.stdlib_module_names | {"numpy", "bvcm"}
+    for path in sorted(Path(bvcm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name}:{node.lineno} imports {name}"
 
 
 def test_bound_neither_builds_nor_loads_the_sweep():

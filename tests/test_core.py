@@ -208,20 +208,6 @@ class TestTypes:
         net = InteractionNetwork.from_records([(1, ["1", 2])])
         assert net.node_ids == ["1", "2"]
 
-    def test_assignment_round_trip(self, demo_network, demo_truth):
-        mapping = {
-            name: int(label) + 1
-            for name, label in zip(demo_network.node_ids, demo_truth.labels)
-        }
-        back = BlockAssignment.from_mapping(demo_network, mapping, 2)
-        assert np.array_equal(back.labels, demo_truth.labels)
-
-    def test_assignment_missing_node(self, demo_network):
-        with pytest.raises(DataError, match="'h'"):
-            BlockAssignment.from_mapping(
-                demo_network, {n: 1 for n in "abcdefg"}, 2
-            )
-
     def test_label_out_of_range(self):
         with pytest.raises(DataError):
             BlockAssignment(np.array([0, 2]), 2)
@@ -234,6 +220,8 @@ class TestTypes:
         assert ok.k == 1
         with pytest.raises(DataError):
             ModelParams(np.array([1.2]), np.array([1.0]), 1.0, 1.0)
+        with pytest.raises(DataError, match="non-empty"):
+            ModelParams(np.array([]), np.array([]), 1.0, 1.0)
         with pytest.raises(DataError):
             ModelParams(np.array([0.5]), np.array([-0.6]), 1.0, 1.0)
         with pytest.raises(DataError):

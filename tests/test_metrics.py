@@ -22,7 +22,7 @@ from bvcm import (
     standardized_l2,
 )
 
-from bvcm.metrics import degree_law_pmf
+from bvcm.metrics import _chi2_sf, degree_law_pmf
 
 from oracles import random_network, size_rank_trap
 
@@ -255,6 +255,23 @@ class TestPowerlaw:
                 for k in ks.astype(int).tolist():
                     ref = a * mp.exp(mp.loggamma(k - a) - mp.loggamma(1 - a) - mp.loggamma(k + 1))
                     assert abs(pmf[k - 1] - ref) <= 1e-11 * ref, (alpha, k)
+
+    def test_chi2_tail_matches_mpmath(self):
+        # Q(dof/2, x/2) at 40 digits: every dof up to 60 and a sparse grid
+        # up to 2000, at x from 0 to 5000 and around each dof's mean.
+        import mpmath as mp
+
+        xs = [0.0, 5e-324, 1e-12, 0.01, 0.5, 1.0, 2.5, 7.0, 15.0, 30.0, 60.0, 120.0,
+              250.0, 500.0, 800.0, 1300.0, 2000.0, 3000.0, 5000.0]
+        with mp.workdps(40):
+            for dof in [*range(1, 61), 75, 128, 255, 500, 999, 1000, 1999, 2000]:
+                for x in xs + [dof * f for f in (0.5, 0.9, 1.1, 2.0)]:
+                    ref = mp.gammainc(mp.mpf(dof) / 2, mp.mpf(x) / 2, mp.inf, regularized=True)
+                    if ref >= 1e-300:
+                        assert abs(_chi2_sf(dof, x) - ref) <= 1e-11 * ref, (dof, x)
+        for x in xs:
+            assert _chi2_sf(1, x) == math.erfc(math.sqrt(x / 2))
+            assert _chi2_sf(2, x) == math.exp(-x / 2)
 
     def test_recovers_discount(self):
         params = ModelParams(
