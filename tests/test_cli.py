@@ -685,10 +685,17 @@ def _scipy_and_kernel_loads_after(argv, prelude: str = "") -> tuple[list, int]:
     return json.loads(scipy), int(loads)
 
 
+def test_cli_import_leaves_out_scipy_stats():
+    # numpy is the only runtime dependency: importing the CLI loads no
+    # scipy module, scipy.stats included.
+    code = "import sys, bvcm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _fresh_python(code) == "[]"
+
+
 def test_no_command_loads_scipy(sim_files, tmp_path):
-    # numpy is the only runtime dependency, so no command loads scipy on
-    # either sweep backend; only a fit asks for the compiled kernel.
-    out, truth = sim_files
+    # No command loads scipy on either sweep backend; only a fit asks for
+    # the compiled kernel. eval and stats have tests of their own below.
+    out, _ = sim_files
     chain = tmp_path / "chain"
     bound = ["bound", "--alpha", "0.5", "--a", "0.9", "--gamma1", "0.9", "--gamma2", "0.9"]
     simulate = [
@@ -696,8 +703,6 @@ def test_no_command_loads_scipy(sim_files, tmp_path):
         "--out", tmp_path / "sim.jsonl",
     ]
     fit = ["fit", "--input", out, "--k", 2, "--iters", 4, "--burnin", 1, "--out", chain]
-    evaluate = ["eval", "--input", out, "--chain", chain, "--truth", truth, "--out", tmp_path / "m"]
-    stats = ["stats", "--input", out, "--truth", truth, "--out", tmp_path / "s"]
     for argv in (bound, simulate):
         assert _scipy_and_kernel_loads_after(argv) == ([], 0), argv[0]
     assert _scipy_and_kernel_loads_after(fit) == ([], 1)
@@ -708,9 +713,26 @@ def test_no_command_loads_scipy(sim_files, tmp_path):
     assert _scipy_and_kernel_loads_after(python_fit, prelude) == ([], 1)
     manifest = json.loads((tmp_path / "python_chain" / "chain_manifest.json").read_text())
     assert manifest["sweep_backend"] == "python"
-    for argv in (evaluate, stats):
-        assert _scipy_and_kernel_loads_after(argv) == ([], 0), argv[0]
+
+
+def test_cli_import_leaves_out_scipy_optimize(sim_files, tmp_path):
+    # Label alignment is in-package, so eval loads neither scipy.optimize
+    # nor any other scipy module, and builds no kernel.
+    out, truth = sim_files
+    chain = tmp_path / "chain"
+    run_cli("fit", "--input", out, "--k", 2, "--iters", 4, "--burnin", 1, "--out", chain)
+    evaluate = ["eval", "--input", out, "--chain", chain, "--truth", truth, "--out", tmp_path / "m"]
+    assert _scipy_and_kernel_loads_after(evaluate) == ([], 0)
     assert (tmp_path / "m" / "misclassification.csv").exists()
+
+
+def test_only_stats_loads_scipy(sim_files, tmp_path):
+    # stats was the last command to load scipy (for the degree-law fit's
+    # chi-square tail); that tail is now a finite series, so stats loads
+    # no scipy module and builds no kernel either.
+    out, truth = sim_files
+    stats = ["stats", "--input", out, "--truth", truth, "--out", tmp_path / "s"]
+    assert _scipy_and_kernel_loads_after(stats) == ([], 0)
     assert (tmp_path / "s" / "powerlaw.csv").exists()
 
 
