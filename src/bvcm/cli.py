@@ -204,6 +204,13 @@ def _parse_arity(text: str) -> ArityLaw:
     return ArityLaw.fixed(int(text))
 
 
+# The simulate flag that sets each ModelParams field it can get wrong.
+_PARAM_FLAGS = {
+    "alpha": "--alpha", "theta": "--theta", "block_conc": "--omega",
+    "recv_conc": "--zeta", "propensity": "--prop-diag",
+}
+
+
 def cmd_simulate(args) -> int:
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
@@ -219,14 +226,23 @@ def cmd_simulate(args) -> int:
     if mode == "sequential" and prop is not None:
         raise UsageError("a fixed mixing matrix requires --mode conditional_iid")
     block_probs = np.full(args.k, 1.0 / args.k) if prop is not None else None
-    params = ModelParams(
-        alpha=np.asarray(args.alpha),
-        theta=np.asarray(args.theta),
-        block_conc=args.omega,
-        recv_conc=args.zeta,
-        block_probs=block_probs,
-        propensity=prop,
-    )
+    try:
+        params = ModelParams(
+            alpha=np.asarray(args.alpha),
+            theta=np.asarray(args.theta),
+            block_conc=args.omega,
+            recv_conc=args.zeta,
+            block_probs=block_probs,
+            propensity=prop,
+        )
+    except DataError as exc:
+        # A bad flag value is a usage error naming the flag; a bad
+        # --prop-file stays a data error, naming the file.
+        if exc.field == "propensity" and args.prop_file is not None:
+            raise DataError(f"{args.prop_file}: {exc}") from None
+        if exc.field in _PARAM_FLAGS:
+            raise UsageError(f"{_PARAM_FLAGS[exc.field]}: {exc}") from None
+        raise
     config = GeneratorConfig(
         params=params,
         m=args.m,
@@ -273,7 +289,7 @@ def cmd_fit(args) -> int:
     print(
         f"chain of {len(chain)} iterations on {network.n_nodes} nodes "
         f"({chain.elapsed_s:.1f}s); mean post-burn-in log prob "
-        f"{float(np.mean(chain.log_probs[chain.burn_in:])):.2f}"
+        f"{marginal_log_likelihood(chain):.2f}"
     )
     return 0
 

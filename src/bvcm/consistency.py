@@ -17,6 +17,7 @@ import numpy as np
 from .core import (
     BlockAssignment,
     InteractionNetwork,
+    _check_assignment,
     best_relabeling,
     counterparty_counts,
 )
@@ -42,8 +43,7 @@ def degree_majority_update(
     """
     if labeling.k != 2:
         raise UsageError("degree_majority_update is defined for k = 2")
-    if len(labeling.labels) != network.n_nodes:
-        raise UsageError("labeling does not cover the network")
+    _check_assignment(network, labeling)
     labels = labeling.labels
     counts = counterparty_counts(network, labels, 2)
     new = np.where(
@@ -57,7 +57,6 @@ def degree_majority_update(
 class BoundResult(NamedTuple):
     mu_min: float
     p_out: float
-    terms: int
 
 
 def misclassification_bound(
@@ -103,7 +102,7 @@ def misclassification_bound(
             break
         if d > 10_000_000:
             raise NumericalError("misclassification bound series did not converge")
-    return BoundResult(mu_min, total, d)
+    return BoundResult(mu_min, total)
 
 
 class CutoffPoint(NamedTuple):
@@ -144,9 +143,9 @@ def restricted_misclassification(
     cutoffs = list(degree_cutoffs)
     if any(b < a for a, b in zip(cutoffs, cutoffs[1:])):
         raise UsageError("degree cutoffs must be ascending")
+    _check_assignment(network, labeling)
+    _check_assignment(network, truth)
     hard, k = labeling.labels, max(labeling.k, truth.k)
-    if len(hard) != network.n_nodes or len(truth.labels) != network.n_nodes:
-        raise UsageError("labels do not cover the network")
     deg = network.degrees()
     out = []
     for cut in cutoffs:

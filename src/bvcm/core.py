@@ -233,25 +233,26 @@ class ModelParams:
         if self.alpha.shape != self.theta.shape or self.alpha.ndim != 1 or not self.alpha.size:
             raise DataError("alpha and theta must be non-empty 1-d arrays of equal length")
         if np.any(self.alpha <= 0) or np.any(self.alpha >= 1):
-            raise DataError(f"alpha entries must lie in (0,1), got {self.alpha}")
+            raise DataError(f"alpha entries must lie in (0,1), got {self.alpha}", "alpha")
         if np.any(self.theta <= -self.alpha):
-            raise DataError("theta entries must exceed -alpha")
-        if self.block_conc <= 0 or self.recv_conc <= 0:
-            raise DataError("concentrations must be positive")
+            raise DataError("theta entries must exceed -alpha", "theta")
+        for name in ("block_conc", "recv_conc"):
+            if getattr(self, name) <= 0:
+                raise DataError("concentrations must be positive", name)
         if self.block_probs is not None:
             self.block_probs = np.asarray(self.block_probs, dtype=float)
             if self.block_probs.shape != (self.k,):
-                raise DataError("block_probs must have one entry per block")
+                raise DataError("block_probs must have one entry per block", "block_probs")
             if abs(self.block_probs.sum() - 1.0) > 1e-9 or np.any(self.block_probs < 0):
-                raise DataError("block_probs must lie on the simplex")
+                raise DataError("block_probs must lie on the simplex", "block_probs")
             self.block_probs = self.block_probs / self.block_probs.sum()
         if self.propensity is not None:
             self.propensity = np.asarray(self.propensity, dtype=float)
             if self.propensity.shape != (self.k, self.k):
-                raise DataError("propensity must be a k x k matrix")
+                raise DataError("propensity must be a k x k matrix", "propensity")
             rows = self.propensity.sum(axis=1)
             if np.any(np.abs(rows - 1.0) > 1e-9) or np.any(self.propensity < 0):
-                raise DataError("propensity rows must lie on the simplex")
+                raise DataError("propensity rows must lie on the simplex", "propensity")
             self.propensity = self.propensity / rows[:, None]
 
     @property
@@ -282,14 +283,12 @@ class SufficientStats:
 
 
 def _check_assignment(network: InteractionNetwork, assignment: BlockAssignment) -> None:
-    if len(assignment.labels) != network.n_nodes:
-        if len(assignment.labels) < network.n_nodes:
-            missing = network.node_ids[len(assignment.labels)]
-            raise DataError(f"node {missing!r} has no block assignment")
-        raise DataError(
-            f"assignment covers {len(assignment.labels)} nodes but the network "
-            f"has {network.n_nodes}"
-        )
+    """DataError unless the labels cover the network, one per node."""
+    n = len(assignment.labels)
+    if n < network.n_nodes:
+        raise DataError(f"node {network.node_ids[n]!r} has no block assignment")
+    if n > network.n_nodes:
+        raise DataError(f"assignment covers {n} nodes but the network has {network.n_nodes}")
 
 
 def compute_stats(

@@ -14,7 +14,15 @@ class UsageError(BvcmError):
 
 
 class DataError(BvcmError):
-    """Malformed or inconsistent input data (files, assignments)."""
+    """Malformed or inconsistent input data (files, assignments).
+
+    ``field`` names the ``ModelParams`` field at fault when a parameter
+    check raised it (None otherwise), so the CLI can name the flag that
+    set it."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class NumericalError(BvcmError):

@@ -289,10 +289,10 @@ def read_chain(out_dir: Path) -> Chain:
     """Inverse of write_chain.  Assignments come back as int32 0-based
     labels, (iterations, nodes).  The body of each CSV is parsed by one
     numpy call; a malformed cell or row is a DataError naming the file
-    and its line, and so is a manifest that is not JSON or lacks a
-    field."""
+    and its line, and so is a manifest that is not JSON, lacks a field
+    or has a burn_in outside the chain's iterations."""
     out_dir = Path(out_dir)
-    path = out_dir / "chain_manifest.json"
+    path = manifest = out_dir / "chain_manifest.json"
     meta = read_manifest(path)
     try:
         k = int(meta["k"])
@@ -315,6 +315,11 @@ def read_chain(out_dir: Path) -> Chain:
         body = _numeric_rows(fh, reader.line_num, np.int64, len(node_ids) + 1)
     if len(body) == 0:
         raise DataError(f"{path}: no samples")
+    if not 0 <= fields["burn_in"] < len(body):
+        raise DataError(
+            f"{manifest}: field burn_in = {fields['burn_in']} outside "
+            f"0..{len(body) - 1}, the chain's iterations"
+        )
     labels = body[:, 1:]
     if labels.size and (labels.min() < 1 or labels.max() > k):
         raise DataError(f"{path}: block labels outside 1..{k}")

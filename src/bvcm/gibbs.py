@@ -125,6 +125,10 @@ class Chain:
         return np.bincount(cells.ravel(), minlength=n * self.k).reshape(n, self.k)
 
 
+def _clip_alpha(x: float) -> float:
+    return min(max(x, _EPS), 1.0 - _EPS)
+
+
 def aux_update_alpha_theta(
     hist,
     alpha: float,
@@ -150,7 +154,7 @@ def aux_update_alpha_theta(
     hist = np.asarray(hist, dtype=np.int64)
     present = np.flatnonzero(hist)
     if present.size == 0:
-        new_alpha = GibbsSampler._clip_alpha(rng.beta(c_hyp, d_hyp))
+        new_alpha = _clip_alpha(rng.beta(c_hyp, d_hyp))
         return new_alpha, max(rng.gamma(a_hyp, 1.0 / b_hyp), _EPS)
     max_d = int(present[-1])
     hist = hist[: max_d + 1]
@@ -179,7 +183,7 @@ def aux_update_alpha_theta(
         sum_not_z = float(rng.binomial(n_j, p_not).sum())
 
     new_theta = max(rng.gamma(a_hyp + sum_y, 1.0 / rate), _EPS)
-    new_alpha = GibbsSampler._clip_alpha(rng.beta(c_hyp + sum_not_y, d_hyp + sum_not_z))
+    new_alpha = _clip_alpha(rng.beta(c_hyp + sum_not_y, d_hyp + sum_not_z))
     return new_alpha, new_theta
 
 
@@ -391,7 +395,7 @@ class GibbsSampler:
         c, d = config.alpha_prior
         a, b = config.theta_prior
         for blk in range(k):
-            self.alpha[blk] = self._clip_alpha(self.rng.beta(c, d))
+            self.alpha[blk] = _clip_alpha(self.rng.beta(c, d))
             self.theta[blk] = max(self.rng.gamma(a, 1.0 / b), _EPS)
 
         self._kernel = _sweep.load()
@@ -432,7 +436,9 @@ class GibbsSampler:
 
     def set_labels(self, labels) -> None:
         """Set every node's block and recount ``stats`` for them, in place
-        (the compiled kernel holds pointers to its arrays)."""
+        (the compiled kernel holds pointers to its arrays).  The hook a
+        resumed fit is to restore its saved labels through; tests start
+        the sampler from chosen labels with it."""
         self.labels[...] = labels
         fresh = compute_stats(self.network, BlockAssignment(self.labels, self.k))
         for name in _COUNTS:
@@ -478,10 +484,6 @@ class GibbsSampler:
             return _sweep.aux_update(self._kernel, *args)
         return aux_update_alpha_theta(*args)
 
-    @staticmethod
-    def _clip_alpha(x: float) -> float:
-        return min(max(x, _EPS), 1.0 - _EPS)
-
     def update_propensity(self) -> np.ndarray:
         """Redraw the mixing matrix from its row-wise Dirichlet conditional."""
         k = self.k
@@ -491,7 +493,9 @@ class GibbsSampler:
         for b in range(k):
             prop[b] = self.rng.dirichlet(counts[b] + zeta)
         self.prop = prop
-        self._log_prop[...] = np.log(np.maximum(prop, _EPS))
+        # libm's log, as in the kernel: numpy's vectorised log can
+        # differ from it in the last bit, and the sweep reads these.
+        self._log_prop[...] = [[math.log(max(p, _EPS)) for p in row] for row in prop.tolist()]
         return prop
 
     # ------------------------------------------------------------ full run
@@ -522,7 +526,7 @@ class GibbsSampler:
         sweep keeps in ``stats``."""
         cfg = self.config
         return log_prob_from_stats(
-            self.stats, self.k, cfg.block_conc, cfg.recv_conc, self.alpha, self.theta
+            self.stats, cfg.block_conc, cfg.recv_conc, self.alpha, self.theta
         ).value
 
     def run(self) -> Chain:

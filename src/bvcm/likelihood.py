@@ -95,18 +95,8 @@ def block_eppf(hist_row: np.ndarray, alpha: float, theta: float) -> float:
     return float(out + counts.astype(float) @ log_discount_factorial(degs, alpha))
 
 
-def _validate_params(k: int, alpha, theta, block_conc: float, recv_conc: float) -> None:
-    alpha = np.asarray(alpha, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if alpha.shape != (k,) or theta.shape != (k,):
-        raise UsageError(f"alpha/theta must have one entry per block ({k})")
-    # Reuse the ModelParams domain checks.
-    ModelParams(alpha=alpha, theta=theta, block_conc=block_conc, recv_conc=recv_conc)
-
-
 def log_prob_from_stats(
     stats: SufficientStats,
-    k: int,
     block_conc: float,
     recv_conc: float,
     alpha: Sequence[float],
@@ -116,6 +106,7 @@ def log_prob_from_stats(
     Dirichlet-multinomial factor for the sender-block urn and one per
     sender block's receiver-block urn (an empty row gives 0), plus one
     EPPF per block."""
+    k = len(stats.initiations)
     term_block = float(
         _log_rising(block_conc, stats.initiations).sum()
         - _log_rising(k * block_conc, stats.m)
@@ -145,11 +136,15 @@ def log_prob_sequential(
     theta: Sequence[float],
 ) -> LogProb:
     """Collapsed log P(network, assignment) under the urn scheme."""
-    _validate_params(assignment.k, alpha, theta, block_conc, recv_conc)
+    k = assignment.k
+    alpha = np.asarray(alpha, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    if alpha.shape != (k,) or theta.shape != (k,):
+        raise UsageError(f"alpha/theta must have one entry per block ({k})")
+    # The domain checks are ModelParams', a DataError.
+    ModelParams(alpha=alpha, theta=theta, block_conc=block_conc, recv_conc=recv_conc)
     stats = compute_stats(network, assignment)
-    return log_prob_from_stats(
-        stats, assignment.k, block_conc, recv_conc, alpha, theta
-    )
+    return log_prob_from_stats(stats, block_conc, recv_conc, alpha, theta)
 
 
 def marginal_log_likelihood(chain) -> float:

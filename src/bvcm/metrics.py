@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     BlockAssignment,
     InteractionNetwork,
+    _check_assignment,
     best_relabeling,
     compute_stats,
     degree_distribution,
@@ -36,6 +37,7 @@ __all__ = [
 ]
 
 _LOG_CLIP = 1e-12
+_MIN_FIT_NODES = 100
 
 
 @dataclass
@@ -183,13 +185,13 @@ def _chi2_sf(dof: int, x: float) -> float:
     return math.fsum(terms)
 
 
-def _fit_one(hist: np.ndarray, block: Optional[int], min_nodes: int) -> PowerlawFit:
+def _fit_one(hist: np.ndarray, block: Optional[int]) -> PowerlawFit:
     """Fit of one degree histogram; hist[d] counts the nodes of degree d."""
     v = int(hist.sum())
-    if v < min_nodes:
+    if v < _MIN_FIT_NODES:
         return PowerlawFit(
             block, v, float("nan"), float("nan"), None, None, None, True,
-            f"only {v} nodes (< {min_nodes}); skipped",
+            f"only {v} nodes (< {_MIN_FIT_NODES}); skipped",
         )
     p1 = int(hist[1]) / v
     alpha_hat = p1
@@ -226,7 +228,6 @@ def _fit_one(hist: np.ndarray, block: Optional[int], min_nodes: int) -> Powerlaw
 def powerlaw_diagnostic(
     network: InteractionNetwork,
     assignment: Optional[BlockAssignment] = None,
-    min_nodes: int = 100,
 ) -> list[PowerlawFit]:
     """Degree-law fit for the whole network and, when labels are given,
     for each block-restricted network.
@@ -236,12 +237,13 @@ def powerlaw_diagnostic(
     estimate is the degree-one fraction (alpha_hat = p1, its limit under
     ``degree_law_pmf``); the chi-square compares the empirical histogram
     against the implied degree law; the tail slope is the log-log
-    regression over degrees seen at least 5 times.
+    regression over degrees seen at least 5 times.  A histogram of
+    fewer than 100 nodes is skipped.
     """
-    results = [_fit_one(degree_distribution(network), None, min_nodes)]
+    results = [_fit_one(degree_distribution(network), None)]
     if assignment is not None:
         hists = compute_stats(network, assignment).deg_hist
-        results += [_fit_one(h, b, min_nodes) for b, h in enumerate(hists)]
+        results += [_fit_one(h, b) for b, h in enumerate(hists)]
     return results
 
 
@@ -250,7 +252,6 @@ class SparsitySlope(NamedTuple):
     slope: Optional[float]
     mu_hat: float
     sparse: bool
-    checkpoints: tuple[int, ...]
     v_counts: tuple[int, ...]
 
 
@@ -281,6 +282,7 @@ def sparsity_growth(
     n = network.n_nodes
     groups: list[tuple[Optional[int], np.ndarray]] = [(None, np.ones(n, dtype=bool))]
     if assignment is not None:
+        _check_assignment(network, assignment)
         groups += [(b, assignment.labels == b) for b in range(assignment.k)]
 
     # v_counts[g][j]: group g's nodes among the first cps[j] interactions,
@@ -317,5 +319,5 @@ def sparsity_growth(
             sparse = slope * mu_hat > 1.0
         else:
             slope, sparse = None, False
-        out.append(SparsitySlope(block, slope, mu_hat, sparse, tuple(cps), tuple(counts)))
+        out.append(SparsitySlope(block, slope, mu_hat, sparse, tuple(counts)))
     return out

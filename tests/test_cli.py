@@ -1,6 +1,8 @@
 import ast
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -94,6 +96,21 @@ class TestSimulate:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--prop-diag", "1.5"),
+        ("--omega", "0"),
+        ("--zeta", "-1"),
+        ("--alpha", "1.5,0.5"),
+        ("--theta", "-0.6,5"),
+    ])
+    def test_bad_flag_value_is_usage_error_naming_it(self, tmp_path, capsys, flag, value):
+        code = run_cli(
+            "simulate", "--k", 2, "--alpha", "0.5,0.5", "--theta", "5,5",
+            "--m", 10, "--out", tmp_path / "x.jsonl", f"{flag}={value}",
+        )
+        assert code == 2
+        assert f"error: {flag}: " in capsys.readouterr().err
+
     def test_fixed_propensity_needs_conditional_mode(self, tmp_path):
         code = run_cli(
             "simulate", "--k", 2, "--alpha", "0.5,0.5", "--theta", "5,5",
@@ -113,7 +130,7 @@ class TestSimulate:
         assert manifest["mode"] == "conditional_iid"
         assert manifest["realized_propensity"] == [[0.7, 0.3], [0.2, 0.8]]
         for text, where in [("0.7,0.3\n", "2x2 matrix"), ("0.7,0.3,0\n0.2,0.8,0\n", "line 1"),
-                            ("0.7,0.3\n0.2,x\n", "line 2")]:
+                            ("0.7,0.3\n0.2,x\n", "line 2"), ("0.7,0.4\n0.2,0.8\n", "simplex")]:
             prop.write_text(text)
             assert run_cli(*args, "--prop-file", prop, "--out", out) == 3, text
             err = capsys.readouterr().err
@@ -513,6 +530,8 @@ class TestErrorsAndConfig:
             # Cut after three lines: the JSON ends where line 4 begins.
             ("".join(path.read_text().splitlines(keepends=True)[:3]), "line 4: malformed JSON"),
             (json.dumps({k: v for k, v in meta.items() if k != "burn_in"}), "missing field 'burn_in'"),
+            (json.dumps({**meta, "burn_in": -2}), "field burn_in = -2 outside 0..2"),
+            (json.dumps({**meta, "burn_in": 3}), "field burn_in = 3 outside 0..2"),
         ]
         for text, where in cases:
             path.write_text(text)
@@ -750,6 +769,27 @@ def test_runtime_imports_are_stdlib_numpy_or_bvcm():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name}:{node.lineno} imports {name}"
+
+
+def test_every_public_name_has_a_caller():
+    # A name in a module's __all__ must be used in the package besides
+    # its definition and re-export (as a name or an attribute, type
+    # annotations included), or be named in perfbench/.
+    package = Path(bvcm.__file__).parent
+    used = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    used.update(*(re.findall(r"\w+", p.read_text()) for p in bench.glob("*.py")))
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module(f"bvcm.{path.stem}".removesuffix(".__init__"))
+        unused += [f"{path.stem}.{name}" for name in getattr(module, "__all__", []) if name not in used]
+    assert unused == []
 
 
 def test_bound_neither_builds_nor_loads_the_sweep():

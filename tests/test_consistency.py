@@ -6,6 +6,7 @@ import pytest
 from bvcm import (
     BlockAssignment,
     Chain,
+    DataError,
     InteractionNetwork,
     NumericalError,
     UsageError,
@@ -59,6 +60,11 @@ class TestDegreeMajority:
         net = line_network()
         with pytest.raises(UsageError):
             degree_majority_update(net, BlockAssignment(np.zeros(4, dtype=int), 3))
+
+    def test_labels_must_cover_the_network(self):
+        net = line_network()
+        with pytest.raises(DataError, match="node 'd' has no block assignment"):
+            degree_majority_update(net, BlockAssignment(np.zeros(3, dtype=int), 2))
 
     def test_pair_arrays_multiplicity(self):
         net = InteractionNetwork.from_records([("x", ["a", "a"])])
@@ -181,6 +187,14 @@ class TestRestrictedMisclassification:
         truth = BlockAssignment(np.array([0, 0, 1, 1]), 2)
         with pytest.raises(UsageError):
             restricted_misclassification(net, truth, truth, [5.0, 1.0])
+
+    def test_labels_must_cover_the_network(self):
+        net = line_network()
+        truth = BlockAssignment(np.array([0, 0, 1, 1]), 2)
+        short = BlockAssignment(np.array([0, 0, 1]), 2)
+        for labeling, t in ((short, truth), (truth, short)):
+            with pytest.raises(DataError, match="node 'd' has no block assignment"):
+                restricted_misclassification(net, labeling, t, [1.0])
 
     def test_majority_vote_hard_labels(self):
         net = line_network()

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -143,7 +144,7 @@ class TestBlockUpdate:
             cfg = sampler.config
             fresh = compute_stats(sampler.network, BlockAssignment(np.array(sampler.labels), cfg.k))
             return log_prob_from_stats(
-                fresh, cfg.k, cfg.block_conc, cfg.recv_conc, sampler.alpha, sampler.theta
+                fresh, cfg.block_conc, cfg.recv_conc, sampler.alpha, sampler.theta
             ).value
 
         for backend in sweep_backends():
@@ -272,6 +273,17 @@ class TestParameterUpdates:
         sampler.stats.pair[...] = 0
         draws = np.stack([sampler.update_propensity() for _ in range(3000)])
         assert np.abs(draws.mean(axis=0) - 1.0 / 3.0).max() < 0.03
+
+    def test_log_mixing_matrix_is_libm_log(self):
+        """The log mixing matrix both sweeps read is math.log of each
+        entry (floored at 1e-12), bit for bit, whatever log numpy's
+        vectorised kernel on this CPU would give."""
+        net = InteractionNetwork.from_records([("a", ["b"]), ("b", ["c", "a"])])
+        sampler = GibbsSampler(net, GibbsConfig(k=5, iterations=1, seed=8))
+        for _ in range(400):
+            prop = sampler.update_propensity()
+            want = [[math.log(max(p, 1e-12)) for p in row] for row in prop.tolist()]
+            assert sampler._log_prop.tobytes() == np.array(want).tobytes()
 
 
 class TestRunGibbs:

@@ -237,7 +237,7 @@ class TestAgainstMpmath:
                 for alpha in self.ALPHAS:
                     for theta in self.thetas(alpha):
                         lp = log_prob_from_stats(
-                            stats, k, omega, zeta, [alpha] * k, [theta] * k
+                            stats, omega, zeta, [alpha] * k, [theta] * k
                         )
                         where = (omega, zeta, alpha, theta)
                         assert abs(lp.term_block - want_block) <= 1e-12 * s_block, where

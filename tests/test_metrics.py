@@ -354,6 +354,16 @@ class TestSparsityGrowth:
         with pytest.raises(UsageError, match="exceeds"):
             sparsity_growth(res.network, [10, 100, 1000, 10_000])
 
+    def test_labels_must_cover_the_network(self):
+        params = ModelParams(
+            alpha=np.array([0.5]), theta=np.array([1.0]), block_conc=1.0, recv_conc=1.0
+        )
+        net = simulate_sequential(GeneratorConfig(params=params, m=2000, seed=7)).network
+        short = BlockAssignment(np.zeros(net.n_nodes - 3, dtype=int), 1)
+        missing = net.node_ids[net.n_nodes - 3]
+        with pytest.raises(DataError, match=f"node {missing!r} has no block assignment"):
+            sparsity_growth(net, [10, 100, 1000, 2000], short)
+
     def test_counts_match_a_record_loop(self):
         """Node counts at each checkpoint and mean arity per group, against
         a loop over the named records."""
