@@ -1,12 +1,17 @@
-/* Compiled single-site sweep of the B-VCM Gibbs sampler and the
- * auxiliary-variable (alpha, theta) update.
+/* Compiled sampler phases of the B-VCM Gibbs sampler: the single-site
+ * sweep, the auxiliary-variable (alpha, theta) update, the degree-table
+ * refresh, the mixing-matrix redraw and the collapsed log-probability.
  *
- * The arithmetic is that of the Python sweep (gibbs._ListSweep.update
- * over log_weights_detached), in the same order, so both give
- * bit-identical chains: every sum runs left to right, no
- * multiply-add is fused (built with -ffp-contract=off), log and exp are
- * libm's as in Python's math module, and lgamma is a port of CPython's
- * own (libm's lgamma differs from math.lgamma in the last bits).
+ * Each computes what its Python reference computes, in the same order,
+ * so both give bit-identical chains: the sweep is
+ * gibbs._ListSweep.update over log_weights_detached, the degree table
+ * and the redraw GibbsSampler's Python paths, and bvcm_log_prob
+ * likelihood.log_prob_from_stats.  Every plain sum runs left to right,
+ * no multiply-add is fused (built with -ffp-contract=off), log and exp
+ * are libm's as in Python's math module, lgamma is a port of CPython's
+ * own (libm's lgamma differs from math.lgamma in the last bits), and
+ * the log-probability's sums are a port of math.fsum, correctly rounded
+ * and so independent of the order of the blocks.
  *
  * The state layout mirrors bvcm._sweep.SweepState; arrays are numpy's,
  * row-major, with the mixing matrix, degree table and degree histogram
@@ -14,10 +19,12 @@
  * core.SufficientStats, under the same names, and the sweep keeps every
  * one of them current, the degree histogram included.
  *
- * bvcm_aux makes the draws of gibbs.aux_update_alpha_theta, in the same
- * order, through numpy's random C API (numpy/random/distributions.h,
- * linked from libnpyrandom.a) on the Generator's own bit generator, so
- * it returns the same values and leaves the Generator in the same state.
+ * The random draws (bvcm_aux, the draws of gibbs.aux_update_alpha_theta,
+ * and bvcm_propensity, those of Generator.dirichlet) go through numpy's
+ * random C API (numpy/random/distributions.h, linked from
+ * libnpyrandom.a) on the Generator's own bit generator, in numpy's
+ * order, so they return the same values and leave the Generator in the
+ * same state.
  */
 
 #include <math.h>
@@ -30,10 +37,14 @@ typedef struct {
     int64_t n;             /* nodes */
     int64_t k;             /* blocks */
     int64_t hist_width;    /* maximum degree + 1: row length of deg_hist and la_deg */
+    int64_t n_degrees;     /* distinct degrees that occur */
     int64_t memo_bits;     /* log2 of the lgamma memo's size */
     double block_conc;     /* omega */
+    double recv_conc;      /* zeta */
+    bitgen_t *bitgen;      /* the sampler's Generator's bit generator */
     int64_t *labels;       /* [n] */
     const int64_t *deg;    /* [n] appearances */
+    const int64_t *degrees;     /* [n_degrees] the degrees that occur: la_deg's live columns */
     const int64_t *node_inits;  /* [n] interactions initiated */
     const int64_t *self_pairs;  /* [n] self-addressed receptions */
     const int64_t *out_off, *out_idx;  /* CSR out-neighbours, loops excluded */
@@ -43,13 +54,15 @@ typedef struct {
     int64_t *initiations;  /* [k] interactions initiated per block */
     int64_t *pair;         /* [k*k] sender-block x receiver-block counts */
     int64_t *deg_hist;     /* [k*hist_width] block-b nodes of degree d at [b, d] */
-    const double *log_prop;  /* [k*k] log mixing matrix */
-    const double *la_deg;    /* [k*hist_width] log (1 - alpha_b)_{d-1} at [b, d] */
+    double *prop;            /* [k*k] mixing matrix */
+    double *log_prop;        /* [k*k] log max(prop, 1e-12) */
+    double *la_deg;          /* [k*hist_width] log (1 - alpha_b)_{d-1} at [b, d] */
     const double *alpha;     /* [k] */
     const double *theta;     /* [k] */
+    const double *prior;     /* [4] Beta (c, d) on alpha, Gamma (shape, rate) on theta */
     const double *uniforms;  /* [n] one per node, in node order */
-    uint64_t *memo_key;      /* [1 << memo_bits] lgamma argument bits; 0 = empty */
-    double *memo_val;        /* [1 << memo_bits] lgamma of that argument */
+    uint64_t *memo_key;      /* [2 << memo_bits] lgamma argument bits; 0 = empty */
+    double *memo_val;        /* [2 << memo_bits] lgamma of that argument */
 } SweepState;
 
 /* ---- lgamma: port of m_lgamma from CPython's Modules/mathmodule.c
@@ -114,14 +127,22 @@ double bvcm_lgamma(double x)
  * (Fibonacci hashing).  A sweep makes several thousand calls on a few
  * hundred distinct arguments, and a hit returns the value the same
  * function gave for the same input.  Every argument is positive, so its
- * bits are never 0 and a zeroed table starts empty. */
-static double memo_lgamma(const SweepState *s, double x)
+ * bits are never 0 and a zeroed table starts empty.  The table has two
+ * halves of 1 << memo_bits entries, so neither user evicts the other's
+ * entries: SWEEP_MEMO for the sweep, DEGREE_MEMO for lgamma(d - alpha_b),
+ * which the degree table and then the log-probability take for the
+ * same alpha. */
+#define SWEEP_MEMO 0
+#define DEGREE_MEMO 1
+
+static double memo_lgamma(const SweepState *s, int64_t half, double x)
 {
     uint64_t bits;
     size_t slot;
     double v;
     memcpy(&bits, &x, sizeof bits);
-    slot = (size_t)((bits * UINT64_C(0x9E3779B97F4A7C15)) >> (64 - s->memo_bits));
+    slot = (size_t)(half << s->memo_bits)
+           + (size_t)((bits * UINT64_C(0x9E3779B97F4A7C15)) >> (64 - s->memo_bits));
     if (s->memo_key[slot] == bits)
         return s->memo_val[slot];
     v = bvcm_lgamma(x);
@@ -165,8 +186,8 @@ static void log_weights(const SweepState *s, int64_t i, int64_t *cnt_out,
         const int64_t vb = s->block_sizes[b], md = s->block_deg[b];
         double wb = 0.0;
         if (l_i)
-            wb = memo_lgamma(s, omega + (double)s->initiations[b] + (double)l_i)
-                 - memo_lgamma(s, omega + (double)s->initiations[b]);
+            wb = memo_lgamma(s, SWEEP_MEMO, omega + (double)s->initiations[b] + (double)l_i)
+                 - memo_lgamma(s, SWEEP_MEMO, omega + (double)s->initiations[b]);
         for (b2 = 0; b2 < k; b2++) {
             if (cnt_out[b2])
                 wb += (double)cnt_out[b2] * row[b2];
@@ -179,9 +200,11 @@ static void log_weights(const SweepState *s, int64_t i, int64_t *cnt_out,
             wb += log(th + (double)vb * s->alpha[b]);
         wb += s->la_deg[b * s->hist_width + d_i];
         if (md)
-            wb += memo_lgamma(s, th + (double)md) - memo_lgamma(s, th + (double)md + (double)d_i);
+            wb += memo_lgamma(s, SWEEP_MEMO, th + (double)md)
+                  - memo_lgamma(s, SWEEP_MEMO, th + (double)md + (double)d_i);
         else
-            wb += memo_lgamma(s, th + 1.0) - memo_lgamma(s, th + (double)d_i);
+            wb += memo_lgamma(s, SWEEP_MEMO, th + 1.0)
+                  - memo_lgamma(s, SWEEP_MEMO, th + (double)d_i);
         w[b] = wb;
     }
 }
@@ -248,17 +271,17 @@ int64_t bvcm_sweep(const SweepState *s)
 
 /* ---- the (alpha, theta) update (gibbs.aux_update_alpha_theta) */
 
-#define AUX_EPS 1e-12
+#define EPS 1e-12  /* gibbs._EPS */
 
 static double at_least_eps(double x)
 {
-    return AUX_EPS > x ? AUX_EPS : x;  /* Python's max(x, _EPS) */
+    return EPS > x ? EPS : x;  /* Python's max(x, _EPS) */
 }
 
 static double clip_alpha(double x)
 {
     x = at_least_eps(x);
-    return 1.0 - AUX_EPS < x ? 1.0 - AUX_EPS : x;
+    return 1.0 - EPS < x ? 1.0 - EPS : x;
 }
 
 /* Conjugate redraw of one block's (alpha, theta) from its degree
@@ -306,4 +329,244 @@ void bvcm_aux(bitgen_t *bitgen, const int64_t *hist, int64_t len, double alpha,
     out[1] = at_least_eps(random_gamma(bitgen, a_hyp + (double)sum_y, 1.0 / rate));
     out[0] = clip_alpha(random_beta(bitgen, c_hyp + (double)(n_y - sum_y),
                                     d_hyp + (double)sum_not_z));
+}
+
+/* bvcm_aux on block b of the state: its degree-histogram row, its
+ * (alpha, theta), the priors and the bit generator bound there. */
+void bvcm_aux_block(const SweepState *s, int64_t b, double *out)
+{
+    bvcm_aux(s->bitgen, s->deg_hist + b * s->hist_width, s->hist_width, s->alpha[b],
+             s->theta[b], s->prior, out);
+}
+
+/* ---- the degree table (GibbsSampler._refresh_deg_table) */
+
+/* log (1 - alpha_b)_{d-1} = lgamma(d - alpha_b) - lgamma(1 - alpha_b)
+ * into la_deg[b, d] for every degree d that occurs. */
+void bvcm_deg_table(const SweepState *s)
+{
+    int64_t b, j;
+    for (b = 0; b < s->k; b++) {
+        const double a = s->alpha[b], base = bvcm_lgamma(1.0 - a);
+        double *row = s->la_deg + b * s->hist_width;
+        for (j = 0; j < s->n_degrees; j++)
+            row[s->degrees[j]] = memo_lgamma(s, DEGREE_MEMO, (double)s->degrees[j] - a) - base;
+    }
+}
+
+/* ---- the mixing-matrix redraw (GibbsSampler.update_propensity) */
+
+/* Generator.dirichlet(conc) into out[0..k-1], numpy's two branches
+ * (numpy/random/_generator.pyx): when every concentration is below 0.1,
+ * stick-breaking with Beta draws against the right-to-left cumulative
+ * sums, else standard-gamma draws in component order, each times one
+ * over their left-to-right sum. */
+static void dirichlet(bitgen_t *bitgen, const double *conc, int64_t k, double *out)
+{
+    double mx = conc[0], acc;
+    int64_t j;
+    for (j = 1; j < k; j++)
+        if (conc[j] > mx)
+            mx = conc[j];
+    if (mx < 0.1) {
+        double cs[k];
+        acc = 0.0;
+        for (j = k - 1; j >= 0; j--) {
+            acc += conc[j];
+            cs[j] = acc;
+        }
+        for (j = 0; j < k; j++)
+            out[j] = 0.0;
+        if (!(acc > 0.0))
+            return;
+        acc = 1.0;
+        for (j = 0; j < k - 1; j++) {
+            const double v = random_beta(bitgen, conc[j], cs[j + 1]);
+            out[j] = acc * v;
+            acc *= 1.0 - v;
+            if (cs[j + 1] == 0.0)
+                break;
+        }
+        out[k - 1] = acc;
+        return;
+    }
+    acc = 0.0;
+    for (j = 0; j < k; j++) {
+        out[j] = random_standard_gamma(bitgen, conc[j]);
+        acc = acc + out[j];
+    }
+    acc = 1.0 / acc;
+    for (j = 0; j < k; j++)
+        out[j] = out[j] * acc;
+}
+
+/* Row b of the mixing matrix from Dirichlet(pair[b, :] + zeta), rows in
+ * order, and its log floored at 1e-12 into log_prop. */
+void bvcm_propensity(const SweepState *s)
+{
+    const int64_t k = s->k;
+    double conc[k];
+    int64_t b, j;
+    for (b = 0; b < k; b++) {
+        double *row = s->prop + b * k;
+        for (j = 0; j < k; j++)
+            conc[j] = (double)s->pair[b * k + j] + s->recv_conc;
+        dirichlet(s->bitgen, conc, k, row);
+        for (j = 0; j < k; j++)
+            s->log_prop[b * k + j] = log(at_least_eps(row[j]));
+    }
+}
+
+/* ---- the log-probability (likelihood.log_prob_from_stats) */
+
+/* Port of msum, math.fsum in CPython's Modules/mathmodule.c (Shewchuk
+ * 1997, "Adaptive precision floating-point arithmetic and fast robust
+ * geometric predicates", with CPython's half-even correction across
+ * partials), for finite addends and sums, which is all the model has.
+ * The total is the correctly rounded sum, so it does not depend on the
+ * order of the addends.  The partials do not overlap, so their leading
+ * bits differ, and a double has 2098 bit positions. */
+#define FSUM_MAX 2098
+
+typedef struct {
+    int64_t n;
+    double p[FSUM_MAX];
+} Fsum;
+
+static void fsum_add(Fsum *f, double x)
+{
+    int64_t i, j;
+    double y, t, hi, lo;
+    for (i = j = 0; j < f->n; j++) {
+        y = f->p[j];
+        if (fabs(x) < fabs(y)) {
+            t = x;
+            x = y;
+            y = t;
+        }
+        hi = x + y;
+        lo = y - (hi - x);
+        if (lo != 0.0)
+            f->p[i++] = lo;
+        x = hi;
+    }
+    f->n = i;
+    if (x != 0.0)
+        f->p[f->n++] = x;
+}
+
+static double fsum_total(const Fsum *f)
+{
+    int64_t n = f->n;
+    double x, y, yr, hi = 0.0, lo = 0.0;
+    if (n > 0) {
+        hi = f->p[--n];
+        /* sum the partials from the top; stop when the sum is inexact */
+        while (n > 0) {
+            x = hi;
+            y = f->p[--n];
+            hi = x + y;
+            yr = hi - x;
+            lo = y - yr;
+            if (lo != 0.0)
+                break;
+        }
+        /* half-even rounding across the remaining partials */
+        if (n > 0 && ((lo < 0.0 && f->p[n - 1] < 0.0) || (lo > 0.0 && f->p[n - 1] > 0.0))) {
+            y = lo * 2.0;
+            x = hi + y;
+            yr = x - hi;
+            if (y == yr)
+                hi = x;
+        }
+    }
+    return hi;
+}
+
+/* math.fsum(x[0..n-1]) */
+double bvcm_fsum(const double *x, int64_t n)
+{
+    Fsum acc;
+    int64_t i;
+    acc.n = 0;
+    for (i = 0; i < n; i++)
+        fsum_add(&acc, x[i]);
+    return fsum_total(&acc);
+}
+
+/* log x(x+1)...(x+n-1), exactly 0 at n = 0 (likelihood._log_rising) */
+static double log_rising(double x, int64_t n)
+{
+    return n ? bvcm_lgamma(x + (double)n) - bvcm_lgamma(x) : 0.0;
+}
+
+/* Block b's log Pitman-Yor EPPF from its degree-histogram row
+ * (likelihood.block_eppf): the same addends, through acc.  A node's
+ * degree is one that occurs, so the row is read at those columns. */
+static double block_eppf(const SweepState *s, int64_t b, Fsum *acc)
+{
+    const int64_t *row = s->deg_hist + b * s->hist_width;
+    const double a = s->alpha[b], t = s->theta[b];
+    double base;
+    int64_t d, i, j, v = 0, total = 0;
+    for (j = 0; j < s->n_degrees; j++) {
+        d = s->degrees[j];
+        v += row[d];
+        total += row[d] * d;
+    }
+    if (!v)
+        return 0.0;
+    acc->n = 0;
+    for (i = 1; i < v; i++)
+        fsum_add(acc, log(t + a * (double)i));
+    fsum_add(acc, -log_rising(t + 1.0, total - 1));
+    base = bvcm_lgamma(1.0 - a);
+    for (j = 0; j < s->n_degrees; j++) {
+        d = s->degrees[j];
+        if (row[d])
+            fsum_add(acc, (double)row[d] * (memo_lgamma(s, DEGREE_MEMO, (double)d - a) - base));
+    }
+    return fsum_total(acc);
+}
+
+/* Collapsed log-probability of the state's counts and (alpha, theta),
+ * the value of likelihood.log_prob_from_stats: the same addends, summed
+ * in the same groups (each term, each block's EPPF, then the three
+ * terms). */
+double bvcm_log_prob(const SweepState *s)
+{
+    const int64_t k = s->k;
+    Fsum acc, eppf;
+    double term_block, term_nodes, term_prop;
+    int64_t b, j, m = 0, row_sum;
+
+    acc.n = 0;
+    for (b = 0; b < k; b++) {
+        fsum_add(&acc, log_rising(s->block_conc, s->initiations[b]));
+        m += s->initiations[b];
+    }
+    fsum_add(&acc, -log_rising((double)k * s->block_conc, m));
+    term_block = fsum_total(&acc);
+
+    acc.n = 0;
+    for (b = 0; b < k; b++)
+        fsum_add(&acc, block_eppf(s, b, &eppf));
+    term_nodes = fsum_total(&acc);
+
+    acc.n = 0;
+    for (b = 0; b < k; b++) {
+        row_sum = 0;
+        for (j = 0; j < k; j++) {
+            fsum_add(&acc, log_rising(s->recv_conc, s->pair[b * k + j]));
+            row_sum += s->pair[b * k + j];
+        }
+        fsum_add(&acc, -log_rising((double)k * s->recv_conc, row_sum));
+    }
+    term_prop = fsum_total(&acc);
+
+    acc.n = 0;
+    fsum_add(&acc, term_block);
+    fsum_add(&acc, term_nodes);
+    fsum_add(&acc, term_prop);
+    return fsum_total(&acc);
 }

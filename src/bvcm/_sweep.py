@@ -1,5 +1,6 @@
-"""Build, cache and load the compiled sweep and (alpha, theta) update
-(``_sweep.c``).
+"""Build, cache and load the compiled sampler phases (``_sweep.c``): the
+sweep, the (alpha, theta) update, the degree-table refresh, the
+mixing-matrix redraw and the log-probability.
 
 The kernel is compiled on first use with the system C compiler (``cc -O2
 -fPIC -shared -ffp-contract=off``: no fused multiply-adds, no fast-math,
@@ -18,7 +19,7 @@ versions run in turn do not rebuild each other's.
 When that directory is unwritable the build goes to a per-process
 temporary directory.  When no compiler, header or library works,
 ``load`` warns once and returns None, and the sampler runs its Python
-sweep and update.
+phases.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ SOURCE = Path(__file__).with_name("_sweep.c")
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 # numpy's random C library; the tests point this elsewhere.
 NPYRANDOM = Path(np.random.__file__).parent / "lib" / "libnpyrandom.a"
-# The sweep's lgamma memo has 2**LGAMMA_MEMO_BITS entries.
+# The sweep's lgamma memo has 2**LGAMMA_MEMO_BITS entries, and the degree
+# terms' another 2**LGAMMA_MEMO_BITS.
 LGAMMA_MEMO_BITS = 12
 # Compiled kernels the cache directory keeps, the most recently used.
 KEEP_KERNELS = 4
@@ -53,33 +55,36 @@ _ptr = ctypes.c_void_p
 
 
 class SweepState(ctypes.Structure):
-    """Mirror of the C ``SweepState``: sizes, then pointers to the
-    sampler's arrays and the lgamma memo (see ``_sweep.c`` for each
-    field; ``la_deg`` is laid out like ``deg_hist``)."""
+    """Mirror of the C ``SweepState``: sizes and concentrations, the bit
+    generator, then pointers to the sampler's arrays and the lgamma memo
+    (see ``_sweep.c`` for each field; ``la_deg`` is laid out like
+    ``deg_hist``)."""
 
     _fields_ = [
-        ("n", _i64), ("k", _i64), ("hist_width", _i64), ("memo_bits", _i64),
-        ("block_conc", ctypes.c_double),
-        ("labels", _ptr), ("deg", _ptr), ("node_inits", _ptr),
+        ("n", _i64), ("k", _i64), ("hist_width", _i64), ("n_degrees", _i64),
+        ("memo_bits", _i64), ("block_conc", ctypes.c_double), ("recv_conc", ctypes.c_double),
+        ("bitgen", _ptr), ("labels", _ptr), ("deg", _ptr), ("degrees", _ptr), ("node_inits", _ptr),
         ("self_pairs", _ptr), ("out_off", _ptr), ("out_idx", _ptr), ("in_off", _ptr),
         ("in_idx", _ptr), ("block_sizes", _ptr), ("block_deg", _ptr), ("initiations", _ptr),
-        ("pair", _ptr), ("deg_hist", _ptr), ("log_prop", _ptr), ("la_deg", _ptr),
-        ("alpha", _ptr), ("theta", _ptr), ("uniforms", _ptr), ("memo_key", _ptr),
-        ("memo_val", _ptr),
+        ("pair", _ptr), ("deg_hist", _ptr), ("prop", _ptr), ("log_prop", _ptr), ("la_deg", _ptr),
+        ("alpha", _ptr), ("theta", _ptr), ("prior", _ptr), ("uniforms", _ptr),
+        ("memo_key", _ptr), ("memo_val", _ptr),
     ]
 
 
-_MEMO = ("memo_key", "memo_val")
-_ARRAYS = [name for name, kind in SweepState._fields_ if kind is _ptr and name not in _MEMO]
-_FLOAT_ARRAYS = {"log_prop", "la_deg", "alpha", "theta", "uniforms"}
+_NOT_ARRAYS = ("bitgen", "memo_key", "memo_val")
+_ARRAYS = [name for name, kind in SweepState._fields_ if kind is _ptr and name not in _NOT_ARRAYS]
+_FLOAT_ARRAYS = {"prop", "log_prop", "la_deg", "alpha", "theta", "prior", "uniforms"}
 
 
-def bind(arrays: dict, block_conc: float):
+def bind(arrays: dict, rng: np.random.Generator, block_conc: float, recv_conc: float):
     """The kernel's state argument over ``arrays`` (one per pointer field
-    but the memo's, written and read in place), after checking each
-    one's dtype and layout (``la_deg`` in the shape of ``deg_hist``),
-    with an empty lgamma memo of its own.  The sizes are read off the
-    arrays' shapes.  The state keeps the arrays alive."""
+    but the memo's and the bit generator's, written and read in place)
+    and ``rng``'s bit generator, after checking each array's dtype and
+    layout (``la_deg`` in the shape of ``deg_hist``, the mixing matrices
+    k x k, four priors, every degree a column of ``la_deg``), with an
+    empty lgamma memo of its own.  The sizes are read off the arrays'
+    shapes.  The state keeps the arrays and ``rng`` alive."""
     if sorted(arrays) != sorted(_ARRAYS):
         raise TypeError(f"sweep state needs exactly the arrays {_ARRAYS}")
     for name, arr in arrays.items():
@@ -88,29 +93,24 @@ def bind(arrays: dict, block_conc: float):
             raise TypeError(f"sweep state array {name} must be C-contiguous {want.__name__}")
     if arrays["la_deg"].shape != arrays["deg_hist"].shape:
         raise TypeError("sweep state arrays la_deg and deg_hist must have one shape")
-    size = 1 << LGAMMA_MEMO_BITS
-    arrays = dict(arrays, memo_key=np.zeros(size, np.uint64), memo_val=np.zeros(size))
     k, hist_width = arrays["deg_hist"].shape
+    for name, shape in (("prop", (k, k)), ("log_prop", (k, k)), ("prior", (4,))):
+        if arrays[name].shape != shape:
+            raise TypeError(f"sweep state array {name} must have shape {shape}")
+    degrees = arrays["degrees"]
+    if degrees.size and not (degrees.min() > 0 and degrees.max() < hist_width):
+        raise TypeError("sweep state degrees must be columns 1.. of deg_hist")
+    size = 2 << LGAMMA_MEMO_BITS
+    arrays = dict(arrays, memo_key=np.zeros(size, np.uint64), memo_val=np.zeros(size))
     state = SweepState(
-        n=arrays["labels"].size, k=k, hist_width=hist_width, memo_bits=LGAMMA_MEMO_BITS,
-        block_conc=block_conc,
+        n=arrays["labels"].size, k=k, hist_width=hist_width, n_degrees=degrees.size,
+        memo_bits=LGAMMA_MEMO_BITS, block_conc=block_conc, recv_conc=recv_conc,
+        bitgen=rng.bit_generator.ctypes.bit_generator,
         **{name: arr.ctypes.data for name, arr in arrays.items()},
     )
     state.arrays = arrays
+    state.rng = rng
     return ctypes.byref(state)
-
-
-def aux_update(lib, hist, alpha, theta, alpha_prior, theta_prior, rng):
-    """``gibbs.aux_update_alpha_theta`` in the kernel: the same draws from
-    ``rng``'s bit generator, in the same order, so the same (alpha, theta)
-    and the same generator state after."""
-    hist = np.ascontiguousarray(hist, dtype=np.int64)
-    out = (ctypes.c_double * 2)()
-    lib.bvcm_aux(
-        rng.bit_generator.ctypes.bit_generator, hist.ctypes.data, hist.size,
-        alpha, theta, (ctypes.c_double * 4)(*alpha_prior, *theta_prior), out,
-    )
-    return out[0], out[1]
 
 
 def _cache_dirs() -> Iterator[Path]:
@@ -183,11 +183,18 @@ def load() -> Optional[ctypes.CDLL]:
         )
         return None
     state = ctypes.POINTER(SweepState)
-    lib.bvcm_sweep.argtypes = [state]
-    lib.bvcm_sweep.restype = _i64
-    lib.bvcm_lgamma.argtypes = [ctypes.c_double]
-    lib.bvcm_lgamma.restype = ctypes.c_double
     doubles = ctypes.POINTER(ctypes.c_double)
-    lib.bvcm_aux.argtypes = [_ptr, _ptr, _i64, ctypes.c_double, ctypes.c_double, doubles, doubles]
-    lib.bvcm_aux.restype = None
+    signatures = {
+        "bvcm_sweep": ([state], _i64),
+        "bvcm_lgamma": ([ctypes.c_double], ctypes.c_double),
+        "bvcm_fsum": ([doubles, _i64], ctypes.c_double),
+        "bvcm_aux": ([_ptr, _ptr, _i64, ctypes.c_double, ctypes.c_double, doubles, doubles], None),
+        "bvcm_aux_block": ([state, _i64, doubles], None),
+        "bvcm_deg_table": ([state], None),
+        "bvcm_propensity": ([state], None),
+        "bvcm_log_prob": ([state], ctypes.c_double),
+    }
+    for name, (argtypes, restype) in signatures.items():
+        fn = getattr(lib, name)
+        fn.argtypes, fn.restype = argtypes, restype
     return lib

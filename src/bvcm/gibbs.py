@@ -11,17 +11,20 @@ theta) updates read the histogram's rows, and ``log_prob`` is
 ``log_prob_from_stats`` on ``stats`` itself.
 
 The sweep state is numpy arrays (int64 labels and counts, CSR
-neighbour lists, float64 log mixing matrix and a degree table laid out
-like the degree histogram), updated in place.  ``sweep()`` runs them
-through the compiled kernel in ``_sweep.c`` when it builds, and
-``update_alpha_theta`` runs the kernel's (alpha, theta) update on the
-sampler's own generator; the Python sweep (``_ListSweep``, over a list
-copy of the state) and ``aux_update_alpha_theta`` are the references the
-kernel matches bit for bit, and the fallback.
+neighbour lists, float64 mixing matrix, its log and a degree table laid
+out like the degree histogram), updated in place.  When the compiled
+kernel in ``_sweep.c`` builds, every phase runs there on the arrays and
+the sampler's own generator: ``sweep()``, ``update_alpha_theta``,
+``_refresh_deg_table``, ``update_propensity`` and ``log_prob``.  The
+Python paths (``_ListSweep``, over a list copy of the state,
+``aux_update_alpha_theta``, numpy's ``Generator.dirichlet`` and
+``log_prob_from_stats``) are the references the kernel matches bit for
+bit, and the fallback.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import functools
 import math
@@ -387,6 +390,7 @@ class GibbsSampler:
         self.stats = compute_stats(network, BlockAssignment(self.labels, k))
         self.alpha = np.empty(k)
         self.theta = np.empty(k)
+        self.prop = np.empty((k, k))
         self._log_prop = np.empty((k, k))
         self._la_deg = np.zeros(self.stats.deg_hist.shape)
         self._uniforms = np.empty(n)
@@ -400,21 +404,23 @@ class GibbsSampler:
 
         self._kernel = _sweep.load()
         self.sweep_backend = "python" if self._kernel is None else "c"
-        self._refresh_deg_table()
-        self.prop = self.update_propensity()
-
         if self._kernel is not None:
             self._state = _sweep.bind(
                 dict(
-                    labels=self.labels, deg=self.deg, node_inits=self.node_inits,
-                    self_pairs=self.self_pairs,
+                    labels=self.labels, deg=self.deg, degrees=self._degrees,
+                    node_inits=self.node_inits, self_pairs=self.self_pairs,
                     out_off=self.out_off, out_idx=self.out_idx, in_off=self.in_off,
-                    in_idx=self.in_idx, log_prop=self._log_prop, la_deg=self._la_deg,
-                    alpha=self.alpha, theta=self.theta, uniforms=self._uniforms,
+                    in_idx=self.in_idx, prop=self.prop, log_prop=self._log_prop,
+                    la_deg=self._la_deg, alpha=self.alpha, theta=self.theta,
+                    prior=np.array([c, d, a, b], dtype=float), uniforms=self._uniforms,
                     **{name: getattr(self.stats, name) for name in _COUNTS},
                 ),
-                block_conc=self.config.block_conc,
+                self.rng, block_conc=config.block_conc, recv_conc=config.recv_conc,
             )
+            # update_alpha_theta's output, made once.
+            self._aux_out = (ctypes.c_double * 2)()
+        self._refresh_deg_table()
+        self.update_propensity()
 
     # ---------------------------------------------------------------- setup
 
@@ -447,7 +453,12 @@ class GibbsSampler:
     def _refresh_deg_table(self) -> None:
         """Per-block log (1 - alpha_b)_{d-1} in column d, the layout of
         ``stats.deg_hist``, for each degree d some node has."""
-        self._la_deg[:, self._degrees] = log_discount_factorial(self._degrees, self.alpha[:, None])
+        if self._kernel is not None:
+            self._kernel.bvcm_deg_table(self._state)
+        else:
+            self._la_deg[:, self._degrees] = log_discount_factorial(
+                self._degrees, self.alpha[:, None]
+            )
 
     # ------------------------------------------------------- block updates
     #
@@ -478,25 +489,34 @@ class GibbsSampler:
         """Auxiliary-variable conjugate redraw of (alpha_b, theta_b) from
         block b's row of ``stats.deg_hist``.  Runs in the kernel when it
         is loaded, with the draws of ``aux_update_alpha_theta``."""
-        cfg = self.config
-        args = (self.stats.deg_hist[b], self.alpha[b], self.theta[b], cfg.alpha_prior, cfg.theta_prior, self.rng)
         if self._kernel is not None:
-            return _sweep.aux_update(self._kernel, *args)
-        return aux_update_alpha_theta(*args)
+            out = self._aux_out
+            # range() checks b as numpy would before C reads row b.
+            self._kernel.bvcm_aux_block(self._state, range(self.k)[b], out)
+            return out[0], out[1]
+        cfg = self.config
+        return aux_update_alpha_theta(
+            self.stats.deg_hist[b], self.alpha[b], self.theta[b], cfg.alpha_prior,
+            cfg.theta_prior, self.rng,
+        )
 
     def update_propensity(self) -> np.ndarray:
-        """Redraw the mixing matrix from its row-wise Dirichlet conditional."""
-        k = self.k
+        """Redraw the mixing matrix ``prop`` from its row-wise Dirichlet
+        conditional, in place, and return a copy.  The kernel makes the
+        draws of ``Generator.dirichlet``, in the same order."""
+        if self._kernel is not None:
+            self._kernel.bvcm_propensity(self._state)
+            return self.prop.copy()
         zeta = self.config.recv_conc
         counts = np.array(self.stats.pair, dtype=float)
-        prop = np.empty((k, k))
-        for b in range(k):
-            prop[b] = self.rng.dirichlet(counts[b] + zeta)
-        self.prop = prop
+        for b in range(self.k):
+            self.prop[b] = self.rng.dirichlet(counts[b] + zeta)
         # libm's log, as in the kernel: numpy's vectorised log can
         # differ from it in the last bit, and the sweep reads these.
-        self._log_prop[...] = [[math.log(max(p, _EPS)) for p in row] for row in prop.tolist()]
-        return prop
+        self._log_prop[...] = [
+            [math.log(max(p, _EPS)) for p in row] for row in self.prop.tolist()
+        ]
+        return self.prop.copy()
 
     # ------------------------------------------------------------ full run
 
@@ -523,7 +543,10 @@ class GibbsSampler:
     def log_prob(self) -> float:
         """Collapsed log-probability of (network, current labels, params):
         log_prob_sequential at the current sample, from the counts the
-        sweep keeps in ``stats``."""
+        sweep keeps in ``stats``; the kernel's ``bvcm_log_prob`` gives the
+        bits of ``log_prob_from_stats``."""
+        if self._kernel is not None:
+            return self._kernel.bvcm_log_prob(self._state)
         cfg = self.config
         return log_prob_from_stats(
             self.stats, cfg.block_conc, cfg.recv_conc, self.alpha, self.theta

@@ -55,10 +55,10 @@ def gammaln(x):
     return out.reshape(x.shape)[()]
 
 
-def _log_rising(x, n):
+def _log_rising(x: float, n: int) -> float:
     """log x(x+1)...(x+n-1) = lgamma(x + n) - lgamma(x); exactly 0 at
-    n = 0.  Elementwise, with numpy broadcasting."""
-    return gammaln(x + n) - gammaln(x)
+    n = 0."""
+    return math.lgamma(x + n) - math.lgamma(x)
 
 
 def log_discount_factorial(deg, alpha):
@@ -83,16 +83,19 @@ def block_eppf(hist_row: np.ndarray, alpha: float, theta: float) -> float:
     empty blocks contribute 0.  The discount product is summed as logs,
     not taken as the gamma ratio alpha^{v-1} Gamma(theta/alpha + v) /
     Gamma(theta/alpha + 1), which cancels when theta / alpha is large.
+    The addends are summed by ``math.fsum``, which is correctly rounded,
+    so the result does not depend on their order.
     """
     degs = np.flatnonzero(hist_row)
     if degs.size == 0:
         return 0.0
-    counts = hist_row[degs]
-    n_nodes = int(counts.sum())
-    total_deg = int(counts @ degs)
-    out = np.log(theta + alpha * np.arange(1, n_nodes)).sum()
-    out -= _log_rising(theta + 1.0, total_deg - 1)
-    return float(out + counts.astype(float) @ log_discount_factorial(degs, alpha))
+    counts = hist_row[degs].tolist()
+    n_nodes = sum(counts)
+    total_deg = sum(c * d for c, d in zip(counts, degs.tolist()))
+    terms = [math.log(theta + alpha * i) for i in range(1, n_nodes)]
+    terms.append(-_log_rising(theta + 1.0, total_deg - 1))
+    terms += [c * x for c, x in zip(counts, log_discount_factorial(degs, alpha).tolist())]
+    return math.fsum(terms)
 
 
 def log_prob_from_stats(
@@ -105,22 +108,29 @@ def log_prob_from_stats(
     """Collapsed log-probability from count statistics: one
     Dirichlet-multinomial factor for the sender-block urn and one per
     sender block's receiver-block urn (an empty row gives 0), plus one
-    EPPF per block."""
+    EPPF per block.
+
+    Every sum is a ``math.fsum`` and every log-gamma ``math.lgamma``, so
+    the bits depend on neither the order of the blocks nor the host's
+    vector or BLAS kernels; the compiled kernel (``bvcm_log_prob`` in
+    ``_sweep.c``) computes the same addends and sums them with a port of
+    ``math.fsum``."""
     k = len(stats.initiations)
-    term_block = float(
-        _log_rising(block_conc, stats.initiations).sum()
-        - _log_rising(k * block_conc, stats.m)
-    )
-    term_nodes = sum(
+    term_block = math.fsum([
+        *(_log_rising(block_conc, n) for n in stats.initiations.tolist()),
+        -_log_rising(k * block_conc, stats.m),
+    ])
+    term_nodes = math.fsum(
         block_eppf(row, float(a), float(t))
         for row, a, t in zip(stats.deg_hist, alpha, theta)
     )
-    term_prop = float(
-        _log_rising(recv_conc, stats.pair).sum()
-        - _log_rising(k * recv_conc, stats.pair.sum(axis=1)).sum()
-    )
+    pair = stats.pair.tolist()
+    term_prop = math.fsum([
+        *(_log_rising(recv_conc, n) for row in pair for n in row),
+        *(-_log_rising(k * recv_conc, sum(row)) for row in pair),
+    ])
     return LogProb(
-        value=term_block + term_nodes + term_prop,
+        value=math.fsum([term_block, term_nodes, term_prop]),
         term_block=term_block,
         term_nodes=term_nodes,
         term_prop=term_prop,

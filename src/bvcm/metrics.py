@@ -49,8 +49,12 @@ class PosteriorMembership:
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=float)
-        rows = self.probs.sum(axis=1)
-        if self.probs.shape[0] and np.any(np.abs(rows - 1.0) > 1e-9):
+        if not self.probs.shape[0]:
+            return
+        # Written so that NaN fails both comparisons.
+        if not np.all(self.probs >= 0.0):
+            raise DataError("membership entries must be non-negative numbers")
+        if not np.all(np.abs(self.probs.sum(axis=1) - 1.0) <= 1e-9):
             raise DataError("membership rows must sum to 1")
 
     @property
@@ -59,7 +63,10 @@ class PosteriorMembership:
 
     @classmethod
     def from_chain(cls, chain) -> "PosteriorMembership":
-        probs = chain.block_counts() / len(chain.post_assignments())
+        samples = len(chain.post_assignments())
+        if not samples:
+            raise UsageError("chain has no post-burn-in samples")
+        probs = chain.block_counts() / samples
         return cls(list(chain.node_ids), probs)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -162,6 +163,32 @@ class TestBlockUpdate:
                     update_block_assignment(sampler, i)
                 assert sampler.log_prob() == recomputed(sampler)
 
+    def test_log_prob_keeps_its_bits_under_relabelling(self):
+        """Relabelling the blocks permutes the counts, the degree-histogram
+        rows, both axes of pair, alpha and theta together; log_prob gives
+        the same bits on both backends, as its sums are correctly rounded
+        (math.fsum and its port in the kernel)."""
+        rng = np.random.default_rng(33)
+        for backend in sweep_backends():
+            for k in (2, 3, 4, 5):
+                net, _ = random_network(rng, k, m=80, n_pool=30, max_arity=3)
+                sampler = GibbsSampler(net, GibbsConfig(k=k, iterations=1, seed=k))
+                assert sampler.sweep_backend == backend
+                for _ in range(5):
+                    sampler.iteration()
+                labels, alpha, theta = (
+                    np.array(sampler.labels), sampler.alpha.copy(), sampler.theta.copy()
+                )
+                pair, deg_hist = sampler.stats.pair.copy(), sampler.stats.deg_hist.copy()
+                want = sampler.log_prob().hex()
+                for _ in range(8):
+                    perm = rng.permutation(k)  # new block b is old block perm[b]
+                    sampler.set_labels(np.argsort(perm)[labels])
+                    sampler.alpha[...], sampler.theta[...] = alpha[perm], theta[perm]
+                    assert np.array_equal(sampler.stats.pair, pair[np.ix_(perm, perm)])
+                    assert np.array_equal(sampler.stats.deg_hist, deg_hist[perm])
+                    assert sampler.log_prob().hex() == want, (backend, k, perm)
+
 
 def enumerated_label_posterior(net, k, alpha, theta):
     """P(labels | network, alpha, theta) over all k**n labelings, indexed
@@ -273,6 +300,19 @@ class TestParameterUpdates:
         sampler.stats.pair[...] = 0
         draws = np.stack([sampler.update_propensity() for _ in range(3000)])
         assert np.abs(draws.mean(axis=0) - 1.0 / 3.0).max() < 0.03
+
+    def test_block_index_is_checked_on_both_backends(self):
+        """The kernel reads block b's histogram row, so an index outside
+        the blocks is an IndexError, as numpy's indexing gives the Python
+        path, before any C code runs."""
+        net = InteractionNetwork.from_records([("a", ["b"]), ("b", ["c", "a"])])
+        for backend in sweep_backends():
+            sampler = GibbsSampler(net, GibbsConfig(k=3, iterations=1, seed=2))
+            state = sampler.rng.bit_generator.state
+            for b in (3, -4):
+                with pytest.raises(IndexError):
+                    sampler.update_alpha_theta(b)
+            assert sampler.rng.bit_generator.state == state, backend
 
     def test_log_mixing_matrix_is_libm_log(self):
         """The log mixing matrix both sweeps read is math.log of each
@@ -410,3 +450,40 @@ def test_mixing_diagnostics_benchmark_setting():
     between = n * means.var(ddof=1)
     gr = np.sqrt((within * (n - 1) / n + between / n) / within)
     assert gr < 1.1
+
+
+# sha256 of 60 warm-started iterations: labels, alpha, theta and the mixing
+# matrix in one digest (taken before the log-probability, degree table and
+# redraw moved into the kernel), the log-probabilities in another (taken
+# once the log-probability's sums became math.fsum).  "paper" is the
+# benchmark's paper network and fit; "k3-sparse" fits three blocks with
+# recv_conc 0.05 to a two-block network, so empty mixing-matrix rows take
+# Generator.dirichlet's small-concentration branch.  Like
+# test_stream_is_pinned, they assume numpy's Generator streams, and also
+# this host's libm log.
+_PINNED_CHAINS = {
+    "paper": (
+        2500, 7, GibbsConfig(k=2, iterations=60, seed=7, init="warm"),
+        "61eeb6da105ba579879c5df64a6042b516a72ecd29ab772737194661536144b4",
+        "7b7b9251f516669683b762de18d3a1f3c05d81a91c1864ea01aa9a318ed1b345",
+    ),
+    "k3-sparse": (
+        400, 11, GibbsConfig(k=3, iterations=60, seed=3, init="warm", recv_conc=0.05),
+        "a54855ab768a70821b3f437e4f317afd860b968ffd83bee7d2194fc6b3c0e3a7",
+        "9e3b3cb78563df6cfe1c1d7b83540849af830ae42e228b0969f1038156be4f3c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_CHAINS))
+def test_chain_is_pinned(name):
+    m, net_seed, cfg, digest, log_prob_digest = _PINNED_CHAINS[name]
+    net = diag_block_data(m=m, seed=net_seed).network
+    for backend in sweep_backends():
+        chain = run_gibbs(net, cfg)
+        assert chain.sweep_backend == backend
+        h = hashlib.sha256()
+        for part in (chain.assignments, chain.alphas, chain.thetas, chain.props):
+            h.update(np.ascontiguousarray(part).tobytes())
+        assert h.hexdigest() == digest, backend
+        assert hashlib.sha256(chain.log_probs.tobytes()).hexdigest() == log_prob_digest, backend

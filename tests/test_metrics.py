@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -71,6 +72,19 @@ class TestMembership:
     def test_row_sums_validated(self):
         with pytest.raises(DataError):
             PosteriorMembership(["a"], np.array([[0.4, 0.4]]))
+
+    @pytest.mark.parametrize("row", [
+        [math.nan, math.nan], [math.nan, 1.0], [1.5, -0.5], [-0.0, 1.0 + 1e-12, -1e-12],
+    ])
+    def test_nan_and_negative_entries_are_data_errors(self, row):
+        # NaN rows once passed: abs(nan - 1) > 1e-9 is false.
+        with pytest.raises(DataError, match="non-negative"):
+            PosteriorMembership(["a"], np.array([row]))
+
+    def test_from_chain_needs_post_burn_in_samples(self):
+        chain = dataclasses.replace(chain_from([[0, 1], [1, 1]]), burn_in=2)
+        with pytest.raises(UsageError, match="no post-burn-in samples"):
+            PosteriorMembership.from_chain(chain)
 
 
 class TestStandardizedL2:

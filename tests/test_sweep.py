@@ -51,13 +51,65 @@ def test_lgamma_port_matches_math_lgamma():
     assert not bad, bad[:5]
 
 
+def test_fsum_port_matches_math_fsum():
+    """The kernel's math.fsum on sums whose last bit needs every partial,
+    CPython's half-even correction among them."""
+    fsum = _sweep.load().bvcm_fsum
+    rng = np.random.default_rng(6)
+    cases = [
+        [], [0.0], [-0.0, 0.0], [1e-16, 1.0, 1e16], [1e16, 1.0, 1e-16],
+        [1.0, 1e100, 1.0, -1e100], [2.0 ** 53, 1.0, 2.0 ** -60], [2.0 ** 53, -1.0, -(2.0 ** -60)],
+        [0.1] * 10, [1.0, -(2.0 ** -54), -(2.0 ** -110)], [1.7976931348623157e308, -1e292],
+    ]
+    for _ in range(3000):
+        n = int(rng.integers(1, 40))
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 21, n)
+        if rng.random() < 0.5:  # cancellation down to the low partials
+            x = np.concatenate([x, -x[: n // 2] * (1 + 2.0 ** -52)])
+        cases.append(rng.permutation(x).tolist())
+    for xs in cases:
+        arr = (ctypes.c_double * max(len(xs), 1))(*xs)
+        assert fsum(arr, len(xs)).hex() == math.fsum(xs).hex(), xs
+
+
+def test_kernel_redraw_is_generator_dirichlet():
+    """The kernel's mixing-matrix redraw against Generator.dirichlet on a
+    copy of the generator: the same bits, in prop and in log_prop (libm
+    log of max(p, 1e-12)), and the same generator state after.  Empty
+    rows under recv_conc < 0.1 take numpy's stick-breaking branch,
+    recv_conc = 0.1 the gamma branch at its edge."""
+    rng = np.random.default_rng(14)
+    branches = set()
+    for case in range(40):
+        k = 1 + case % 5
+        recv_conc = (0.01, 0.05, 0.0999, 0.1, 0.3, 1.0, 30.0)[case % 7]
+        net, _ = random_network(rng, k, m=int(rng.integers(3, 30)), n_pool=12, max_arity=3)
+        sampler = GibbsSampler(net, GibbsConfig(k=k, iterations=1, seed=case, recv_conc=recv_conc))
+        assert sampler.sweep_backend == "c"
+        for _ in range(30):
+            sampler.sweep()
+            ref = np.random.default_rng()
+            ref.bit_generator.state = sampler.rng.bit_generator.state
+            conc = sampler.stats.pair + recv_conc
+            want = np.array([ref.dirichlet(row) for row in conc])
+            got = sampler.update_propensity()
+            assert got.tobytes() == want.tobytes() == sampler.prop.tobytes(), case
+            logs = [[math.log(max(p, 1e-12)) for p in row] for row in want.tolist()]
+            assert sampler._log_prop.tobytes() == np.array(logs).tobytes(), case
+            assert sampler.rng.bit_generator.state == ref.bit_generator.state, case
+            branches.update("small" if row.max() < 0.1 else "gamma" for row in conc)
+    assert branches == {"small", "gamma"}
+
+
 def test_backends_give_identical_chains():
     """50 iterations (sweep, aux update, degree table, mixing matrix) on
-    random graphs with k = 1..5: labels and every count identical."""
+    random graphs with k = 1..5: labels and every count identical.  The
+    last configuration's recv_conc 0.05 sends empty mixing-matrix rows
+    through Generator.dirichlet's small-concentration branch."""
     rng = np.random.default_rng(8)
-    loops = repeats = 0
-    for trial in range(25):
-        k = 1 + trial % 5
+    loops = repeats = small_rows = 0
+    configs = [(1 + trial % 5, 1.0) for trial in range(25)] + [(3, 0.05)]
+    for trial, (k, recv_conc) in enumerate(configs):
         net, _ = random_network(rng, k, m=int(rng.integers(3, 40)), n_pool=10, max_arity=3)
         s, r = net.pairs()
         loops += int((s == r).sum())
@@ -65,12 +117,14 @@ def test_backends_give_identical_chains():
         repeats += sum(
             len(set(net.receivers[a:b].tolist())) < b - a for a, b in zip(ends[:-1], ends[1:])
         )
-        cfg = GibbsConfig(k=k, iterations=1, seed=trial)
+        cfg = GibbsConfig(k=k, iterations=1, seed=trial, recv_conc=recv_conc)
         samplers = [GibbsSampler(net, cfg) for _ in sweep_backends()]
         assert [x.sweep_backend for x in samplers] == ["c", "python"]
         for _ in range(50):
             for x in samplers:
                 x.iteration()
+            if recv_conc < 0.1:
+                small_rows += int((samplers[0].stats.pair.sum(axis=1) == 0).sum())
         c, py = samplers
         assert np.array_equal(c.labels, py.labels)
         for name in ("block_sizes", "block_deg", "initiations", "pair", "deg_hist"):
@@ -80,6 +134,7 @@ def test_backends_give_identical_chains():
         assert c.nodes_moved == py.nodes_moved
         assert c.log_prob() == py.log_prob()
     assert loops and repeats  # self-pairs and repeated receivers were covered
+    assert small_rows
 
 
 def test_state_mirror_matches_the_c_struct():
@@ -110,10 +165,10 @@ def test_bind_needs_la_deg_in_the_deg_hist_layout():
     arrays = dict(sampler._state._obj.arrays)
     del arrays["memo_key"], arrays["memo_val"]
     assert arrays["la_deg"].shape == sampler.stats.deg_hist.shape
-    _sweep.bind(arrays, block_conc=1.0)
+    _sweep.bind(arrays, sampler.rng, block_conc=1.0, recv_conc=1.0)
     arrays["la_deg"] = np.zeros((2, arrays["deg_hist"].shape[1] - 1))
     with pytest.raises(TypeError, match="la_deg and deg_hist"):
-        _sweep.bind(arrays, block_conc=1.0)
+        _sweep.bind(arrays, sampler.rng, block_conc=1.0, recv_conc=1.0)
 
 
 def test_sweep_returns_moves():
@@ -163,10 +218,17 @@ def test_kernel_aux_update_matches_python_reference():
     test_gibbs.py's degree-list oracle test: the same values and the
     same generator state as aux_update_alpha_theta."""
     lib = _sweep.load()
+    out = (ctypes.c_double * 2)()
     for case, _, hist, args in aux_update_cases():
         r_py, r_c = np.random.default_rng(case), np.random.default_rng(case)
         expected = aux_update_alpha_theta(hist, *args, r_py)
-        assert _sweep.aux_update(lib, hist, *args, r_c) == expected, case
+        alpha, theta, alpha_prior, theta_prior = args
+        hist = np.ascontiguousarray(hist, dtype=np.int64)
+        lib.bvcm_aux(
+            r_c.bit_generator.ctypes.bit_generator, hist.ctypes.data, hist.size, alpha, theta,
+            (ctypes.c_double * 4)(*alpha_prior, *theta_prior), out,
+        )
+        assert (out[0], out[1]) == expected, case
         assert r_c.bit_generator.state == r_py.bit_generator.state, case
 
 
