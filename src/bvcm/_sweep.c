@@ -17,7 +17,8 @@
  * row-major, with the mixing matrix, degree table and degree histogram
  * flattened.  The five count arrays are the fields of the sampler's
  * core.SufficientStats, under the same names, and the sweep keeps every
- * one of them current, the degree histogram included.
+ * one of them current, the degree histogram included.  bvcm_aux_block
+ * writes alpha and theta in place, and every phase shares one lgamma memo.
  *
  * The random draws (bvcm_aux, the draws of gibbs.aux_update_alpha_theta,
  * and bvcm_propensity, those of Generator.dirichlet) go through numpy's
@@ -57,12 +58,12 @@ typedef struct {
     double *prop;            /* [k*k] mixing matrix */
     double *log_prop;        /* [k*k] log max(prop, 1e-12) */
     double *la_deg;          /* [k*hist_width] log (1 - alpha_b)_{d-1} at [b, d] */
-    const double *alpha;     /* [k] */
-    const double *theta;     /* [k] */
+    double *alpha;           /* [k] */
+    double *theta;           /* [k] */
     const double *prior;     /* [4] Beta (c, d) on alpha, Gamma (shape, rate) on theta */
     const double *uniforms;  /* [n] one per node, in node order */
-    uint64_t *memo_key;      /* [2 << memo_bits] lgamma argument bits; 0 = empty */
-    double *memo_val;        /* [2 << memo_bits] lgamma of that argument */
+    uint64_t *memo_key;      /* [1 << memo_bits] lgamma argument bits; 0 = empty */
+    double *memo_val;        /* [1 << memo_bits] lgamma of that argument */
 } SweepState;
 
 /* ---- lgamma: port of m_lgamma from CPython's Modules/mathmodule.c
@@ -125,24 +126,18 @@ double bvcm_lgamma(double x)
 
 /* lgamma through a direct-mapped memo keyed by the argument's bits
  * (Fibonacci hashing).  A sweep makes several thousand calls on a few
- * hundred distinct arguments, and a hit returns the value the same
- * function gave for the same input.  Every argument is positive, so its
- * bits are never 0 and a zeroed table starts empty.  The table has two
- * halves of 1 << memo_bits entries, so neither user evicts the other's
- * entries: SWEEP_MEMO for the sweep, DEGREE_MEMO for lgamma(d - alpha_b),
- * which the degree table and then the log-probability take for the
- * same alpha. */
-#define SWEEP_MEMO 0
-#define DEGREE_MEMO 1
-
-static double memo_lgamma(const SweepState *s, int64_t half, double x)
+ * hundred distinct arguments, and the degree table and then the
+ * log-probability take lgamma(d - alpha_b) for the same alpha; a hit
+ * returns the value the same function gave for the same input.  Every
+ * argument is positive, so its bits are never 0 and a zeroed table
+ * starts empty. */
+static double memo_lgamma(const SweepState *s, double x)
 {
     uint64_t bits;
     size_t slot;
     double v;
     memcpy(&bits, &x, sizeof bits);
-    slot = (size_t)(half << s->memo_bits)
-           + (size_t)((bits * UINT64_C(0x9E3779B97F4A7C15)) >> (64 - s->memo_bits));
+    slot = (size_t)((bits * UINT64_C(0x9E3779B97F4A7C15)) >> (64 - s->memo_bits));
     if (s->memo_key[slot] == bits)
         return s->memo_val[slot];
     v = bvcm_lgamma(x);
@@ -186,8 +181,8 @@ static void log_weights(const SweepState *s, int64_t i, int64_t *cnt_out,
         const int64_t vb = s->block_sizes[b], md = s->block_deg[b];
         double wb = 0.0;
         if (l_i)
-            wb = memo_lgamma(s, SWEEP_MEMO, omega + (double)s->initiations[b] + (double)l_i)
-                 - memo_lgamma(s, SWEEP_MEMO, omega + (double)s->initiations[b]);
+            wb = memo_lgamma(s, omega + (double)s->initiations[b] + (double)l_i)
+                 - memo_lgamma(s, omega + (double)s->initiations[b]);
         for (b2 = 0; b2 < k; b2++) {
             if (cnt_out[b2])
                 wb += (double)cnt_out[b2] * row[b2];
@@ -200,11 +195,11 @@ static void log_weights(const SweepState *s, int64_t i, int64_t *cnt_out,
             wb += log(th + (double)vb * s->alpha[b]);
         wb += s->la_deg[b * s->hist_width + d_i];
         if (md)
-            wb += memo_lgamma(s, SWEEP_MEMO, th + (double)md)
-                  - memo_lgamma(s, SWEEP_MEMO, th + (double)md + (double)d_i);
+            wb += memo_lgamma(s, th + (double)md)
+                  - memo_lgamma(s, th + (double)md + (double)d_i);
         else
-            wb += memo_lgamma(s, SWEEP_MEMO, th + 1.0)
-                  - memo_lgamma(s, SWEEP_MEMO, th + (double)d_i);
+            wb += memo_lgamma(s, th + 1.0)
+                  - memo_lgamma(s, th + (double)d_i);
         w[b] = wb;
     }
 }
@@ -287,13 +282,15 @@ static double clip_alpha(double x)
 /* Conjugate redraw of one block's (alpha, theta) from its degree
  * histogram hist[0..len-1] (hist[d]: nodes of degree d, hist[0] = 0);
  * prior holds (c, d) of the Beta prior on alpha, then (shape, rate) of
- * the Gamma prior on theta.  Writes (alpha, theta) to out.  The tail
- * count n_j (nodes of degree > j) is carried down from the node count,
- * so no buffer is needed. */
-void bvcm_aux(bitgen_t *bitgen, const int64_t *hist, int64_t len, double alpha,
-              double theta, const double *prior, double *out)
+ * the Gamma prior on theta.  Reads the current pair from *alpha_io and
+ * *theta_io and writes the new one there.  The tail count n_j (nodes of
+ * degree > j) is carried down from the node count, so no buffer is
+ * needed. */
+void bvcm_aux(bitgen_t *bitgen, const int64_t *hist, int64_t len, const double *prior,
+              double *alpha_io, double *theta_io)
 {
     const double c_hyp = prior[0], d_hyp = prior[1], a_hyp = prior[2], b_hyp = prior[3];
+    const double alpha = *alpha_io, theta = *theta_io;
     binomial_t binomial;
     int64_t max_d = len - 1, v_b = 0, m_b = 0, n_y, sum_y = 0, sum_not_z = 0, n_j, d, i;
     double rate = b_hyp;
@@ -301,8 +298,8 @@ void bvcm_aux(bitgen_t *bitgen, const int64_t *hist, int64_t len, double alpha,
     while (max_d >= 0 && hist[max_d] == 0)
         max_d--;
     if (max_d < 0) {
-        out[0] = clip_alpha(random_beta(bitgen, c_hyp, d_hyp));
-        out[1] = at_least_eps(random_gamma(bitgen, a_hyp, 1.0 / b_hyp));
+        *alpha_io = clip_alpha(random_beta(bitgen, c_hyp, d_hyp));
+        *theta_io = at_least_eps(random_gamma(bitgen, a_hyp, 1.0 / b_hyp));
         return;
     }
     for (d = 0; d <= max_d; d++) {
@@ -326,17 +323,18 @@ void bvcm_aux(bitgen_t *bitgen, const int64_t *hist, int64_t len, double alpha,
         }
     }
 
-    out[1] = at_least_eps(random_gamma(bitgen, a_hyp + (double)sum_y, 1.0 / rate));
-    out[0] = clip_alpha(random_beta(bitgen, c_hyp + (double)(n_y - sum_y),
-                                    d_hyp + (double)sum_not_z));
+    *theta_io = at_least_eps(random_gamma(bitgen, a_hyp + (double)sum_y, 1.0 / rate));
+    *alpha_io = clip_alpha(random_beta(bitgen, c_hyp + (double)(n_y - sum_y),
+                                       d_hyp + (double)sum_not_z));
 }
 
-/* bvcm_aux on block b of the state: its degree-histogram row, its
- * (alpha, theta), the priors and the bit generator bound there. */
-void bvcm_aux_block(const SweepState *s, int64_t b, double *out)
+/* bvcm_aux on block b of the state, in place: its degree-histogram row
+ * and its alpha[b] and theta[b], with the priors and the bit generator
+ * bound there. */
+void bvcm_aux_block(const SweepState *s, int64_t b)
 {
-    bvcm_aux(s->bitgen, s->deg_hist + b * s->hist_width, s->hist_width, s->alpha[b],
-             s->theta[b], s->prior, out);
+    bvcm_aux(s->bitgen, s->deg_hist + b * s->hist_width, s->hist_width, s->prior,
+             s->alpha + b, s->theta + b);
 }
 
 /* ---- the degree table (GibbsSampler._refresh_deg_table) */
@@ -350,7 +348,7 @@ void bvcm_deg_table(const SweepState *s)
         const double a = s->alpha[b], base = bvcm_lgamma(1.0 - a);
         double *row = s->la_deg + b * s->hist_width;
         for (j = 0; j < s->n_degrees; j++)
-            row[s->degrees[j]] = memo_lgamma(s, DEGREE_MEMO, (double)s->degrees[j] - a) - base;
+            row[s->degrees[j]] = memo_lgamma(s, (double)s->degrees[j] - a) - base;
     }
 }
 
@@ -524,7 +522,7 @@ static double block_eppf(const SweepState *s, int64_t b, Fsum *acc)
     for (j = 0; j < s->n_degrees; j++) {
         d = s->degrees[j];
         if (row[d])
-            fsum_add(acc, (double)row[d] * (memo_lgamma(s, DEGREE_MEMO, (double)d - a) - base));
+            fsum_add(acc, (double)row[d] * (memo_lgamma(s, (double)d - a) - base));
     }
     return fsum_total(acc);
 }

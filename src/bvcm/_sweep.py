@@ -1,6 +1,7 @@
 """Build, cache and load the compiled sampler phases (``_sweep.c``): the
 sweep, the (alpha, theta) update, the degree-table refresh, the
-mixing-matrix redraw and the log-probability.
+mixing-matrix redraw and the log-probability, all on one state that
+``bind`` makes over the sampler's arrays, with one lgamma memo.
 
 The kernel is compiled on first use with the system C compiler (``cc -O2
 -fPIC -shared -ffp-contract=off``: no fused multiply-adds, no fast-math,
@@ -44,8 +45,7 @@ SOURCE = Path(__file__).with_name("_sweep.c")
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 # numpy's random C library; the tests point this elsewhere.
 NPYRANDOM = Path(np.random.__file__).parent / "lib" / "libnpyrandom.a"
-# The sweep's lgamma memo has 2**LGAMMA_MEMO_BITS entries, and the degree
-# terms' another 2**LGAMMA_MEMO_BITS.
+# The kernel's lgamma memo has 2**LGAMMA_MEMO_BITS entries.
 LGAMMA_MEMO_BITS = 12
 # Compiled kernels the cache directory keeps, the most recently used.
 KEEP_KERNELS = 4
@@ -100,7 +100,7 @@ def bind(arrays: dict, rng: np.random.Generator, block_conc: float, recv_conc: f
     degrees = arrays["degrees"]
     if degrees.size and not (degrees.min() > 0 and degrees.max() < hist_width):
         raise TypeError("sweep state degrees must be columns 1.. of deg_hist")
-    size = 2 << LGAMMA_MEMO_BITS
+    size = 1 << LGAMMA_MEMO_BITS
     arrays = dict(arrays, memo_key=np.zeros(size, np.uint64), memo_val=np.zeros(size))
     state = SweepState(
         n=arrays["labels"].size, k=k, hist_width=hist_width, n_degrees=degrees.size,
@@ -188,8 +188,8 @@ def load() -> Optional[ctypes.CDLL]:
         "bvcm_sweep": ([state], _i64),
         "bvcm_lgamma": ([ctypes.c_double], ctypes.c_double),
         "bvcm_fsum": ([doubles, _i64], ctypes.c_double),
-        "bvcm_aux": ([_ptr, _ptr, _i64, ctypes.c_double, ctypes.c_double, doubles, doubles], None),
-        "bvcm_aux_block": ([state, _i64, doubles], None),
+        "bvcm_aux": ([_ptr, _ptr, _i64, doubles, doubles, doubles], None),
+        "bvcm_aux_block": ([state, _i64], None),
         "bvcm_deg_table": ([state], None),
         "bvcm_propensity": ([state], None),
         "bvcm_log_prob": ([state], ctypes.c_double),

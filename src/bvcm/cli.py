@@ -199,15 +199,21 @@ def _build_propensity(args, k: int):
 
 
 def _parse_arity(text: str) -> ArityLaw:
-    if "," in text or "." in text:
-        return ArityLaw.categorical(_floats(text))
-    return ArityLaw.fixed(int(text))
+    try:
+        if "," in text or "." in text:
+            return ArityLaw.categorical(_floats(text))
+        return ArityLaw.fixed(int(text))
+    except (ValueError, argparse.ArgumentTypeError, UsageError) as exc:
+        raise UsageError(f"--arity: {exc}") from None
 
 
-# The simulate flag that sets each ModelParams field it can get wrong.
+# The flag that sets each ModelParams or GibbsConfig field it can get
+# wrong; main reports a fault in one as a usage error naming the flag,
+# except that a bad --prop-file is a data error naming the file.
 _PARAM_FLAGS = {
     "alpha": "--alpha", "theta": "--theta", "block_conc": "--omega",
     "recv_conc": "--zeta", "propensity": "--prop-diag",
+    "alpha_prior": "--alpha-prior", "theta_prior": "--theta-prior",
 }
 
 
@@ -226,23 +232,14 @@ def cmd_simulate(args) -> int:
     if mode == "sequential" and prop is not None:
         raise UsageError("a fixed mixing matrix requires --mode conditional_iid")
     block_probs = np.full(args.k, 1.0 / args.k) if prop is not None else None
-    try:
-        params = ModelParams(
-            alpha=np.asarray(args.alpha),
-            theta=np.asarray(args.theta),
-            block_conc=args.omega,
-            recv_conc=args.zeta,
-            block_probs=block_probs,
-            propensity=prop,
-        )
-    except DataError as exc:
-        # A bad flag value is a usage error naming the flag; a bad
-        # --prop-file stays a data error, naming the file.
-        if exc.field == "propensity" and args.prop_file is not None:
-            raise DataError(f"{args.prop_file}: {exc}") from None
-        if exc.field in _PARAM_FLAGS:
-            raise UsageError(f"{_PARAM_FLAGS[exc.field]}: {exc}") from None
-        raise
+    params = ModelParams(
+        alpha=np.asarray(args.alpha),
+        theta=np.asarray(args.theta),
+        block_conc=args.omega,
+        recv_conc=args.zeta,
+        block_probs=block_probs,
+        propensity=prop,
+    )
     config = GeneratorConfig(
         params=params,
         m=args.m,
@@ -399,7 +396,8 @@ def cmd_eval(args) -> int:
                 [[f"{total:.10g}", f"{per_node:.10g}"]],
             )
         elif metric == "misclass":
-            cutoffs = args.cutoffs or [1.0, math.log(max(network.m, 2))]
+            # log m is below 1 for m <= 2, so the pair is sorted.
+            cutoffs = args.cutoffs or sorted([1.0, math.log(max(network.m, 2))])
             curve = restricted_misclassification(network, labeling, truth, cutoffs)
             fileio.write_csv(
                 out / "misclassification.csv",
@@ -532,7 +530,14 @@ def main(argv=None) -> int:
     parser, subs = build_parser()
     try:
         args = _apply_config(parser, subs, argv)
-        return _COMMANDS[args.command](args)
+        try:
+            return _COMMANDS[args.command](args)
+        except (UsageError, DataError) as exc:
+            if exc.field == "propensity" and getattr(args, "prop_file", None) is not None:
+                raise DataError(f"{args.prop_file}: {exc}") from None
+            if exc.field in _PARAM_FLAGS:
+                raise UsageError(f"{_PARAM_FLAGS[exc.field]}: {exc}") from None
+            raise
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

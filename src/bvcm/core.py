@@ -232,18 +232,19 @@ class ModelParams:
         self.theta = np.asarray(self.theta, dtype=float)
         if self.alpha.shape != self.theta.shape or self.alpha.ndim != 1 or not self.alpha.size:
             raise DataError("alpha and theta must be non-empty 1-d arrays of equal length")
-        if np.any(self.alpha <= 0) or np.any(self.alpha >= 1):
+        # Each check holds only for numbers in range, so NaN fails it.
+        if not np.all((self.alpha > 0) & (self.alpha < 1)):
             raise DataError(f"alpha entries must lie in (0,1), got {self.alpha}", "alpha")
-        if np.any(self.theta <= -self.alpha):
+        if not np.all(self.theta > -self.alpha):
             raise DataError("theta entries must exceed -alpha", "theta")
         for name in ("block_conc", "recv_conc"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise DataError("concentrations must be positive", name)
         if self.block_probs is not None:
             self.block_probs = np.asarray(self.block_probs, dtype=float)
             if self.block_probs.shape != (self.k,):
                 raise DataError("block_probs must have one entry per block", "block_probs")
-            if abs(self.block_probs.sum() - 1.0) > 1e-9 or np.any(self.block_probs < 0):
+            if not (abs(self.block_probs.sum() - 1.0) <= 1e-9 and np.all(self.block_probs >= 0)):
                 raise DataError("block_probs must lie on the simplex", "block_probs")
             self.block_probs = self.block_probs / self.block_probs.sum()
         if self.propensity is not None:
@@ -251,7 +252,7 @@ class ModelParams:
             if self.propensity.shape != (self.k, self.k):
                 raise DataError("propensity must be a k x k matrix", "propensity")
             rows = self.propensity.sum(axis=1)
-            if np.any(np.abs(rows - 1.0) > 1e-9) or np.any(self.propensity < 0):
+            if not (np.all(np.abs(rows - 1.0) <= 1e-9) and np.all(self.propensity >= 0)):
                 raise DataError("propensity rows must lie on the simplex", "propensity")
             self.propensity = self.propensity / rows[:, None]
 

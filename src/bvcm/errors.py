@@ -6,7 +6,15 @@ errors exit 3, numerical errors exit 4.
 
 
 class BvcmError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    ``field`` names the ``ModelParams`` or ``GibbsConfig`` field at fault
+    when a parameter check raised it (None otherwise), so the CLI can
+    name the flag that set it."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class UsageError(BvcmError):
@@ -14,15 +22,7 @@ class UsageError(BvcmError):
 
 
 class DataError(BvcmError):
-    """Malformed or inconsistent input data (files, assignments).
-
-    ``field`` names the ``ModelParams`` field at fault when a parameter
-    check raised it (None otherwise), so the CLI can name the flag that
-    set it."""
-
-    def __init__(self, message: str, field: str | None = None):
-        super().__init__(message)
-        self.field = field
+    """Malformed or inconsistent input data (files, assignments)."""
 
 
 class NumericalError(BvcmError):

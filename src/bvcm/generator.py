@@ -39,9 +39,10 @@ class ArityLaw:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.weights or any(w < 0 for w in self.weights):
+        # Written so that NaN fails each check.
+        if not self.weights or not all(w >= 0 for w in self.weights):
             raise UsageError("arity weights must be non-negative and non-empty")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
+        if not abs(sum(self.weights) - 1.0) <= 1e-9:
             raise UsageError(f"arity weights must sum to 1, got {sum(self.weights)}")
 
     @classmethod

@@ -7,8 +7,9 @@ and a row-wise Dirichlet redraw of the mixing matrix.  Every count is
 in one ``SufficientStats``, ``GibbsSampler.stats``: ``compute_stats``
 makes it when labels are set, and the sweep keeps each field current
 node by node, the per-block degree histogram included.  The (alpha,
-theta) updates read the histogram's rows, and ``log_prob`` is
-``log_prob_from_stats`` on ``stats`` itself.
+theta) updates read the histogram's rows and write ``alpha`` and
+``theta`` in place, and ``log_prob`` is ``log_prob_from_stats`` on
+``stats`` itself.
 
 The sweep state is numpy arrays (int64 labels and counts, CSR
 neighbour lists, float64 mixing matrix, its log and a degree table laid
@@ -24,7 +25,6 @@ bit, and the fallback.
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
 import functools
 import math
@@ -50,8 +50,6 @@ __all__ = [
 _EPS = 1e-12
 # The SufficientStats fields the sweep updates in place.
 _COUNTS = ("block_sizes", "block_deg", "initiations", "pair", "deg_hist")
-# warm_start_labels' probe: prefix interactions, iterations, burn-in before votes.
-_WARM_PREFIX_M, _WARM_ITERATIONS, _WARM_BURN_IN = 2500, 120, 60
 
 
 @dataclass
@@ -82,11 +80,9 @@ class GibbsConfig:
             raise UsageError(
                 f"need iterations > burn_in >= 0, got {self.iterations}, {self.burn_in}"
             )
-        for name in ("block_conc", "recv_conc"):
-            if getattr(self, name) <= 0:
-                raise UsageError(f"{name} must be positive")
-        if min(self.alpha_prior) <= 0 or min(self.theta_prior) <= 0:
-            raise UsageError("prior hyperparameters must be positive")
+        for name in ("block_conc", "recv_conc", "alpha_prior", "theta_prior"):
+            if not np.all(np.greater(getattr(self, name), 0)):  # NaN fails too
+                raise UsageError(f"{name} must be positive", name)
         if self.init not in ("random", "degree_majority", "warm"):
             raise UsageError(f"unknown init {self.init!r}")
 
@@ -132,6 +128,12 @@ def _clip_alpha(x: float) -> float:
     return min(max(x, _EPS), 1.0 - _EPS)
 
 
+def _prior_draw(alpha_prior, theta_prior, rng: np.random.Generator) -> tuple[float, float]:
+    """(alpha, theta) from the Beta prior, then the Gamma prior."""
+    new_alpha = _clip_alpha(rng.beta(*alpha_prior))
+    return new_alpha, max(rng.gamma(theta_prior[0], 1.0 / theta_prior[1]), _EPS)
+
+
 def aux_update_alpha_theta(
     hist,
     alpha: float,
@@ -157,8 +159,7 @@ def aux_update_alpha_theta(
     hist = np.asarray(hist, dtype=np.int64)
     present = np.flatnonzero(hist)
     if present.size == 0:
-        new_alpha = _clip_alpha(rng.beta(c_hyp, d_hyp))
-        return new_alpha, max(rng.gamma(a_hyp, 1.0 / b_hyp), _EPS)
+        return _prior_draw(alpha_prior, theta_prior, rng)
     max_d = int(present[-1])
     hist = hist[: max_d + 1]
     v_b = int(hist.sum())
@@ -396,11 +397,10 @@ class GibbsSampler:
         self._uniforms = np.empty(n)
         self.nodes_moved = 0
 
-        c, d = config.alpha_prior
-        a, b = config.theta_prior
         for blk in range(k):
-            self.alpha[blk] = _clip_alpha(self.rng.beta(c, d))
-            self.theta[blk] = max(self.rng.gamma(a, 1.0 / b), _EPS)
+            self.alpha[blk], self.theta[blk] = _prior_draw(
+                config.alpha_prior, config.theta_prior, self.rng
+            )
 
         self._kernel = _sweep.load()
         self.sweep_backend = "python" if self._kernel is None else "c"
@@ -412,13 +412,12 @@ class GibbsSampler:
                     out_off=self.out_off, out_idx=self.out_idx, in_off=self.in_off,
                     in_idx=self.in_idx, prop=self.prop, log_prop=self._log_prop,
                     la_deg=self._la_deg, alpha=self.alpha, theta=self.theta,
-                    prior=np.array([c, d, a, b], dtype=float), uniforms=self._uniforms,
+                    prior=np.array([*config.alpha_prior, *config.theta_prior], dtype=float),
+                    uniforms=self._uniforms,
                     **{name: getattr(self.stats, name) for name in _COUNTS},
                 ),
                 self.rng, block_conc=config.block_conc, recv_conc=config.recv_conc,
             )
-            # update_alpha_theta's output, made once.
-            self._aux_out = (ctypes.c_double * 2)()
         self._refresh_deg_table()
         self.update_propensity()
 
@@ -487,18 +486,19 @@ class GibbsSampler:
 
     def update_alpha_theta(self, b: int) -> tuple[float, float]:
         """Auxiliary-variable conjugate redraw of (alpha_b, theta_b) from
-        block b's row of ``stats.deg_hist``.  Runs in the kernel when it
+        block b's row of ``stats.deg_hist``, into ``alpha[b]`` and
+        ``theta[b]``; returns the new pair.  Runs in the kernel when it
         is loaded, with the draws of ``aux_update_alpha_theta``."""
         if self._kernel is not None:
-            out = self._aux_out
             # range() checks b as numpy would before C reads row b.
-            self._kernel.bvcm_aux_block(self._state, range(self.k)[b], out)
-            return out[0], out[1]
-        cfg = self.config
-        return aux_update_alpha_theta(
-            self.stats.deg_hist[b], self.alpha[b], self.theta[b], cfg.alpha_prior,
-            cfg.theta_prior, self.rng,
-        )
+            self._kernel.bvcm_aux_block(self._state, range(self.k)[b])
+        else:
+            cfg = self.config
+            self.alpha[b], self.theta[b] = aux_update_alpha_theta(
+                self.stats.deg_hist[b], self.alpha[b], self.theta[b], cfg.alpha_prior,
+                cfg.theta_prior, self.rng,
+            )
+        return float(self.alpha[b]), float(self.theta[b])
 
     def update_propensity(self) -> np.ndarray:
         """Redraw the mixing matrix ``prop`` from its row-wise Dirichlet
@@ -536,7 +536,7 @@ class GibbsSampler:
     def iteration(self) -> None:
         self.sweep()
         for b in range(self.k):
-            self.alpha[b], self.theta[b] = self.update_alpha_theta(b)
+            self.update_alpha_theta(b)
         self._refresh_deg_table()
         self.update_propensity()
 
@@ -596,21 +596,15 @@ def warm_start_labels(network: InteractionNetwork, config: GibbsConfig) -> np.nd
 
     From a uniform random start the single-site sweep can spend many
     hundreds of iterations near the symmetric configuration on large
-    balanced networks.  A probe on the first 2 500 interactions escapes
-    quickly; each of its nodes takes the label it held most often after
-    burn-in (ties -> lowest label), and the other nodes take their
-    counterparties' majority.  Deterministic given config.seed.
+    balanced networks.  A 120-iteration probe chain on the first 2 500
+    interactions escapes quickly; each of its nodes takes the label it
+    held most often in the last 60 (ties -> lowest label), and the other
+    nodes take their counterparties' majority.  Deterministic given
+    config.seed.
     """
-    prefix = network.prefix(min(_WARM_PREFIX_M, network.m))
-    probe_cfg = dataclasses.replace(
-        config, iterations=_WARM_ITERATIONS, burn_in=_WARM_BURN_IN, init="random"
-    )
-    probe = GibbsSampler(prefix, probe_cfg)
-    votes = np.zeros((prefix.n_nodes, config.k), dtype=np.int64)
-    for t in range(_WARM_ITERATIONS):
-        probe.iteration()
-        if t >= _WARM_BURN_IN:
-            votes[np.arange(prefix.n_nodes), probe.labels] += 1
+    prefix = network.prefix(min(2500, network.m))
+    probe_cfg = dataclasses.replace(config, iterations=120, burn_in=60, init="random")
+    votes = run_gibbs(prefix, probe_cfg).block_counts()
 
     labels = np.empty(network.n_nodes, dtype=np.int64)
     seen = np.zeros(network.n_nodes, dtype=bool)

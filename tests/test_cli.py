@@ -102,6 +102,11 @@ class TestSimulate:
         ("--zeta", "-1"),
         ("--alpha", "1.5,0.5"),
         ("--theta", "-0.6,5"),
+        # NaN fails every domain check (the NaN discount is tested below).
+        ("--theta", "nan,1"),
+        ("--omega", "nan"),
+        ("--zeta", "nan"),
+        ("--prop-diag", "nan"),
     ])
     def test_bad_flag_value_is_usage_error_naming_it(self, tmp_path, capsys, flag, value):
         code = run_cli(
@@ -110,6 +115,30 @@ class TestSimulate:
         )
         assert code == 2
         assert f"error: {flag}: " in capsys.readouterr().err
+
+    def test_nan_alpha_is_usage_error_not_a_hang(self, tmp_path):
+        """A NaN discount once sent the urn's rejection loop round forever,
+        so this runs in a child process under a timeout."""
+        src = str(Path(bvcm.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "bvcm.cli", "simulate", "--k", "2", "--alpha", "nan,0.5",
+             "--theta", "1,1", "--m", "50", "--out", str(tmp_path / "x.jsonl")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "error: --alpha: " in proc.stderr
+
+    @pytest.mark.parametrize("arity", ["abc", "1e0", "0.5,abc", "nan,1", "0"])
+    def test_bad_arity_is_usage_error_naming_it(self, tmp_path, capsys, arity):
+        args = ("simulate", "--k", 1, "--alpha", "0.5", "--theta", "2", "--m", 10,
+                "--out", tmp_path / "x.jsonl")
+        assert run_cli(*args, f"--arity={arity}") == 2
+        assert "error: --arity: " in capsys.readouterr().err
+        cfg = tmp_path / "bvcm.ini"
+        cfg.write_text(f"[simulate]\narity = {arity}\n")
+        assert run_cli(*args, "--config", cfg) == 2
+        assert "error: --arity: " in capsys.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
 
     def test_fixed_propensity_needs_conditional_mode(self, tmp_path):
         code = run_cli(
@@ -130,7 +159,8 @@ class TestSimulate:
         assert manifest["mode"] == "conditional_iid"
         assert manifest["realized_propensity"] == [[0.7, 0.3], [0.2, 0.8]]
         for text, where in [("0.7,0.3\n", "2x2 matrix"), ("0.7,0.3,0\n0.2,0.8,0\n", "line 1"),
-                            ("0.7,0.3\n0.2,x\n", "line 2"), ("0.7,0.4\n0.2,0.8\n", "simplex")]:
+                            ("0.7,0.3\n0.2,x\n", "line 2"), ("0.7,0.4\n0.2,0.8\n", "simplex"),
+                            ("0.7,0.3\nnan,0.8\n", "simplex")]:
             prop.write_text(text)
             assert run_cli(*args, "--prop-file", prop, "--out", out) == 3, text
             err = capsys.readouterr().err
@@ -189,6 +219,25 @@ class TestFit:
             "--init", "warm", "--out", tmp_path / "warm",
         )
         assert code == 0
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--omega", "nan"),
+        ("--zeta", "nan"),
+        ("--alpha-prior", "nan,1"),
+        ("--theta-prior", "1,nan"),
+    ])
+    def test_nan_flag_value_is_usage_error_naming_it(
+        self, sim_files, tmp_path, capsys, flag, value
+    ):
+        out, _ = sim_files
+        for command in (("fit", "--k", 2), ("select-k", "--kmin", 1, "--kmax", 2)):
+            code = run_cli(
+                *command, "--input", out, "--iters", 3, "--burnin", 1,
+                "--out", tmp_path / "chain", f"{flag}={value}",
+            )
+            assert code == 2, command
+            assert f"error: {flag}: " in capsys.readouterr().err, command
+        assert not (tmp_path / "chain").exists()
 
 
 class TestSelectK:
@@ -252,6 +301,25 @@ class TestEval:
         mis = (ev / "misclassification.csv").read_text().splitlines()
         assert mis[0] == "cutoff,n_nodes,rate"
         assert len(mis) == 3  # cutoffs 1 and log m
+
+    def test_default_cutoffs_on_a_two_interaction_network(self, tmp_path):
+        """log m < 1 when m = 2, so the default cutoffs are 0.69 and 1."""
+        out = tmp_path / "tiny.jsonl"
+        assert run_cli(
+            "simulate", "--k", 2, "--alpha", "0.5,0.5", "--theta", "1,1", "--m", 2,
+            "--seed", 1, "--out", out,
+        ) == 0
+        chain_dir = tmp_path / "chain"
+        assert run_cli(
+            "fit", "--input", out, "--k", 2, "--iters", 3, "--burnin", 1, "--out", chain_dir,
+        ) == 0
+        ev = tmp_path / "metrics"
+        assert run_cli(
+            "eval", "--input", out, "--chain", chain_dir,
+            "--truth", out.with_name("tiny_truth.csv"), "--out", ev,
+        ) == 0
+        rows = (ev / "misclassification.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [f"{np.log(2):.10g}", "1"]
 
     def test_hellinger_needs_second_chain(self, sim_files, tmp_path):
         out, truth = sim_files

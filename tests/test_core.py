@@ -232,6 +232,17 @@ class TestTypes:
                 propensity=np.array([[0.8, 0.1], [0.5, 0.5]]),
             )
 
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", [np.nan, 0.5]), ("theta", [np.nan, 1.0]), ("block_conc", np.nan),
+        ("recv_conc", np.nan), ("block_probs", [np.nan, 0.5]),
+        ("propensity", [[np.nan, 0.5], [0.5, 0.5]]),
+    ])
+    def test_model_params_reject_nan(self, field, value):
+        args = dict(alpha=[0.5, 0.5], theta=[1.0, 1.0], block_conc=1.0, recv_conc=1.0)
+        with pytest.raises(DataError) as info:
+            ModelParams(**{**args, field: value})
+        assert info.value.field == field
+
     def test_unknown_node_lookup(self, tiny_network):
         with pytest.raises(DataError, match="zz"):
             tiny_network.node_index("zz")

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import itertools
@@ -301,6 +302,30 @@ class TestParameterUpdates:
         draws = np.stack([sampler.update_propensity() for _ in range(3000)])
         assert np.abs(draws.mean(axis=0) - 1.0 / 3.0).max() < 0.03
 
+    def test_update_alpha_theta_writes_the_pair_in_place(self):
+        """On both backends update_alpha_theta(b) draws what
+        aux_update_alpha_theta draws on a copy of the generator, leaves the
+        generator in that copy's state, writes the pair to alpha[b] and
+        theta[b] and returns it; block 2 is empty, so the prior branch
+        runs too."""
+        net, _ = random_network(np.random.default_rng(14), 2, m=40, n_pool=15, max_arity=2)
+        for backend in sweep_backends():
+            sampler = GibbsSampler(net, GibbsConfig(k=3, iterations=1, seed=8))
+            sampler.set_labels(np.arange(sampler.n) % 2)
+            assert not sampler.stats.deg_hist[2].any()
+            cfg = sampler.config
+            for _ in range(3):
+                for b in range(3):
+                    ref = copy.deepcopy(sampler.rng)
+                    expected = aux_update_alpha_theta(
+                        sampler.stats.deg_hist[b].copy(), sampler.alpha[b], sampler.theta[b],
+                        cfg.alpha_prior, cfg.theta_prior, ref,
+                    )
+                    got = sampler.update_alpha_theta(b)
+                    assert got == expected, (backend, b)
+                    assert (sampler.alpha[b], sampler.theta[b]) == got, (backend, b)
+                    assert sampler.rng.bit_generator.state == ref.bit_generator.state, backend
+
     def test_block_index_is_checked_on_both_backends(self):
         """The kernel reads block b's histogram row, so an index outside
         the blocks is an IndexError, as numpy's indexing gives the Python
@@ -403,8 +428,8 @@ class TestRunGibbs:
         assert np.array_equal(labels, again)
 
     def test_warm_start_votes_match_the_probe_chain(self):
-        """The probe's vote loop gives the labels of the recorded probe
-        chain's majority, ties included, for k = 1..4 and the fit's
+        """The warm start gives the labels of the recorded probe chain's
+        majority, ties included, for k = 1..4 and the fit's
         concentrations and priors; every eighth network has nodes beyond
         the probe's prefix, so the neighbor extension runs too."""
         rng = np.random.default_rng(41)

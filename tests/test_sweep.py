@@ -156,6 +156,27 @@ def test_state_mirror_matches_the_c_struct():
     assert ("out_idx", "pointer") in fields
 
 
+def test_kernel_signatures_match_the_c_definitions():
+    """Every function _sweep.c exports has load()'s argtypes and restype,
+    parameter by parameter; a stale table would make ctypes pass a wrong
+    argument list without any error."""
+    source = re.sub(r"/\*.*?\*/", "", _sweep.SOURCE.read_text(), flags=re.S)
+    defs = re.findall(r"^(?!static\b)(\w+)\s+(\w+)\(([^)]*)\)\s*\{", source, re.M)
+    kinds = {"double": ctypes.c_double, "int64_t": ctypes.c_int64, "void": None}
+    lib = _sweep.load()
+    assert len(defs) >= 8
+    for ret, name, params in defs:
+        fn = getattr(lib, name)
+        params = [p for p in map(str.strip, params.split(",")) if p not in ("", "void")]
+        assert fn.restype is kinds[ret], name
+        assert fn.argtypes is not None and len(fn.argtypes) == len(params), name
+        for param, argtype in zip(params, fn.argtypes):
+            if "*" in param:
+                assert argtype is ctypes.c_void_p or issubclass(argtype, ctypes._Pointer), name
+            else:
+                assert argtype is kinds[param.split()[-2]], (name, param)
+
+
 def test_bind_needs_la_deg_in_the_deg_hist_layout():
     """The kernel indexes the degree table and the degree histogram
     with one row length, so bind refuses tables of two shapes."""
@@ -218,16 +239,17 @@ def test_kernel_aux_update_matches_python_reference():
     test_gibbs.py's degree-list oracle test: the same values and the
     same generator state as aux_update_alpha_theta."""
     lib = _sweep.load()
-    out = (ctypes.c_double * 2)()
     for case, _, hist, args in aux_update_cases():
         r_py, r_c = np.random.default_rng(case), np.random.default_rng(case)
         expected = aux_update_alpha_theta(hist, *args, r_py)
         alpha, theta, alpha_prior, theta_prior = args
         hist = np.ascontiguousarray(hist, dtype=np.int64)
+        out = (ctypes.c_double(alpha), ctypes.c_double(theta))
         lib.bvcm_aux(
-            r_c.bit_generator.ctypes.bit_generator, hist.ctypes.data, hist.size, alpha, theta,
-            (ctypes.c_double * 4)(*alpha_prior, *theta_prior), out,
+            r_c.bit_generator.ctypes.bit_generator, hist.ctypes.data, hist.size,
+            (ctypes.c_double * 4)(*alpha_prior, *theta_prior), *map(ctypes.byref, out),
         )
+        out = [x.value for x in out]
         assert (out[0], out[1]) == expected, case
         assert r_c.bit_generator.state == r_py.bit_generator.state, case
 
