@@ -18,23 +18,20 @@ file.  The directory keeps the ``KEEP_KERNELS`` most recently used
 kernels (by mtime; a cache hit touches its kernel), so checkouts of two
 versions run in turn do not rebuild each other's.
 When that directory is unwritable the build goes to a per-process
-temporary directory.  When no compiler, header or library works,
-``load`` warns once and returns None, and the sampler runs its Python
-phases.
+temporary directory.  When no compiler, header or library works, or the
+compiler times out, ``load`` warns once and returns None, and the
+sampler runs its Python phases.  The build tools (``subprocess``,
+``tempfile``, ...) are imported only when there is a kernel to build.
 """
 
 from __future__ import annotations
 
-import atexit
 import contextlib
 import ctypes
 import functools
 import hashlib
 import os
-import shutil
-import subprocess
 import sysconfig
-import tempfile
 import warnings
 from pathlib import Path
 from typing import Iterator, Optional
@@ -116,6 +113,10 @@ def bind(arrays: dict, rng: np.random.Generator, block_conc: float, recv_conc: f
 def _cache_dirs() -> Iterator[Path]:
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
     yield Path(base) / "bvcm"
+    import atexit
+    import shutil
+    import tempfile
+
     scratch = tempfile.mkdtemp(prefix="bvcm-")
     atexit.register(shutil.rmtree, scratch, True)
     yield Path(scratch)
@@ -141,6 +142,9 @@ def _build() -> Path:
             with contextlib.suppress(OSError):
                 os.utime(target)
             return target
+        import subprocess
+        import tempfile
+
         try:
             cache.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(prefix=".building-", suffix=".so", dir=cache)
@@ -156,6 +160,8 @@ def _build() -> Path:
             if proc.returncode:
                 raise OSError(f"cc exited with {proc.returncode}: {proc.stderr.strip()[-400:]}")
             os.replace(tmp, target)
+        except subprocess.SubprocessError as exc:  # the timeout
+            raise OSError(f"cc failed: {exc}") from None
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -176,7 +182,7 @@ def load() -> Optional[ctypes.CDLL]:
     cannot be built or loaded."""
     try:
         lib = ctypes.CDLL(str(_build()))
-    except (OSError, subprocess.SubprocessError) as exc:
+    except OSError as exc:
         warnings.warn(
             f"compiled sweep unavailable, using the Python sweep: {exc}",
             RuntimeWarning, stacklevel=2,

@@ -4,6 +4,9 @@ Subcommands: simulate, fit, select-k, eval, bound, stats.  Every
 command writes a JSON manifest with its flags and seed, so a run can be
 reproduced from its output directory alone.  Exit codes: 0 success,
 2 usage error or unopenable path, 3 data error, 4 numerical error.
+
+Each command imports the ``bvcm`` modules it runs, at call time, so a
+process loads only those: the sampler only for ``fit`` and ``select-k``.
 """
 
 from __future__ import annotations
@@ -19,21 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, fileio
-from .consistency import misclassification_bound, restricted_misclassification
-from .core import BlockAssignment, ModelParams, degree_distribution
+from . import __version__
 from .errors import BvcmError, DataError, NumericalError, UsageError
-from .generator import ArityLaw, GeneratorConfig, simulate
-from .gibbs import GibbsConfig, run_gibbs
-from .likelihood import marginal_log_likelihood
-from .metrics import (
-    PosteriorMembership,
-    cross_entropy_loss,
-    hellinger_distance,
-    powerlaw_diagnostic,
-    sparsity_growth,
-    standardized_l2,
-)
 
 __all__ = ["main", "build_parser"]
 
@@ -186,19 +176,24 @@ def _build_propensity(args, k: int):
     if args.prop_diag is not None and args.prop_file is not None:
         raise UsageError("give at most one of --prop-diag / --prop-file")
     if args.prop_diag is not None:
-        if k > 1:
-            off = (1.0 - args.prop_diag) / (k - 1)
-            prop = np.full((k, k), off)
-        else:
-            prop = np.zeros((1, 1))
-        np.fill_diagonal(prop, args.prop_diag if k > 1 else 1.0)
+        # Checked at k = 1 too, where the value goes unused; NaN fails.
+        if not 0 <= args.prop_diag <= 1:
+            raise UsageError(f"must lie in [0, 1], got {args.prop_diag}", "propensity")
+        if k == 1:
+            return np.ones((1, 1))
+        prop = np.full((k, k), (1.0 - args.prop_diag) / (k - 1))
+        np.fill_diagonal(prop, args.prop_diag)
         return prop
     if args.prop_file is not None:
+        from . import fileio
+
         return fileio.read_matrix_csv(args.prop_file, k)
     return None
 
 
-def _parse_arity(text: str) -> ArityLaw:
+def _parse_arity(text: str):
+    from .generator import ArityLaw
+
     try:
         if "," in text or "." in text:
             return ArityLaw.categorical(_floats(text))
@@ -218,6 +213,10 @@ _PARAM_FLAGS = {
 
 
 def cmd_simulate(args) -> int:
+    from . import fileio
+    from .core import ModelParams
+    from .generator import GeneratorConfig, simulate
+
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
     if len(args.alpha) != args.k or len(args.theta) != args.k:
@@ -263,8 +262,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _gibbs_config(args, k: int, seed: int) -> GibbsConfig:
+def _gibbs_config(args, k: int, seed: int):
     """The sampler settings the fit flags give, shared by fit and select-k."""
+    from .gibbs import GibbsConfig
+
     return GibbsConfig(
         k=k,
         iterations=args.iters,
@@ -279,6 +280,10 @@ def _gibbs_config(args, k: int, seed: int) -> GibbsConfig:
 
 
 def cmd_fit(args) -> int:
+    from . import fileio
+    from .gibbs import run_gibbs
+    from .likelihood import marginal_log_likelihood
+
     network = fileio.read_interactions_jsonl(args.input)
     chain = run_gibbs(network, _gibbs_config(args, args.k, args.seed))
     fileio.write_chain(args.out, chain)
@@ -292,12 +297,18 @@ def cmd_fit(args) -> int:
 
 
 def _select_worker(payload) -> tuple[int, int, float]:
+    from . import fileio
+    from .gibbs import run_gibbs
+    from .likelihood import marginal_log_likelihood
+
     path, rep, config = payload
     chain = run_gibbs(fileio.read_interactions_jsonl(Path(path)), config)
     return config.k, rep, marginal_log_likelihood(chain)
 
 
 def cmd_select_k(args) -> int:
+    from . import fileio
+
     if args.kmin > args.kmax:
         raise UsageError(f"--kmin {args.kmin} exceeds --kmax {args.kmax}")
     if args.replicates < 1:
@@ -352,6 +363,13 @@ def _check_chain_nodes(chain, network, args) -> None:
 
 
 def cmd_eval(args) -> int:
+    from . import fileio
+    from .consistency import restricted_misclassification
+    from .core import BlockAssignment
+    from .metrics import (
+        PosteriorMembership, cross_entropy_loss, hellinger_distance, standardized_l2,
+    )
+
     network = fileio.read_interactions_jsonl(args.input)
     chain = fileio.read_chain(args.chain)
     wanted = (
@@ -413,11 +431,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    from .consistency import misclassification_bound
+
     result = misclassification_bound(
         args.alpha, args.within, args.gamma1, args.gamma2, args.tol
     )
     print(f"mu_min={result.mu_min:.10g} p_out={result.p_out:.10g}")
     if args.out is not None:
+        from . import fileio
+
         fileio.write_csv(
             args.out,
             ["mu_min", "p_out"],
@@ -427,6 +449,10 @@ def cmd_bound(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from . import fileio
+    from .core import degree_distribution
+    from .metrics import powerlaw_diagnostic, sparsity_growth
+
     network = fileio.read_interactions_jsonl(args.input)
     truth = None
     if args.truth is not None:

@@ -25,6 +25,7 @@ __all__ = [
     "BlockAssignment",
     "ModelParams",
     "SufficientStats",
+    "Chain",
     "compute_stats",
     "counterparty_counts",
     "degree_distribution",
@@ -232,14 +233,15 @@ class ModelParams:
         self.theta = np.asarray(self.theta, dtype=float)
         if self.alpha.shape != self.theta.shape or self.alpha.ndim != 1 or not self.alpha.size:
             raise DataError("alpha and theta must be non-empty 1-d arrays of equal length")
-        # Each check holds only for numbers in range, so NaN fails it.
+        # Each check holds only for finite numbers in range, so NaN and
+        # infinities fail it.
         if not np.all((self.alpha > 0) & (self.alpha < 1)):
             raise DataError(f"alpha entries must lie in (0,1), got {self.alpha}", "alpha")
-        if not np.all(self.theta > -self.alpha):
-            raise DataError("theta entries must exceed -alpha", "theta")
+        if not np.all(np.isfinite(self.theta) & (self.theta > -self.alpha)):
+            raise DataError("theta entries must be finite and exceed -alpha", "theta")
         for name in ("block_conc", "recv_conc"):
-            if not getattr(self, name) > 0:
-                raise DataError("concentrations must be positive", name)
+            if not 0 < getattr(self, name) < math.inf:
+                raise DataError("concentrations must be positive and finite", name)
         if self.block_probs is not None:
             self.block_probs = np.asarray(self.block_probs, dtype=float)
             if self.block_probs.shape != (self.k,):
@@ -259,6 +261,44 @@ class ModelParams:
     @property
     def k(self) -> int:
         return len(self.alpha)
+
+
+@dataclass
+class Chain:
+    """Every recorded iteration of one sampler run (burn-in included); kept
+    out of ``gibbs`` so that reading a chain loads no sampler code."""
+
+    k: int
+    burn_in: int
+    seed: int
+    node_ids: list[str]
+    assignments: np.ndarray  # (iterations, n_nodes)
+    alphas: np.ndarray  # (iterations, k)
+    thetas: np.ndarray  # (iterations, k)
+    props: np.ndarray  # (iterations, k, k)
+    log_probs: np.ndarray  # (iterations,)
+    block_conc: float
+    recv_conc: float
+    elapsed_s: float = 0.0
+    sweep_backend: str = "python"  # "c" (compiled kernel) or "python"
+    nodes_moved: int = 0  # label changes summed over every sweep
+
+    def __len__(self) -> int:
+        return len(self.alphas)
+
+    @property
+    def n_nodes(self) -> int:
+        return self.assignments.shape[1]
+
+    def post_assignments(self) -> np.ndarray:
+        return self.assignments[self.burn_in:]
+
+    def block_counts(self) -> np.ndarray:
+        """counts[i, b]: post-burn-in samples that put node i in block b."""
+        post = self.post_assignments()
+        n = self.n_nodes
+        cells = np.arange(n) * self.k + post
+        return np.bincount(cells.ravel(), minlength=n * self.k).reshape(n, self.k)
 
 
 @dataclass

@@ -18,10 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BlockAssignment, InteractionNetwork
+from .core import BlockAssignment, Chain, InteractionNetwork
 from .errors import DataError
-from .gibbs import Chain
-from .metrics import PosteriorMembership
 
 __all__ = [
     "atomic_write",
@@ -242,6 +240,8 @@ def _chain_header(k: int) -> list[str]:
 def write_chain(out_dir: Path, chain: Chain) -> None:
     """chain.csv (params per iteration), assignments.csv (iteration x node,
     1-based), membership.csv (post-burn-in frequencies), manifest.json."""
+    from .metrics import PosteriorMembership
+
     out_dir = Path(out_dir)
     k = chain.k
     rows = []
@@ -253,11 +253,14 @@ def write_chain(out_dir: Path, chain: Chain) -> None:
         rows.append(row)
     write_csv(out_dir / "chain.csv", _chain_header(k), rows)
 
-    write_csv(
-        out_dir / "assignments.csv",
-        ["iter"] + list(chain.node_ids),
-        ([t] + (row + 1).tolist() for t, row in enumerate(chain.assignments)),
-    )
+    # The body is integers, which csv.writer never quotes, so each row is
+    # one joined string; the header keeps csv.writer, since a node name
+    # may need quoting.
+    names = [str(b + 1) for b in range(k)]
+    with atomic_write(out_dir / "assignments.csv") as fh:
+        csv.writer(fh).writerow(["iter", *chain.node_ids])
+        for t, row in enumerate(chain.assignments):
+            fh.write(",".join([str(t), *[names[x] for x in row.tolist()]]) + "\r\n")
 
     membership = PosteriorMembership.from_chain(chain)
     write_csv(

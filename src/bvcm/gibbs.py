@@ -34,13 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _sweep
-from .core import BlockAssignment, InteractionNetwork, compute_stats, counterparty_counts
+from .core import BlockAssignment, Chain, InteractionNetwork, compute_stats, counterparty_counts
 from .errors import UsageError
 from .likelihood import log_discount_factorial, log_prob_from_stats
 
 __all__ = [
     "GibbsConfig",
-    "Chain",
     "GibbsSampler",
     "run_gibbs",
     "warm_start_labels",
@@ -81,47 +80,11 @@ class GibbsConfig:
                 f"need iterations > burn_in >= 0, got {self.iterations}, {self.burn_in}"
             )
         for name in ("block_conc", "recv_conc", "alpha_prior", "theta_prior"):
-            if not np.all(np.greater(getattr(self, name), 0)):  # NaN fails too
-                raise UsageError(f"{name} must be positive", name)
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value) & np.greater(value, 0)):
+                raise UsageError(f"{name} must be positive and finite", name)
         if self.init not in ("random", "degree_majority", "warm"):
             raise UsageError(f"unknown init {self.init!r}")
-
-
-@dataclass
-class Chain:
-    """Every recorded iteration of one sampler run (burn-in included)."""
-
-    k: int
-    burn_in: int
-    seed: int
-    node_ids: list[str]
-    assignments: np.ndarray  # (iterations, n_nodes)
-    alphas: np.ndarray  # (iterations, k)
-    thetas: np.ndarray  # (iterations, k)
-    props: np.ndarray  # (iterations, k, k)
-    log_probs: np.ndarray  # (iterations,)
-    block_conc: float
-    recv_conc: float
-    elapsed_s: float = 0.0
-    sweep_backend: str = "python"  # "c" (compiled kernel) or "python"
-    nodes_moved: int = 0  # label changes summed over every sweep
-
-    def __len__(self) -> int:
-        return len(self.alphas)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.assignments.shape[1]
-
-    def post_assignments(self) -> np.ndarray:
-        return self.assignments[self.burn_in:]
-
-    def block_counts(self) -> np.ndarray:
-        """counts[i, b]: post-burn-in samples that put node i in block b."""
-        post = self.post_assignments()
-        n = self.n_nodes
-        cells = np.arange(n) * self.k + post
-        return np.bincount(cells.ravel(), minlength=n * self.k).reshape(n, self.k)
 
 
 def _clip_alpha(x: float) -> float:

@@ -1,8 +1,11 @@
 import ast
+import csv
 import importlib
+import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -107,6 +110,10 @@ class TestSimulate:
         ("--omega", "nan"),
         ("--zeta", "nan"),
         ("--prop-diag", "nan"),
+        # So do infinities.
+        ("--theta", "inf,1"),
+        ("--omega", "inf"),
+        ("--zeta", "inf"),
     ])
     def test_bad_flag_value_is_usage_error_naming_it(self, tmp_path, capsys, flag, value):
         code = run_cli(
@@ -115,6 +122,17 @@ class TestSimulate:
         )
         assert code == 2
         assert f"error: {flag}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["5", "-0.1", "nan", "inf"])
+    def test_prop_diag_is_checked_at_one_block(self, tmp_path, capsys, value):
+        args = ("simulate", "--k", 1, "--alpha", "0.5", "--theta", "1", "--m", 5,
+                "--out", tmp_path / "x.jsonl")
+        assert run_cli(*args, f"--prop-diag={value}") == 2
+        assert "error: --prop-diag: " in capsys.readouterr().err
+        # Any value in range gives the only 1 x 1 mixing matrix.
+        assert run_cli(*args, "--prop-diag=0.3") == 0
+        manifest = json.loads((tmp_path / "x_manifest.json").read_text())
+        assert manifest["realized_propensity"] == [[1.0]]
 
     def test_nan_alpha_is_usage_error_not_a_hang(self, tmp_path):
         """A NaN discount once sent the urn's rejection loop round forever,
@@ -160,7 +178,8 @@ class TestSimulate:
         assert manifest["realized_propensity"] == [[0.7, 0.3], [0.2, 0.8]]
         for text, where in [("0.7,0.3\n", "2x2 matrix"), ("0.7,0.3,0\n0.2,0.8,0\n", "line 1"),
                             ("0.7,0.3\n0.2,x\n", "line 2"), ("0.7,0.4\n0.2,0.8\n", "simplex"),
-                            ("0.7,0.3\nnan,0.8\n", "simplex")]:
+                            ("0.7,0.3\nnan,0.8\n", "simplex"),
+                            ("0.7,0.3\ninf,0.8\n", "simplex")]:
             prop.write_text(text)
             assert run_cli(*args, "--prop-file", prop, "--out", out) == 3, text
             err = capsys.readouterr().err
@@ -225,6 +244,10 @@ class TestFit:
         ("--zeta", "nan"),
         ("--alpha-prior", "nan,1"),
         ("--theta-prior", "1,nan"),
+        ("--omega", "inf"),
+        ("--zeta", "inf"),
+        ("--alpha-prior", "1,inf"),
+        ("--theta-prior", "inf,1"),
     ])
     def test_nan_flag_value_is_usage_error_naming_it(
         self, sim_files, tmp_path, capsys, flag, value
@@ -710,6 +733,29 @@ class TestFileio:
             assert np.array_equal(getattr(back, name), getattr(chain, name)), name
         assert (back.k, back.burn_in, back.seed, back.nodes_moved) == (1, 0, 3, 2)
 
+    @pytest.mark.parametrize("k, iterations, names", [
+        (1, 3, ["a", "b", "c"]),
+        (12, 5, [f"n{i}" for i in range(30)]),
+        (3, 1, ["x", "y"]),
+        (2, 4, ["plain", "b,c", 'say "hi"', "new\nline"]),
+    ])
+    def test_assignments_csv_is_what_csv_writer_writes(self, tmp_path, k, iterations, names):
+        rng = np.random.default_rng(k)
+        labels = rng.integers(0, k, size=(iterations, len(names)))
+        labels[0, 0] = k - 1  # the largest label appears, at k = 12 two digits
+        chain = Chain(
+            k=k, burn_in=0, seed=0, node_ids=names, assignments=labels,
+            alphas=np.full((iterations, k), 0.5), thetas=np.ones((iterations, k)),
+            props=np.full((iterations, k, k), 1.0 / k), log_probs=np.zeros(iterations),
+            block_conc=1.0, recv_conc=1.0,
+        )
+        fileio.write_chain(tmp_path / "c", chain)
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["iter"] + names)
+        writer.writerows([t] + (row + 1).tolist() for t, row in enumerate(labels))
+        assert (tmp_path / "c" / "assignments.csv").read_bytes() == want.getvalue().encode()
+
     def test_assignment_round_trip(self, tmp_path):
         net = InteractionNetwork.from_records([("a", ["b"]), ("c", ["a"])])
         assign = BlockAssignment(np.array([0, 1, 0]), 2)
@@ -858,6 +904,73 @@ def test_every_public_name_has_a_caller():
         module = importlib.import_module(f"bvcm.{path.stem}".removesuffix(".__init__"))
         unused += [f"{path.stem}.{name}" for name in getattr(module, "__all__", []) if name not in used]
     assert unused == []
+
+
+_BOUND = ["bound", "--alpha", "0.5", "--a", "0.9", "--gamma1", "0.9", "--gamma2", "0.9"]
+
+
+def _modules_loaded_by(argv) -> tuple[list, bool]:
+    """The bvcm modules a fresh interpreter has loaded after running the
+    CLI on argv as ``python -m bvcm.cli`` does, and whether it loaded
+    subprocess."""
+    code = (
+        "import json, runpy, sys\n"
+        f"sys.argv = ['bvcm', *{[str(a) for a in argv]!r}]\n"
+        "try:\n"
+        "    runpy.run_module('bvcm.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'bvcm')))\n"
+        "print('subprocess' in sys.modules)"
+    )
+    modules, subprocess_loaded = _fresh_python(code).splitlines()[-2:]
+    return json.loads(modules), subprocess_loaded == "True"
+
+
+@pytest.mark.parametrize("command, modules", [
+    ("bound", {"consistency", "core", "errors"}),
+    ("bound --out", {"consistency", "core", "errors", "fileio"}),
+    ("simulate", {"core", "errors", "fileio", "generator"}),
+    ("eval", {"consistency", "core", "errors", "fileio", "metrics"}),
+    ("stats", {"core", "errors", "fileio", "metrics"}),
+    ("fit", {"_sweep", "core", "errors", "fileio", "gibbs", "likelihood", "metrics"}),
+])
+def test_each_command_loads_only_its_modules(sim_files, tmp_path, command, modules):
+    # Only a fit loads the sampler and the kernel loader, and a fit on a
+    # cached kernel loads no build tool.
+    out, truth = sim_files
+    chain = tmp_path / "chain"
+    fit = ["fit", "--input", out, "--k", 2, "--iters", 4, "--burnin", 1, "--out", chain]
+    assert run_cli(*fit) == 0  # the kernel is cached from here on
+    argv = {
+        "bound": _BOUND,
+        "bound --out": [*_BOUND, "--out", tmp_path / "bound.csv"],
+        "simulate": ["simulate", "--k", 2, "--alpha", "0.5,0.5", "--theta", "5,5",
+                     "--m", 50, "--out", tmp_path / "sim.jsonl"],
+        "eval": ["eval", "--input", out, "--chain", chain, "--truth", truth,
+                 "--out", tmp_path / "m"],
+        "stats": ["stats", "--input", out, "--truth", truth, "--out", tmp_path / "s"],
+        "fit": fit,
+    }[command]
+    loaded, subprocess_loaded = _modules_loaded_by(argv)
+    assert loaded == sorted(["bvcm", *(f"bvcm.{m}" for m in modules)])
+    # Without a compiler every fit tries to build the kernel again.
+    assert subprocess_loaded == (command == "fit" and shutil.which("cc") is None)
+
+
+def test_package_names_resolve_on_first_access():
+    assert _fresh_python(
+        "import sys, bvcm; print(sorted(m for m in sys.modules if m.split('.')[0] == 'bvcm'))"
+    ) == "['bvcm']"
+    names = [name for name in bvcm.__all__ if name != "__version__"]
+    for name in names:
+        value = getattr(bvcm, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+    star = {}
+    exec("from bvcm import *", star)
+    assert set(bvcm.__all__) <= set(star) and set(bvcm.__all__) <= set(dir(bvcm))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bvcm.no_such_name
 
 
 def test_bound_neither_builds_nor_loads_the_sweep():
