@@ -48,46 +48,47 @@ LGAMMA_MEMO_BITS = 12
 KEEP_KERNELS = 4
 
 _i64 = ctypes.c_int64
-_ptr = ctypes.c_void_p
+_I64 = ctypes.POINTER(_i64)
+_F64 = ctypes.POINTER(ctypes.c_double)
+
+# The sampler's arrays in the C struct's order, each a pointer to its element type.
+ARRAYS = {
+    "labels": _I64, "deg": _I64, "degrees": _I64, "node_inits": _I64, "self_pairs": _I64,
+    "out_off": _I64, "out_idx": _I64, "in_off": _I64, "in_idx": _I64,
+    "block_sizes": _I64, "block_deg": _I64, "initiations": _I64, "pair": _I64, "deg_hist": _I64,
+    "prop": _F64, "log_prop": _F64, "la_deg": _F64, "alpha": _F64, "theta": _F64,
+    "prior": _F64, "uniforms": _F64,
+}
 
 
 class SweepState(ctypes.Structure):
     """Mirror of the C ``SweepState``: sizes and concentrations, the bit
-    generator, then pointers to the sampler's arrays and the lgamma memo
-    (see ``_sweep.c`` for each field; ``la_deg`` is laid out like
+    generator, then typed pointers to the sampler's arrays and the lgamma
+    memo (see ``_sweep.c`` for each field; ``la_deg`` is laid out like
     ``deg_hist``)."""
 
     _fields_ = [
         ("n", _i64), ("k", _i64), ("hist_width", _i64), ("n_degrees", _i64),
         ("memo_bits", _i64), ("block_conc", ctypes.c_double), ("recv_conc", ctypes.c_double),
-        ("bitgen", _ptr), ("labels", _ptr), ("deg", _ptr), ("degrees", _ptr), ("node_inits", _ptr),
-        ("self_pairs", _ptr), ("out_off", _ptr), ("out_idx", _ptr), ("in_off", _ptr),
-        ("in_idx", _ptr), ("block_sizes", _ptr), ("block_deg", _ptr), ("initiations", _ptr),
-        ("pair", _ptr), ("deg_hist", _ptr), ("prop", _ptr), ("log_prop", _ptr), ("la_deg", _ptr),
-        ("alpha", _ptr), ("theta", _ptr), ("prior", _ptr), ("uniforms", _ptr),
-        ("memo_key", _ptr), ("memo_val", _ptr),
+        ("bitgen", ctypes.c_void_p), *ARRAYS.items(),
+        ("memo_key", ctypes.POINTER(ctypes.c_uint64)), ("memo_val", _F64),
     ]
 
 
-_NOT_ARRAYS = ("bitgen", "memo_key", "memo_val")
-_ARRAYS = [name for name, kind in SweepState._fields_ if kind is _ptr and name not in _NOT_ARRAYS]
-_FLOAT_ARRAYS = {"prop", "log_prop", "la_deg", "alpha", "theta", "prior", "uniforms"}
-
-
 def bind(arrays: dict, rng: np.random.Generator, block_conc: float, recv_conc: float):
-    """The kernel's state argument over ``arrays`` (one per pointer field
-    but the memo's and the bit generator's, written and read in place)
-    and ``rng``'s bit generator, after checking each array's dtype and
+    """The kernel's state argument over ``arrays`` (one per name in
+    ``ARRAYS``, written and read in place) and ``rng``'s bit generator,
+    after checking each array's dtype (its field's element type) and
     layout (``la_deg`` in the shape of ``deg_hist``, the mixing matrices
     k x k, four priors, every degree a column of ``la_deg``), with an
     empty lgamma memo of its own.  The sizes are read off the arrays'
     shapes.  The state keeps the arrays and ``rng`` alive."""
-    if sorted(arrays) != sorted(_ARRAYS):
-        raise TypeError(f"sweep state needs exactly the arrays {_ARRAYS}")
+    if sorted(arrays) != sorted(ARRAYS):
+        raise TypeError(f"sweep state needs exactly the arrays {list(ARRAYS)}")
     for name, arr in arrays.items():
-        want = np.float64 if name in _FLOAT_ARRAYS else np.int64
+        want = np.dtype(ARRAYS[name]._type_)
         if arr.dtype != want or not arr.flags.c_contiguous:
-            raise TypeError(f"sweep state array {name} must be C-contiguous {want.__name__}")
+            raise TypeError(f"sweep state array {name} must be C-contiguous {want}")
     if arrays["la_deg"].shape != arrays["deg_hist"].shape:
         raise TypeError("sweep state arrays la_deg and deg_hist must have one shape")
     k, hist_width = arrays["deg_hist"].shape
@@ -99,11 +100,12 @@ def bind(arrays: dict, rng: np.random.Generator, block_conc: float, recv_conc: f
         raise TypeError("sweep state degrees must be columns 1.. of deg_hist")
     size = 1 << LGAMMA_MEMO_BITS
     arrays = dict(arrays, memo_key=np.zeros(size, np.uint64), memo_val=np.zeros(size))
+    pointers = dict(SweepState._fields_)
     state = SweepState(
         n=arrays["labels"].size, k=k, hist_width=hist_width, n_degrees=degrees.size,
         memo_bits=LGAMMA_MEMO_BITS, block_conc=block_conc, recv_conc=recv_conc,
         bitgen=rng.bit_generator.ctypes.bit_generator,
-        **{name: arr.ctypes.data for name, arr in arrays.items()},
+        **{name: arr.ctypes.data_as(pointers[name]) for name, arr in arrays.items()},
     )
     state.arrays = arrays
     state.rng = rng
@@ -189,12 +191,11 @@ def load() -> Optional[ctypes.CDLL]:
         )
         return None
     state = ctypes.POINTER(SweepState)
-    doubles = ctypes.POINTER(ctypes.c_double)
     signatures = {
         "bvcm_sweep": ([state], _i64),
         "bvcm_lgamma": ([ctypes.c_double], ctypes.c_double),
-        "bvcm_fsum": ([doubles, _i64], ctypes.c_double),
-        "bvcm_aux": ([_ptr, _ptr, _i64, doubles, doubles, doubles], None),
+        "bvcm_fsum": ([_F64, _i64], ctypes.c_double),
+        "bvcm_aux": ([ctypes.c_void_p, _I64, _i64, _F64, _F64, _F64], None),
         "bvcm_aux_block": ([state, _i64], None),
         "bvcm_deg_table": ([state], None),
         "bvcm_propensity": ([state], None),

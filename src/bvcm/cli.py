@@ -311,6 +311,8 @@ def cmd_select_k(args) -> int:
 
     if args.kmin > args.kmax:
         raise UsageError(f"--kmin {args.kmin} exceeds --kmax {args.kmax}")
+    if args.kmin < 1:
+        raise UsageError("--kmin must be >= 1")
     if args.replicates < 1:
         raise UsageError("--replicates must be >= 1")
     jobs = [

@@ -141,8 +141,9 @@ def restricted_misclassification(
     Cutoffs with no qualifying node yield rate None.
     """
     cutoffs = list(degree_cutoffs)
-    if any(b < a for a, b in zip(cutoffs, cutoffs[1:])):
-        raise UsageError("degree cutoffs must be ascending")
+    # The last cutoff is compared with infinity, so a NaN anywhere fails.
+    if not all(a <= b for a, b in zip(cutoffs, cutoffs[1:] + [math.inf])):
+        raise UsageError("degree cutoffs must be ascending numbers")
     _check_assignment(network, labeling)
     _check_assignment(network, truth)
     hard, k = labeling.labels, max(labeling.k, truth.k)

@@ -290,12 +290,9 @@ class Chain:
     def n_nodes(self) -> int:
         return self.assignments.shape[1]
 
-    def post_assignments(self) -> np.ndarray:
-        return self.assignments[self.burn_in:]
-
     def block_counts(self) -> np.ndarray:
         """counts[i, b]: post-burn-in samples that put node i in block b."""
-        post = self.post_assignments()
+        post = self.assignments[self.burn_in:]
         n = self.n_nodes
         cells = np.arange(n) * self.k + post
         return np.bincount(cells.ravel(), minlength=n * self.k).reshape(n, self.k)

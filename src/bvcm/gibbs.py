@@ -160,7 +160,7 @@ class _Labels(np.ndarray):
     the count as JSON) gets plain ints, as it did from the label list.
 
     Only perfbench's ``--trace`` sweep span relies on this; remove the
-    subclass once that span reads ``nodes_moved`` (ROADMAP item 2)."""
+    subclass when that span reads ``nodes_moved`` (ROADMAP item 6)."""
 
     def __iter__(self):
         return iter(self.tolist())
@@ -170,25 +170,22 @@ class _ListSweep:
     """The Python single-site sweep, on a list copy of a sampler's state.
 
     Plain lists index far faster than numpy scalars, so the copy is made
-    once per sweep and ``store`` writes the labels and counts back; the
-    counts keep their ``SufficientStats`` names.  This is the reference
-    the compiled kernel (``_sweep.c``) matches bit for bit; the tests'
+    once per sweep and ``store`` writes the labels and counts back; every
+    array keeps its name in the kernel's state.  This is the reference the
+    compiled kernel (``_sweep.c``) matches bit for bit; the tests'
     single-node oracles (``tests/oracles.py``) run its ``detach``,
     ``log_weights_detached`` and ``update`` on one node.
     """
 
     def __init__(self, sampler: "GibbsSampler"):
         self.k = sampler.k
-        self.omega = sampler.config.block_conc
+        self.block_conc = sampler.config.block_conc
         (self.deg, self.node_inits, self.self_pairs,
          self.out_nbrs, self.in_nbrs) = sampler._node_lists
-        self.labels = sampler.labels.tolist()
+        for name in ("labels", "log_prop", "la_deg", "alpha", "theta"):
+            setattr(self, name, getattr(sampler, name).tolist())
         for name in _COUNTS:
             setattr(self, name, getattr(sampler.stats, name).tolist())
-        self.logb = sampler._log_prop.tolist()
-        self.la_deg = sampler._la_deg.tolist()
-        self.alpha = sampler.alpha.tolist()
-        self.theta = sampler.theta.tolist()
 
     def store(self, sampler: "GibbsSampler") -> None:
         sampler.labels[...] = self.labels
@@ -236,7 +233,7 @@ class _ListSweep:
         d_i = self.deg[i]
         l_i = self.node_inits[i]
         sp = self.self_pairs[i]
-        logb = self.logb
+        log_prop = self.log_prop
 
         cnt_out = [0] * k
         for r in self.out_nbrs[i]:
@@ -245,7 +242,7 @@ class _ListSweep:
         for s in self.in_nbrs[i]:
             cnt_in[lab[s]] += 1
 
-        omega = self.omega
+        block_conc = self.block_conc
         initiations = self.initiations
         block_sizes = self.block_sizes
         block_deg = self.block_deg
@@ -256,15 +253,15 @@ class _ListSweep:
         for b in range(k):
             w = 0.0
             if l_i:
-                w = lgamma(omega + initiations[b] + l_i) - lgamma(omega + initiations[b])
-            row = logb[b]
+                w = lgamma(block_conc + initiations[b] + l_i) - lgamma(block_conc + initiations[b])
+            row = log_prop[b]
             for b2 in range(k):
                 co = cnt_out[b2]
                 if co:
                     w += co * row[b2]
                 ci = cnt_in[b2]
                 if ci:
-                    w += ci * logb[b2][b]
+                    w += ci * log_prop[b2][b]
             if sp:
                 w += sp * row[b]
             th = theta[b]
@@ -345,19 +342,20 @@ class GibbsSampler:
         self.in_off, self.in_idx = _csr(r_in, s_out, n)
         self.self_pairs = np.bincount(s_pair[loop], minlength=n)
         # The degrees that occur: the degree table's only live columns.
-        self._degrees = np.flatnonzero(np.bincount(self.deg))
+        self.degrees = np.flatnonzero(np.bincount(self.deg))
 
-        # The sweep state: labels, the counts in ``stats`` and the
-        # parameters.  The compiled kernel holds pointers to these arrays,
-        # so every update writes into them in place.
+        # The sweep state (``_sweep.ARRAYS``): labels, the counts in ``stats``
+        # and the parameters.  The compiled kernel holds pointers to these
+        # arrays, so every update writes into them in place.
         self.labels = np.array(self._initial_labels(), dtype=np.int64).view(_Labels)
         self.stats = compute_stats(network, BlockAssignment(self.labels, k))
         self.alpha = np.empty(k)
         self.theta = np.empty(k)
         self.prop = np.empty((k, k))
-        self._log_prop = np.empty((k, k))
-        self._la_deg = np.zeros(self.stats.deg_hist.shape)
-        self._uniforms = np.empty(n)
+        self.log_prop = np.empty((k, k))
+        self.la_deg = np.zeros(self.stats.deg_hist.shape)
+        self.prior = np.array([*config.alpha_prior, *config.theta_prior], dtype=float)
+        self.uniforms = np.empty(n)
         self.nodes_moved = 0
 
         for blk in range(k):
@@ -369,16 +367,10 @@ class GibbsSampler:
         self.sweep_backend = "python" if self._kernel is None else "c"
         if self._kernel is not None:
             self._state = _sweep.bind(
-                dict(
-                    labels=self.labels, deg=self.deg, degrees=self._degrees,
-                    node_inits=self.node_inits, self_pairs=self.self_pairs,
-                    out_off=self.out_off, out_idx=self.out_idx, in_off=self.in_off,
-                    in_idx=self.in_idx, prop=self.prop, log_prop=self._log_prop,
-                    la_deg=self._la_deg, alpha=self.alpha, theta=self.theta,
-                    prior=np.array([*config.alpha_prior, *config.theta_prior], dtype=float),
-                    uniforms=self._uniforms,
-                    **{name: getattr(self.stats, name) for name in _COUNTS},
-                ),
+                {
+                    name: getattr(self.stats if name in _COUNTS else self, name)
+                    for name in _sweep.ARRAYS
+                },
                 self.rng, block_conc=config.block_conc, recv_conc=config.recv_conc,
             )
         self._refresh_deg_table()
@@ -418,8 +410,8 @@ class GibbsSampler:
         if self._kernel is not None:
             self._kernel.bvcm_deg_table(self._state)
         else:
-            self._la_deg[:, self._degrees] = log_discount_factorial(
-                self._degrees, self.alpha[:, None]
+            self.la_deg[:, self.degrees] = log_discount_factorial(
+                self.degrees, self.alpha[:, None]
             )
 
     # ------------------------------------------------------- block updates
@@ -476,7 +468,7 @@ class GibbsSampler:
             self.prop[b] = self.rng.dirichlet(counts[b] + zeta)
         # libm's log, as in the kernel: numpy's vectorised log can
         # differ from it in the last bit, and the sweep reads these.
-        self._log_prop[...] = [
+        self.log_prop[...] = [
             [math.log(max(p, _EPS)) for p in row] for row in self.prop.tolist()
         ]
         return self.prop.copy()
@@ -486,7 +478,7 @@ class GibbsSampler:
     def sweep(self) -> int:
         """One pass of single-node updates in node order; returns how many
         nodes changed block (also added to nodes_moved)."""
-        us = self.rng.random(out=self._uniforms)
+        us = self.rng.random(out=self.uniforms)
         if self._kernel is not None:
             moved = self._kernel.bvcm_sweep(self._state)
         else:

@@ -2,8 +2,9 @@
 degree-law diagnostics.
 
 All label-dependent scores minimize exactly over block label
-permutations (through ``core.best_relabeling``), since labels are only
-identified up to relabeling.
+permutations, since labels are only identified up to relabeling: through
+``core.best_relabeling``, except ``standardized_l2`` (two blocks), which
+takes the smaller of its values at the labeling and at its flip.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ class PosteriorMembership:
 
     @classmethod
     def from_chain(cls, chain) -> "PosteriorMembership":
-        samples = len(chain.post_assignments())
-        if not samples:
+        samples = len(chain) - chain.burn_in
+        if samples < 1:
             raise UsageError("chain has no post-burn-in samples")
         probs = chain.block_counts() / samples
         return cls(list(chain.node_ids), probs)

@@ -279,12 +279,18 @@ class TestSelectK:
         summary = (sel / "summary.csv").read_text().strip().splitlines()
         assert summary[1:] == ["0,2", "1,2"]
 
-    def test_bad_grid(self, sim_files, tmp_path):
+    def test_bad_grid(self, sim_files, tmp_path, capsys):
         out, _ = sim_files
         assert run_cli(
             "select-k", "--input", out, "--kmin", 4, "--kmax", 2,
             "--iters", 5, "--burnin", 1, "--out", tmp_path / "x",
         ) == 2
+        capsys.readouterr()
+        assert run_cli(
+            "select-k", "--input", out, "--kmin", 0, "--kmax", 2,
+            "--iters", 5, "--burnin", 1, "--out", tmp_path / "x",
+        ) == 2
+        assert "error: --kmin must be >= 1" in capsys.readouterr().err
 
     def test_honors_thread_cap(self, sim_files, tmp_path, monkeypatch):
         monkeypatch.setenv("BVCM_THREADS", "1")

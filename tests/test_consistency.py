@@ -185,8 +185,9 @@ class TestRestrictedMisclassification:
     def test_cutoffs_must_ascend(self):
         net = line_network()
         truth = BlockAssignment(np.array([0, 0, 1, 1]), 2)
-        with pytest.raises(UsageError):
-            restricted_misclassification(net, truth, truth, [5.0, 1.0])
+        for cutoffs in ([5.0, 1.0], [5.0, math.nan, 1.0], [math.nan, 2.0]):
+            with pytest.raises(UsageError, match="degree cutoffs must be ascending"):
+                restricted_misclassification(net, truth, truth, cutoffs)
 
     def test_labels_must_cover_the_network(self):
         net = line_network()

@@ -106,7 +106,7 @@ class TestBlockUpdate:
         sampler.set_labels([0, 0, 0, 0])
         sampler._refresh_deg_table()
         sampler.prop = np.array([[0.9, 0.1], [0.1, 0.9]])
-        sampler._log_prop[...] = np.log(sampler.prop)
+        sampler.log_prop[...] = np.log(sampler.prop)
         probs = full_conditional(sampler, net.node_index("x"))
         assert probs[0] > probs[1]
 
@@ -348,7 +348,7 @@ class TestParameterUpdates:
         for _ in range(400):
             prop = sampler.update_propensity()
             want = [[math.log(max(p, 1e-12)) for p in row] for row in prop.tolist()]
-            assert sampler._log_prop.tobytes() == np.array(want).tobytes()
+            assert sampler.log_prop.tobytes() == np.array(want).tobytes()
 
 
 class TestRunGibbs:

@@ -95,7 +95,7 @@ def test_kernel_redraw_is_generator_dirichlet():
             got = sampler.update_propensity()
             assert got.tobytes() == want.tobytes() == sampler.prop.tobytes(), case
             logs = [[math.log(max(p, 1e-12)) for p in row] for row in want.tolist()]
-            assert sampler._log_prop.tobytes() == np.array(logs).tobytes(), case
+            assert sampler.log_prop.tobytes() == np.array(logs).tobytes(), case
             assert sampler.rng.bit_generator.state == ref.bit_generator.state, case
             branches.update("small" if row.max() < 0.1 else "gamma" for row in conc)
     assert branches == {"small", "gamma"}
@@ -137,44 +137,53 @@ def test_backends_give_identical_chains():
     assert small_rows
 
 
+def _ctype(decl: str):
+    """The ctypes type load() and SweepState must give a C declaration's
+    type ("const int64_t *out_off" -> POINTER(c_int64)); the bit
+    generator is the one untyped pointer."""
+    base = re.match(r"\s*(?:const\s+)?(\w+)", decl).group(1)
+    if "*" in decl:
+        if base == "bitgen_t":
+            return ctypes.c_void_p
+        return ctypes.POINTER(_ctype(base))
+    return {"double": ctypes.c_double, "int64_t": ctypes.c_int64, "uint64_t": ctypes.c_uint64,
+            "void": None, "SweepState": _sweep.SweepState}[base]
+
+
 def test_state_mirror_matches_the_c_struct():
-    """SweepState in _sweep.py lists the C struct's fields in order, with
-    matching kinds; a drifted mirror would only show as wrong counts or
-    a crash."""
+    """SweepState in _sweep.py lists the C struct's fields in order, each
+    pointer typed by its element type; a drifted mirror would only show
+    as wrong counts or a crash."""
     source = _sweep.SOURCE.read_text()
     body = re.search(r"typedef struct \{(.*?)\} SweepState;", source, re.S).group(1)
     body = re.sub(r"/\*.*?\*/", "", body, flags=re.S)
     fields = []
     for decl in filter(str.strip, body.split(";")):
-        # "const int64_t *out_off, *out_idx" declares two pointers.
-        base = re.match(r"\s*(?:const\s+)?(\w+)", decl).group(1)
-        for part in decl.split(","):
-            name = re.search(r"(\w+)\s*$", part).group(1)
-            fields.append((name, "pointer" if "*" in part else base))
-    kinds = {ctypes.c_void_p: "pointer", ctypes.c_int64: "int64_t", ctypes.c_double: "double"}
-    assert fields == [(name, kinds[kind]) for name, kind in _sweep.SweepState._fields_]
-    assert ("out_idx", "pointer") in fields
+        # "const int64_t *out_off, *out_idx" declares two pointers: each
+        # later declarator takes the first one's type.
+        first, *rest = decl.split(",")
+        for part in [first, *(first.split("*")[0] + p for p in rest)]:
+            fields.append((re.search(r"(\w+)\s*$", part).group(1), _ctype(part)))
+    assert fields == _sweep.SweepState._fields_
+    assert ("out_idx", ctypes.POINTER(ctypes.c_int64)) in fields
+    assert ("prop", ctypes.POINTER(ctypes.c_double)) in fields
 
 
 def test_kernel_signatures_match_the_c_definitions():
     """Every function _sweep.c exports has load()'s argtypes and restype,
-    parameter by parameter; a stale table would make ctypes pass a wrong
-    argument list without any error."""
+    parameter by parameter, pointers by their element type; a stale
+    table would make ctypes pass a wrong argument list without any
+    error."""
     source = re.sub(r"/\*.*?\*/", "", _sweep.SOURCE.read_text(), flags=re.S)
     defs = re.findall(r"^(?!static\b)(\w+)\s+(\w+)\(([^)]*)\)\s*\{", source, re.M)
-    kinds = {"double": ctypes.c_double, "int64_t": ctypes.c_int64, "void": None}
     lib = _sweep.load()
     assert len(defs) >= 8
     for ret, name, params in defs:
         fn = getattr(lib, name)
         params = [p for p in map(str.strip, params.split(",")) if p not in ("", "void")]
-        assert fn.restype is kinds[ret], name
-        assert fn.argtypes is not None and len(fn.argtypes) == len(params), name
-        for param, argtype in zip(params, fn.argtypes):
-            if "*" in param:
-                assert argtype is ctypes.c_void_p or issubclass(argtype, ctypes._Pointer), name
-            else:
-                assert argtype is kinds[param.split()[-2]], (name, param)
+        assert fn.restype is _ctype(ret), name
+        assert fn.argtypes is not None, name
+        assert list(fn.argtypes) == [_ctype(param) for param in params], name
 
 
 def test_bind_needs_la_deg_in_the_deg_hist_layout():
@@ -246,7 +255,8 @@ def test_kernel_aux_update_matches_python_reference():
         hist = np.ascontiguousarray(hist, dtype=np.int64)
         out = (ctypes.c_double(alpha), ctypes.c_double(theta))
         lib.bvcm_aux(
-            r_c.bit_generator.ctypes.bit_generator, hist.ctypes.data, hist.size,
+            r_c.bit_generator.ctypes.bit_generator,
+            hist.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)), hist.size,
             (ctypes.c_double * 4)(*alpha_prior, *theta_prior), *map(ctypes.byref, out),
         )
         out = [x.value for x in out]
