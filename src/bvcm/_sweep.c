@@ -20,12 +20,12 @@
  * one of them current, the degree histogram included.  bvcm_aux_block
  * writes alpha and theta in place, and every phase shares one lgamma memo.
  *
- * The random draws (bvcm_aux, the draws of gibbs.aux_update_alpha_theta,
- * and bvcm_propensity, those of Generator.dirichlet) go through numpy's
- * random C API (numpy/random/distributions.h, linked from
- * libnpyrandom.a) on the Generator's own bit generator, in numpy's
- * order, so they return the same values and leave the Generator in the
- * same state.
+ * The kernel makes every draw of an iteration (the sweep's, one uniform
+ * per node; bvcm_aux's; bvcm_propensity's, those of Generator.dirichlet)
+ * through numpy's random C API (numpy/random/distributions.h, linked
+ * from libnpyrandom.a) on the Generator's own bit generator, in numpy's
+ * order, so they return the values of the Python paths and leave the
+ * Generator in the same state.
  */
 
 #include <math.h>
@@ -61,7 +61,6 @@ typedef struct {
     double *alpha;           /* [k] */
     double *theta;           /* [k] */
     const double *prior;     /* [4] Beta (c, d) on alpha, Gamma (shape, rate) on theta */
-    const double *uniforms;  /* [n] one per node, in node order */
     uint64_t *memo_key;      /* [1 << memo_bits] lgamma argument bits; 0 = empty */
     double *memo_val;        /* [1 << memo_bits] lgamma of that argument */
 } SweepState;
@@ -229,8 +228,8 @@ static void reattach(const SweepState *s, int64_t i, int64_t b,
     s->labels[i] = b;
 }
 
-/* One pass of single-node updates in node order, node i consuming
- * uniforms[i]; returns how many nodes changed block. */
+/* One pass of single-node updates in node order, node i drawing one
+ * uniform from the bit generator; returns how many nodes changed block. */
 int64_t bvcm_sweep(const SweepState *s)
 {
     const int64_t k = s->k;
@@ -249,7 +248,7 @@ int64_t bvcm_sweep(const SweepState *s)
             w[j] = exp(w[j] - mx);
             total += w[j];
         }
-        r = s->uniforms[i] * total;
+        r = random_standard_uniform(s->bitgen) * total;
         b = k - 1;
         for (j = 0; j < k - 1; j++) {
             r -= w[j];
@@ -499,19 +498,16 @@ static double log_rising(double x, int64_t n)
 }
 
 /* Block b's log Pitman-Yor EPPF from its degree-histogram row
- * (likelihood.block_eppf): the same addends, through acc.  A node's
- * degree is one that occurs, so the row is read at those columns. */
+ * (likelihood.block_eppf), node count and total degree from block_sizes
+ * and block_deg: the same addends, through acc.  A node's degree is one
+ * that occurs, so the row is read at those columns. */
 static double block_eppf(const SweepState *s, int64_t b, Fsum *acc)
 {
     const int64_t *row = s->deg_hist + b * s->hist_width;
+    const int64_t v = s->block_sizes[b], total = s->block_deg[b];
     const double a = s->alpha[b], t = s->theta[b];
     double base;
-    int64_t d, i, j, v = 0, total = 0;
-    for (j = 0; j < s->n_degrees; j++) {
-        d = s->degrees[j];
-        v += row[d];
-        total += row[d] * d;
-    }
+    int64_t d, i, j;
     if (!v)
         return 0.0;
     acc->n = 0;

@@ -56,8 +56,7 @@ ARRAYS = {
     "labels": _I64, "deg": _I64, "degrees": _I64, "node_inits": _I64, "self_pairs": _I64,
     "out_off": _I64, "out_idx": _I64, "in_off": _I64, "in_idx": _I64,
     "block_sizes": _I64, "block_deg": _I64, "initiations": _I64, "pair": _I64, "deg_hist": _I64,
-    "prop": _F64, "log_prop": _F64, "la_deg": _F64, "alpha": _F64, "theta": _F64,
-    "prior": _F64, "uniforms": _F64,
+    "prop": _F64, "log_prop": _F64, "la_deg": _F64, "alpha": _F64, "theta": _F64, "prior": _F64,
 }
 
 

@@ -202,13 +202,15 @@ def _parse_arity(text: str):
         raise UsageError(f"--arity: {exc}") from None
 
 
-# The flag that sets each ModelParams or GibbsConfig field it can get
-# wrong; main reports a fault in one as a usage error naming the flag,
-# except that a bad --prop-file is a data error naming the file.
+# The flag that sets each parameter or config field it can get wrong;
+# main reports a fault in one as a usage error naming the flag, except
+# that a bad --prop-file is a data error naming the file.
 _PARAM_FLAGS = {
     "alpha": "--alpha", "theta": "--theta", "block_conc": "--omega",
     "recv_conc": "--zeta", "propensity": "--prop-diag",
     "alpha_prior": "--alpha-prior", "theta_prior": "--theta-prior",
+    "seed": "--seed", "k": "--k", "iterations": "--iters", "burn_in": "--burnin",
+    "m": "--m", "init": "--init",
 }
 
 
@@ -284,8 +286,9 @@ def cmd_fit(args) -> int:
     from .gibbs import run_gibbs
     from .likelihood import marginal_log_likelihood
 
+    config = _gibbs_config(args, args.k, args.seed)
     network = fileio.read_interactions_jsonl(args.input)
-    chain = run_gibbs(network, _gibbs_config(args, args.k, args.seed))
+    chain = run_gibbs(network, config)
     fileio.write_chain(args.out, chain)
     fileio.write_manifest(args.out / "run_manifest.json", _manifest(args))
     print(

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, UsageError
 
 __all__ = [
     "InteractionNetwork",
@@ -296,6 +296,13 @@ class Chain:
         n = self.n_nodes
         cells = np.arange(n) * self.k + post
         return np.bincount(cells.ravel(), minlength=n * self.k).reshape(n, self.k)
+
+    def membership(self) -> np.ndarray:
+        """freqs[i, b]: the share of post-burn-in samples that put node i in block b."""
+        samples = len(self) - self.burn_in
+        if samples < 1:
+            raise UsageError("chain has no post-burn-in samples")
+        return self.block_counts() / samples
 
 
 @dataclass

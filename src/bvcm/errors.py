@@ -8,9 +8,9 @@ errors exit 3, numerical errors exit 4.
 class BvcmError(Exception):
     """Base class for all package errors.
 
-    ``field`` names the ``ModelParams`` or ``GibbsConfig`` field at fault
-    when a parameter check raised it (None otherwise), so the CLI can
-    name the flag that set it."""
+    ``field`` names the ``ModelParams``, ``GeneratorConfig`` or
+    ``GibbsConfig`` field at fault when a parameter check raised it
+    (None otherwise), so the CLI can name the flag that set it."""
 
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)

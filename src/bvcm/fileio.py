@@ -140,13 +140,10 @@ def write_assignment_csv(
     path: Path, network: InteractionNetwork, assignment: BlockAssignment
 ) -> None:
     """node,block rows with 1-based block labels."""
-    with atomic_write(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["node", "block"])
-        # Block labels are small ints, which Python caches: the list
-        # costs one pointer per node.
-        blocks = (assignment.labels + 1).tolist()
-        w.writerows(zip(network.node_ids, blocks, strict=True))
+    # Block labels are small ints, which Python caches: the list costs
+    # one pointer per node.
+    blocks = (assignment.labels + 1).tolist()
+    write_csv(path, ["node", "block"], zip(network.node_ids, blocks, strict=True))
 
 
 def read_assignment_csv(
@@ -225,8 +222,7 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     with atomic_write(path) as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow(row)
+        w.writerows(rows)
 
 
 def _chain_header(k: int) -> list[str]:
@@ -240,8 +236,6 @@ def _chain_header(k: int) -> list[str]:
 def write_chain(out_dir: Path, chain: Chain) -> None:
     """chain.csv (params per iteration), assignments.csv (iteration x node,
     1-based), membership.csv (post-burn-in frequencies), manifest.json."""
-    from .metrics import PosteriorMembership
-
     out_dir = Path(out_dir)
     k = chain.k
     rows = []
@@ -262,13 +256,12 @@ def write_chain(out_dir: Path, chain: Chain) -> None:
         for t, row in enumerate(chain.assignments):
             fh.write(",".join([str(t), *[names[x] for x in row.tolist()]]) + "\r\n")
 
-    membership = PosteriorMembership.from_chain(chain)
     write_csv(
         out_dir / "membership.csv",
         ["node"] + [f"freq_{b + 1}" for b in range(k)],
         (
             [name] + [f"{f:.10g}" for f in freqs.tolist()]
-            for name, freqs in zip(membership.node_ids, membership.probs)
+            for name, freqs in zip(chain.node_ids, chain.membership())
         ),
     )
 

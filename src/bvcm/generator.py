@@ -72,7 +72,9 @@ class GeneratorConfig:
 
     def __post_init__(self):
         if self.m < 0:
-            raise UsageError(f"interaction count must be >= 0, got {self.m}")
+            raise UsageError(f"interaction count must be >= 0, got {self.m}", "m")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}", "seed")
         if self.mode not in ("sequential", "conditional_iid"):
             raise UsageError(f"unknown mode {self.mode!r}")
 

@@ -74,17 +74,24 @@ class GibbsConfig:
 
     def __post_init__(self):
         if self.k < 1:
-            raise UsageError(f"k must be >= 1, got {self.k}")
+            raise UsageError(f"k must be >= 1, got {self.k}", "k")
+        if self.iterations < 1:
+            raise UsageError(f"iterations must be >= 1, got {self.iterations}", "iterations")
         if not self.iterations > self.burn_in >= 0:
             raise UsageError(
-                f"need iterations > burn_in >= 0, got {self.iterations}, {self.burn_in}"
+                f"need iterations > burn_in >= 0, got iterations {self.iterations}, "
+                f"burn_in {self.burn_in}", "burn_in",
             )
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}", "seed")
         for name in ("block_conc", "recv_conc", "alpha_prior", "theta_prior"):
             value = getattr(self, name)
             if not np.all(np.isfinite(value) & np.greater(value, 0)):
                 raise UsageError(f"{name} must be positive and finite", name)
         if self.init not in ("random", "degree_majority", "warm"):
-            raise UsageError(f"unknown init {self.init!r}")
+            raise UsageError(f"unknown init {self.init!r}", "init")
+        if self.init == "degree_majority" and self.k != 2:
+            raise UsageError(f"degree_majority init requires k = 2, got {self.k}", "init")
 
 
 def _clip_alpha(x: float) -> float:
@@ -355,7 +362,6 @@ class GibbsSampler:
         self.log_prop = np.empty((k, k))
         self.la_deg = np.zeros(self.stats.deg_hist.shape)
         self.prior = np.array([*config.alpha_prior, *config.theta_prior], dtype=float)
-        self.uniforms = np.empty(n)
         self.nodes_moved = 0
 
         for blk in range(k):
@@ -384,8 +390,6 @@ class GibbsSampler:
             return warm_start_labels(self.network, cfg)
         labels = self.rng.integers(self.k, size=self.n)
         if cfg.init == "degree_majority":
-            if self.k != 2:
-                raise UsageError("degree_majority init requires k = 2")
             from .consistency import degree_majority_update
 
             assignment = BlockAssignment(labels, 2)
@@ -478,12 +482,11 @@ class GibbsSampler:
     def sweep(self) -> int:
         """One pass of single-node updates in node order; returns how many
         nodes changed block (also added to nodes_moved)."""
-        us = self.rng.random(out=self.uniforms)
         if self._kernel is not None:
             moved = self._kernel.bvcm_sweep(self._state)
         else:
             ref = _ListSweep(self)
-            moved = ref.sweep(us.tolist())
+            moved = ref.sweep(self.rng.random(self.n).tolist())
             ref.store(self)
         self.nodes_moved += moved
         return moved

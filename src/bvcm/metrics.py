@@ -64,11 +64,7 @@ class PosteriorMembership:
 
     @classmethod
     def from_chain(cls, chain) -> "PosteriorMembership":
-        samples = len(chain) - chain.burn_in
-        if samples < 1:
-            raise UsageError("chain has no post-burn-in samples")
-        probs = chain.block_counts() / samples
-        return cls(list(chain.node_ids), probs)
+        return cls(list(chain.node_ids), chain.membership())
 
 
 def standardized_l2(membership: PosteriorMembership, truth: BlockAssignment) -> float:

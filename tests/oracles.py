@@ -12,8 +12,8 @@ sampler's (alpha, theta) update kept to pin its RNG stream, and
 entry points into the sampler's Python sweep (``gibbs._ListSweep``,
 which updates every count of the sampler's ``SufficientStats``, the
 degree histogram included), which the enumeration oracle checks, and
-``warm_start_labels_chain``, the warm start as it ran on a whole
-recorded probe chain.
+``warm_start_labels_chain``, which steps the sampler itself through
+the warm start's probe and tallies its votes by hand.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from bvcm.core import (
     counterparty_counts,
 )
 from bvcm.errors import UsageError
-from bvcm.gibbs import GibbsConfig, _ListSweep, run_gibbs
+from bvcm.gibbs import GibbsConfig, GibbsSampler, _ListSweep
 from bvcm.likelihood import block_eppf
 
 
@@ -419,12 +419,13 @@ def log_prob_conditional(
 
 
 def warm_start_labels_chain(network: InteractionNetwork, config: GibbsConfig):
-    """(labels, probe block counts): the warm start computed from a whole
-    recorded probe chain.  The probe is a full ``run_gibbs`` chain of
-    120 iterations (60 burn-in) on the first 2 500 interactions, with
-    ``init="random"`` and every other setting from config; its prefix
-    labels are ``block_counts().argmax(axis=1)`` (ties -> lowest label),
-    spread to the other nodes by counterparty majority."""
+    """(labels, probe votes): the warm start recounted by hand.  The probe
+    sampler runs on the first 2 500 interactions with ``init="random"``
+    and every other setting from config; it is stepped through 120
+    iterations, and each prefix node's votes are its labels in
+    iterations 60-119, tallied here.  A prefix node takes its most
+    frequent label (ties -> lowest), found in the full network by name,
+    and the others follow by counterparty majority."""
     prefix = network.prefix(min(2500, network.m))
     probe_cfg = GibbsConfig(
         k=config.k,
@@ -437,11 +438,17 @@ def warm_start_labels_chain(network: InteractionNetwork, config: GibbsConfig):
         theta_prior=config.theta_prior,
         init="random",
     )
-    counts = run_gibbs(prefix, probe_cfg).block_counts()
+    sampler = GibbsSampler(prefix, probe_cfg)
+    counts = np.zeros((prefix.n_nodes, config.k), dtype=np.int64)
+    for t in range(120):
+        sampler.iteration()
+        if t >= 60:
+            counts[np.arange(prefix.n_nodes), sampler.labels] += 1
 
+    index = {name: i for i, name in enumerate(network.node_ids)}
     labels = np.empty(network.n_nodes, dtype=np.int64)
     seen = np.zeros(network.n_nodes, dtype=bool)
-    full = np.array([network.node_index(name) for name in prefix.node_ids], dtype=np.int64)
+    full = np.array([index[name] for name in prefix.node_ids], dtype=np.int64)
     labels[full] = counts.argmax(axis=1)
     seen[full] = True
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))

@@ -37,6 +37,41 @@ def sim_files(tmp_path):
     return out, out.with_name("net_truth.csv")
 
 
+# (flag, value, start of the message): each a usage error naming the flag.
+_SIMULATE_FAULTS = [
+    ("--prop-diag", "1.5", "must lie in [0, 1]"),
+    ("--omega", "0", "concentrations must be positive"),
+    ("--zeta", "-1", "concentrations must be positive"),
+    ("--alpha", "1.5,0.5", "alpha entries must lie in (0,1)"),
+    ("--theta", "-0.6,5", "theta entries must be finite"),
+    # NaN fails every domain check (the NaN discount is tested below).
+    ("--theta", "nan,1", "theta entries must be finite"),
+    ("--omega", "nan", "concentrations must be positive"),
+    ("--zeta", "nan", "concentrations must be positive"),
+    ("--prop-diag", "nan", "must lie in [0, 1]"),
+    # So do infinities.
+    ("--theta", "inf,1", "theta entries must be finite"),
+    ("--omega", "inf", "concentrations must be positive"),
+    ("--zeta", "inf", "concentrations must be positive"),
+    ("--m", "-5", "interaction count must be >= 0, got -5"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
+]
+_FIT_FAULTS = [
+    ("--omega", "nan", "block_conc must be positive and finite"),
+    ("--zeta", "nan", "recv_conc must be positive and finite"),
+    ("--alpha-prior", "nan,1", "alpha_prior must be positive and finite"),
+    ("--theta-prior", "1,nan", "theta_prior must be positive and finite"),
+    ("--omega", "inf", "block_conc must be positive and finite"),
+    ("--zeta", "inf", "recv_conc must be positive and finite"),
+    ("--alpha-prior", "1,inf", "alpha_prior must be positive and finite"),
+    ("--theta-prior", "inf,1", "theta_prior must be positive and finite"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
+    ("--iters", "0", "iterations must be >= 1, got 0"),
+    # Three iterations, all burn-in.
+    ("--burnin", "3", "need iterations > burn_in >= 0, got iterations 3, burn_in 3"),
+]
+
+
 class TestSimulate:
     def test_writes_expected_files(self, sim_files):
         out, truth = sim_files
@@ -99,29 +134,17 @@ class TestSimulate:
         assert code == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--prop-diag", "1.5"),
-        ("--omega", "0"),
-        ("--zeta", "-1"),
-        ("--alpha", "1.5,0.5"),
-        ("--theta", "-0.6,5"),
-        # NaN fails every domain check (the NaN discount is tested below).
-        ("--theta", "nan,1"),
-        ("--omega", "nan"),
-        ("--zeta", "nan"),
-        ("--prop-diag", "nan"),
-        # So do infinities.
-        ("--theta", "inf,1"),
-        ("--omega", "inf"),
-        ("--zeta", "inf"),
-    ])
-    def test_bad_flag_value_is_usage_error_naming_it(self, tmp_path, capsys, flag, value):
+    @pytest.mark.parametrize("flag, value, message", _SIMULATE_FAULTS,
+                             ids=[f"{flag}-{value}" for flag, value, _ in _SIMULATE_FAULTS])
+    def test_bad_flag_value_is_usage_error_naming_it(
+        self, tmp_path, capsys, flag, value, message
+    ):
         code = run_cli(
             "simulate", "--k", 2, "--alpha", "0.5,0.5", "--theta", "5,5",
             "--m", 10, "--out", tmp_path / "x.jsonl", f"{flag}={value}",
         )
         assert code == 2
-        assert f"error: {flag}: " in capsys.readouterr().err
+        assert f"error: {flag}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["5", "-0.1", "nan", "inf"])
     def test_prop_diag_is_checked_at_one_block(self, tmp_path, capsys, value):
@@ -239,18 +262,10 @@ class TestFit:
         )
         assert code == 0
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--omega", "nan"),
-        ("--zeta", "nan"),
-        ("--alpha-prior", "nan,1"),
-        ("--theta-prior", "1,nan"),
-        ("--omega", "inf"),
-        ("--zeta", "inf"),
-        ("--alpha-prior", "1,inf"),
-        ("--theta-prior", "inf,1"),
-    ])
+    @pytest.mark.parametrize("flag, value, message", _FIT_FAULTS,
+                             ids=[f"{flag}-{value}" for flag, value, _ in _FIT_FAULTS])
     def test_nan_flag_value_is_usage_error_naming_it(
-        self, sim_files, tmp_path, capsys, flag, value
+        self, sim_files, tmp_path, capsys, flag, value, message
     ):
         out, _ = sim_files
         for command in (("fit", "--k", 2), ("select-k", "--kmin", 1, "--kmax", 2)):
@@ -259,7 +274,20 @@ class TestFit:
                 "--out", tmp_path / "chain", f"{flag}={value}",
             )
             assert code == 2, command
-            assert f"error: {flag}: " in capsys.readouterr().err, command
+            assert f"error: {flag}: {message}" in capsys.readouterr().err, command
+        assert not (tmp_path / "chain").exists()
+
+    @pytest.mark.parametrize("args, flag, message", [
+        pytest.param(("--k", 0), "--k", "k must be >= 1, got 0", id="k0"),
+        pytest.param(("--k", 3, "--init", "degree_majority"), "--init",
+                     "degree_majority init requires k = 2, got 3", id="degree-majority-k3"),
+    ])
+    def test_bad_fit_setting_is_usage_error_naming_its_flag(
+        self, sim_files, tmp_path, capsys, args, flag, message
+    ):
+        out, _ = sim_files
+        assert run_cli("fit", "--input", out, *args, "--out", tmp_path / "chain") == 2
+        assert f"error: {flag}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "chain").exists()
 
 
@@ -939,7 +967,7 @@ def _modules_loaded_by(argv) -> tuple[list, bool]:
     ("simulate", {"core", "errors", "fileio", "generator"}),
     ("eval", {"consistency", "core", "errors", "fileio", "metrics"}),
     ("stats", {"core", "errors", "fileio", "metrics"}),
-    ("fit", {"_sweep", "core", "errors", "fileio", "gibbs", "likelihood", "metrics"}),
+    ("fit", {"_sweep", "core", "errors", "fileio", "gibbs", "likelihood"}),
 ])
 def test_each_command_loads_only_its_modules(sim_files, tmp_path, command, modules):
     # Only a fit loads the sampler and the kernel loader, and a fit on a

@@ -390,18 +390,23 @@ class TestRunGibbs:
             run_gibbs(InteractionNetwork.from_records([]), GibbsConfig(k=2, iterations=1))
 
     def test_config_validation(self):
-        with pytest.raises(UsageError):
-            GibbsConfig(k=2, iterations=5, burn_in=5)
-        with pytest.raises(UsageError):
-            GibbsConfig(k=0, iterations=5)
-        with pytest.raises(UsageError):
-            GibbsConfig(k=2, iterations=5, init="provided")
+        """Each fault names its field, so the CLI can name its flag."""
+        for settings, field in [
+            (dict(k=2, iterations=5, burn_in=5), "burn_in"),
+            (dict(k=0, iterations=5), "k"),
+            (dict(k=2, iterations=0), "iterations"),
+            (dict(k=2, iterations=5, init="provided"), "init"),
+            (dict(k=2, iterations=2, seed=-1), "seed"),
+        ]:
+            with pytest.raises(UsageError) as info:
+                GibbsConfig(**settings)
+            assert info.value.field == field
 
     def test_degree_majority_init_requires_k2(self):
-        rng = np.random.default_rng(17)
-        net, _ = random_network(rng, 3, m=10, n_pool=5)
-        with pytest.raises(UsageError):
-            run_gibbs(net, GibbsConfig(k=3, iterations=2, init="degree_majority"))
+        """The config refuses it, before any network is read."""
+        with pytest.raises(UsageError, match="requires k = 2, got 3") as info:
+            GibbsConfig(k=3, iterations=2, init="degree_majority")
+        assert info.value.field == "init"
 
     def test_degree_majority_init_is_two_majority_passes(self):
         """At k = 2 the sampler starts from two degree-majority passes
@@ -428,10 +433,11 @@ class TestRunGibbs:
         assert np.array_equal(labels, again)
 
     def test_warm_start_votes_match_the_probe_chain(self):
-        """The warm start gives the labels of the recorded probe chain's
-        majority, ties included, for k = 1..4 and the fit's
-        concentrations and priors; every eighth network has nodes beyond
-        the probe's prefix, so the neighbor extension runs too."""
+        """The warm start gives the majority labels of its probe, tallied
+        by hand from a stepped sampler, ties included, for k = 1..4 and
+        the fit's concentrations and priors; every eighth network has
+        nodes beyond the probe's prefix, so the neighbor extension runs
+        too."""
         rng = np.random.default_rng(41)
         ties = 0
         for case in range(24):

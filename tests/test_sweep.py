@@ -216,6 +216,23 @@ def test_sweep_returns_moves():
         assert sampler.nodes_moved == total
 
 
+def test_sweep_draws_the_stream_of_random_n():
+    """On either backend a sweep takes Generator.random(n) off the
+    sampler's stream and nothing else: its bit generator ends where a
+    copy restored to the pre-sweep state and advanced by random(n) does."""
+    rng = np.random.default_rng(10)
+    net, _ = random_network(rng, 3, m=30, n_pool=12, max_arity=2)
+    for backend in sweep_backends():
+        sampler = GibbsSampler(net, GibbsConfig(k=3, iterations=1, seed=2))
+        assert sampler.sweep_backend == backend
+        for _ in range(3):
+            ref = np.random.Generator(type(sampler.rng.bit_generator)())
+            ref.bit_generator.state = sampler.rng.bit_generator.state
+            sampler.sweep()
+            ref.random(sampler.n)
+            assert sampler.rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_lgamma_memo_evictions_keep_chains_identical(monkeypatch):
     """A run that computes more distinct lgamma arguments than the
     kernel's memo holds, so slots are overwritten: the chains are still
